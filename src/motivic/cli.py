@@ -24,7 +24,7 @@ from .fatpoints import FatPoint, PointSystem, base_point, jet_rule, make_fat_poi
 from .kring import (KClass, SClass, class_of_scheme, class_of_sieve,
                     class_of_simplicial, class_str, counting_hom,
                     counting_simplicial, discrete_hom_check, galois_check,
-                    kclass_int, lefschetz, lift_const, sclass_str)
+                    kclass_int, lefschetz, lift_const)
 from .measures import MeasureQuery, limit_measure
 from .poly import Ideal, Poly
 from .schemes import (AffineScheme, CoordMap, adjunction_check, affine_space,
@@ -251,8 +251,8 @@ class Session:
     def eval_class(self, st):
         z = self._class_from_expr(st.payload[0])
         self.bind(st.name, "class", z)
-        text = sclass_str(z) if isinstance(z, SClass) else class_str(z)
-        return {"value": text, "simplicial": str(isinstance(z, SClass)).lower()}
+        return {"value": class_str(z),
+                "simplicial": str(isinstance(z, SClass)).lower()}
 
     # -- queries -----------------------------------------------------------
 
@@ -328,7 +328,7 @@ class Session:
         out["stabilized"] = str(rep.stabilized).lower()
         if rep.stabilized:
             out["since"] = str(rep.since)
-            out["value"] = sclass_str(rep.value)
+            out["value"] = class_str(rep.value)
         else:
             out["value"] = "indeterminate"
         return out
@@ -495,7 +495,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = from_environment()
+    try:
+        cfg = from_environment()
+    except WorkbenchError as err:
+        sys.stderr.write("motivic: %s\n" % err)
+        return 2
     overrides = {key: getattr(args, key) for key in
                  ("horizon", "window", "battery_size", "seed",
                   "max_candidates", "skeletal_level")

@@ -9,6 +9,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
+from .errors import WorkbenchError
+
 ENV_PREFIX = "MOTIVIC_"
 
 
@@ -39,9 +41,14 @@ def from_environment(base: Config | None = None) -> Config:
     cfg = base or Config()
     found = {}
     for name in _FIELDS:
-        raw = os.environ.get(ENV_PREFIX + name.upper())
+        var = ENV_PREFIX + name.upper()
+        raw = os.environ.get(var)
         if raw is not None:
-            found[name] = int(raw)
+            try:
+                found[name] = int(raw)
+            except ValueError:
+                raise WorkbenchError("%s must be an integer, got %r"
+                                     % (var, raw)) from None
     return cfg.with_overrides(**found)
 
 

@@ -8,10 +8,8 @@ enumeration cheap.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .config import DEFAULT, Config
-from .errors import CapExceeded, FieldMismatch, NotFinite, NotLocal, WorkbenchError
+from .errors import NotFinite, NotLocal, WorkbenchError
 from .fields import Field
 from .poly import Ideal, Poly, poly_str, tensor_product
 
@@ -53,22 +51,6 @@ class QuotientAlgebra:
             out[self.index[e]] = c
         return tuple(out)
 
-    def to_poly(self, vec) -> Poly:
-        out = Poly.zero(self.vars, self.field)
-        for c, b in zip(vec, self.basis):
-            if c:
-                out = out + b.scale(c)
-        return out
-
-    def add(self, u, v):
-        f = self.field
-        return tuple(f.add(a, b) for a, b in zip(u, v))
-
-    def scale(self, u, c):
-        f = self.field
-        c = f.of(c)
-        return tuple(f.mul(a, c) for a in u)
-
     def _pair(self, i: int, j: int):
         key = (i, j) if i <= j else (j, i)
         got = self._table.get(key)
@@ -94,17 +76,6 @@ class QuotientAlgebra:
                     if c:
                         out[k] = f.add(out[k], f.mul(ab, c))
         return tuple(out)
-
-    def power(self, u, n: int):
-        acc = self.unit_vector()
-        base = u
-        while n:
-            if n & 1:
-                acc = self.mul(acc, base)
-            n >>= 1
-            if n:
-                base = self.mul(base, base)
-        return acc
 
     def eval_poly(self, p: Poly, images: dict):
         """Evaluate p with variables sent to algebra vectors."""

@@ -44,6 +44,11 @@ class Field:
     def __setattr__(self, *a):
         raise AttributeError("Field is immutable")
 
+    def __reduce__(self):
+        # rebuild through __init__: the default slot restore would go
+        # through the __setattr__ guard above
+        return (Field, (self.char,))
+
     def __eq__(self, other):
         return isinstance(other, Field) and self.char == other.char
 
@@ -73,9 +78,6 @@ class Field:
 
     def add(self, a, b):
         return a + b if self.char == 0 else (a + b) % self.char
-
-    def sub(self, a, b):
-        return a - b if self.char == 0 else (a - b) % self.char
 
     def mul(self, a, b):
         return a * b if self.char == 0 else (a * b) % self.char

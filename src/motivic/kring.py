@@ -10,6 +10,8 @@ exponent, and minimizes over coordinate permutations of small blocks, so the
 usual textbook identifications (a graph is an affine space, distinct reduced
 points add up) fall out. Identification is presentational, not up to
 arbitrary isomorphism; counting at finite fat points is the semantic anchor.
+Each block carries the scheme and sieve node that realize it, so a class
+prints and counts without any state outside itself.
 
 Union classes are expanded by inclusion-exclusion, which makes the
 cut-and-paste identity hold by construction; the battery helpers re-verify
@@ -32,7 +34,7 @@ from .errors import (AmbientMismatch, CapExceeded, EnumerationUnavailable,
                      EvalError, WorkbenchError)
 from .fatpoints import FatPoint
 from .fields import Field
-from .poly import Ideal, Poly, grevlex_key, poly_str
+from .poly import Ideal, Poly, join_terms
 from .schemes import AffineScheme, CoordMap, points
 from .sieves import (Closed, ConstSieve, DisjointSieve, Empty, Full, Im,
                      Inter, InterSieve, LevelSieve, OpenLoc, PowerSieve,
@@ -83,12 +85,29 @@ def expand_node(node):
 # ---------------------------------------------------------------------------
 # canonical blocks
 
-_BLOCK_PAYLOAD: dict = {}
 
+class Block:
+    """A canonical block: its key and the (scheme, node) that realizes it.
 
-def block_payload(key):
-    """(scheme, node) realizing a canonical block, for counting."""
-    return _BLOCK_PAYLOAD[key]
+    Equality, hashing and repr come from the key alone, so blocks order and
+    merge as their keys do; the payload is what printing and counting read.
+    """
+
+    __slots__ = ("key", "scheme", "node")
+
+    def __init__(self, key, scheme: AffineScheme, node):
+        self.key = key
+        self.scheme = scheme
+        self.node = node
+
+    def __eq__(self, other):
+        return isinstance(other, Block) and self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __repr__(self):
+        return repr(self.key)
 
 
 def _permute_poly(p: Poly, perm, new_vars, field) -> Poly:
@@ -139,11 +158,8 @@ def _node_of_parts(vars, field, gens, open_g, ims):
     return node
 
 
-def _ser(field, p: Poly):
-    return p.key()
-
-
 def _block_candidates(vars_sub, field, gens, open_g, ims, cfg):
+    """The least presentation over coordinate permutations, or None when empty."""
     n = len(vars_sub)
     perm_source = permutations(range(n)) if n <= 5 else [tuple(range(n))]
     best_key = None
@@ -154,12 +170,12 @@ def _block_candidates(vars_sub, field, gens, open_g, ims, cfg):
         ideal = Ideal(zvars, field, pgens, cfg)
         basis = ideal.basis()
         if ideal.is_unit():
-            return "empty", None
+            return None
         popen = None
         if open_g is not None:
             popen = ideal.normal_form(_permute_poly(open_g, perm, zvars, field))
             if popen.is_zero():
-                return "empty", None
+                return None
             if popen.is_constant():
                 popen = None
             else:
@@ -172,8 +188,8 @@ def _block_candidates(vars_sub, field, gens, open_g, ims, cfg):
                 images = {mapping[v]: cm.images[v] for v in cm.target.vars}
                 pims.append(CoordMap(cm.source, tgt, images))
         key = ("blk", n,
-               tuple(sorted((_ser(field, g) for g in basis), key=repr)),
-               None if popen is None else _ser(field, popen),
+               tuple(sorted((g.key() for g in basis), key=repr)),
+               None if popen is None else popen.key(),
                tuple(sorted((cm.key() for cm in pims), key=repr)))
         if best_key is None or repr(key) < repr(best_key):
             best_key = key
@@ -181,7 +197,7 @@ def _block_candidates(vars_sub, field, gens, open_g, ims, cfg):
             scheme_ideal._basis = list(basis)
             scheme = AffineScheme("blk", scheme_ideal)
             best_payload = (scheme, _node_of_parts(zvars, field, basis, popen, pims))
-    return best_key, best_payload
+    return Block(best_key, *best_payload)
 
 
 def canonical_conjunction(ambient: AffineScheme, literals, cfg: Config = DEFAULT):
@@ -247,12 +263,9 @@ def canonical_conjunction(ambient: AffineScheme, literals, cfg: Config = DEFAULT
     n = len(vars)
     if ims:
         # image conditions constrain every coordinate: one indivisible block
-        key, payload = _block_candidates(vars, field, basis,
-                                         _merge_opens(opens, field, vars), ims, cfg)
-        if key == "empty":
-            return None
-        _BLOCK_PAYLOAD.setdefault(key, payload)
-        return ((key,), 0)
+        block = _block_candidates(vars, field, basis,
+                                  _merge_opens(opens, field, vars), ims, cfg)
+        return None if block is None else ((block,), 0)
 
     used = set()
     edges = []
@@ -300,11 +313,10 @@ def canonical_conjunction(ambient: AffineScheme, literals, cfg: Config = DEFAULT
         bgens = [restrict(g) for g in basis if g.support() <= set(idxs)]
         bopens = [restrict(g) for g in opens if g.support() <= set(idxs)]
         merged = _merge_opens(bopens, field, sub_vars)
-        key, payload = _block_candidates(sub_vars, field, bgens, merged, [], cfg)
-        if key == "empty":
+        block = _block_candidates(sub_vars, field, bgens, merged, [], cfg)
+        if block is None:
             return None
-        _BLOCK_PAYLOAD.setdefault(key, payload)
-        blocks.append(key)
+        blocks.append(block)
 
     return (tuple(sorted(blocks, key=repr)), lef)
 
@@ -318,19 +330,16 @@ def _merge_opens(opens, field, vars):
     return out
 
 
-def _whole_block(vars, field, basis, opens, ims, cfg):
-    key, payload = _block_candidates(vars, field, basis,
-                                     _merge_opens(opens, field, vars), ims, cfg)
-    _BLOCK_PAYLOAD.setdefault(key, payload)
-    return (key,)
-
-
 # ---------------------------------------------------------------------------
 # plain classes
 
 
-class KClass:
-    """Integer combination of canonical symbols over one base field."""
+class _Combination:
+    """Integer combination of symbols over one base field.
+
+    The arithmetic shared by plain and simplicial classes; a subclass says
+    how an integer lifts into it (`_of_int`) and how symbols multiply.
+    """
 
     __slots__ = ("field", "terms")
 
@@ -344,41 +353,28 @@ class KClass:
 
     def __add__(self, other):
         if isinstance(other, int):
-            other = kclass_int(self.field, other)
+            other = self._of_int(other)
         self._check(other)
         out = dict(self.terms)
         for s, c in other.terms.items():
             out[s] = out.get(s, 0) + c
-        return KClass(self.field, out)
+        return type(self)(self.field, out)
+
+    __radd__ = __add__
 
     def __neg__(self):
-        return KClass(self.field, {s: -c for s, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
         if isinstance(other, int):
-            other = kclass_int(self.field, other)
+            other = self._of_int(other)
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return KClass(self.field, {s: c * other for s, c in self.terms.items()})
-        self._check(other)
-        out = {}
-        for s1, c1 in self.terms.items():
-            for s2, c2 in other.terms.items():
-                s = (tuple(sorted(s1[0] + s2[0], key=repr)), s1[1] + s2[1])
-                out[s] = out.get(s, 0) + c1 * c2
-        return KClass(self.field, out)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
     def __rsub__(self, other):
-        return kclass_int(self.field, other) - self
+        return self._of_int(other) - self
 
-    def twist(self, e: int) -> "KClass":
-        """Multiply by L**e; e may be negative (localized ring)."""
-        return KClass(self.field, {(s[0], s[1] + e): c for s, c in self.terms.items()})
+    def scale(self, c: int):
+        return type(self)(self.field, {s: cc * c for s, cc in self.terms.items()})
 
     def is_zero(self):
         return not self.terms
@@ -387,7 +383,7 @@ class KClass:
         return tuple(sorted(self.terms.items(), key=lambda kv: repr(kv[0])))
 
     def __eq__(self, other):
-        return (isinstance(other, KClass) and self.field == other.field
+        return (type(other) is type(self) and self.field == other.field
                 and self.terms == other.terms)
 
     def __hash__(self):
@@ -395,6 +391,32 @@ class KClass:
 
     def __repr__(self):
         return class_str(self)
+
+
+class KClass(_Combination):
+    """Integer combination of canonical symbols over one base field."""
+
+    __slots__ = ()
+
+    def _of_int(self, n: int) -> "KClass":
+        return kclass_int(self.field, n)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self.scale(other)
+        self._check(other)
+        out = {}
+        for s1, c1 in self.terms.items():
+            for s2, c2 in other.terms.items():
+                s = (tuple(sorted(s1[0] + s2[0], key=repr)), s1[1] + s2[1])
+                out[s] = out.get(s, 0) + c1 * c2
+        return KClass(self.field, out)
+
+    __rmul__ = __mul__
+
+    def twist(self, e: int) -> "KClass":
+        """Multiply by L**e; e may be negative (localized ring)."""
+        return KClass(self.field, {(s[0], s[1] + e): c for s, c in self.terms.items()})
 
 
 def kclass_zero(field: Field) -> KClass:
@@ -433,36 +455,28 @@ def class_of_scheme(x: AffineScheme, cfg: Config = DEFAULT) -> KClass:
 
 def symbol_str(sym) -> str:
     blocks, lef = sym
-    bits = []
-    for key in blocks:
-        scheme, node = block_payload(key)
-        if isinstance(node, Full):
-            bits.append("[pt]")
-        else:
-            bits.append("[%s]" % node_str(node))
+    bits = ["[pt]" if isinstance(b.node, Full) else "[%s]" % node_str(b.node)
+            for b in blocks]
     if lef:
         bits.append("L" if lef == 1 else "L^%d" % lef)
     return "*".join(bits) if bits else "1"
 
 
-def class_str(z: KClass) -> str:
-    if not z.terms:
-        return "0"
+def class_str(z) -> str:
+    """Printed form of a plain class, a simplicial class or a frozen plain class."""
+    body_str = sym_str if isinstance(z, SClass) else symbol_str
     bits = []
-    for sym, c in sorted(z.terms.items(), key=lambda kv: repr(kv[0])):
-        body = symbol_str(sym)
+    for sym, c in (z if isinstance(z, tuple) else z.frozen()):
+        body = body_str(sym)
         if c == 1:
             bits.append(body)
         elif c == -1:
-            bits.append("-%s" % body)
+            bits.append("-" + body)
         elif body == "1":
             bits.append("%d" % c)
         else:
             bits.append("%d*%s" % (c, body))
-    out = bits[0]
-    for b in bits[1:]:
-        out += " - " + b[1:] if b.startswith("-") else " + " + b
-    return out
+    return join_terms(bits)
 
 
 def counting_hom(z: KClass, m: FatPoint, cfg: Config = DEFAULT) -> Fraction:
@@ -475,9 +489,8 @@ def counting_hom(z: KClass, m: FatPoint, cfg: Config = DEFAULT) -> Fraction:
     total = Fraction(0)
     for (blocks, lef), c in z.terms.items():
         val = Fraction(q) ** (ell * lef)
-        for key in blocks:
-            scheme, node = block_payload(key)
-            val *= Sieve(scheme, node).count(m, cfg)
+        for block in blocks:
+            val *= Sieve(block.scheme, block.node).count(m, cfg)
         total += c * val
     return total
 
@@ -486,7 +499,7 @@ def counting_hom(z: KClass, m: FatPoint, cfg: Config = DEFAULT) -> Fraction:
 # simplicial classes
 
 
-class SClass:
+class SClass(_Combination):
     """Integer combination of shaped symbols.
 
     Symbol kinds: ("const", plain symbol), ("pow", frozen class, symmetric),
@@ -494,32 +507,10 @@ class SClass:
     power shapes wrap a whole plain class since levels are genuine powers.
     """
 
-    __slots__ = ("field", "terms")
+    __slots__ = ()
 
-    def __init__(self, field: Field, terms: dict | None = None):
-        self.field = field
-        self.terms = {s: c for s, c in (terms or {}).items() if c}
-
-    def _check(self, other):
-        if self.field != other.field:
-            raise AmbientMismatch("classes over different fields")
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = lift_const(kclass_int(self.field, other))
-        self._check(other)
-        out = dict(self.terms)
-        for s, c in other.terms.items():
-            out[s] = out.get(s, 0) + c
-        return SClass(self.field, out)
-
-    def __neg__(self):
-        return SClass(self.field, {s: -c for s, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = lift_const(kclass_int(self.field, other))
-        return self + (-other)
+    def _of_int(self, n: int) -> "SClass":
+        return lift_const(kclass_int(self.field, n))
 
     def mul(self, other: "SClass", cfg: Config = DEFAULT) -> "SClass":
         self._check(other)
@@ -535,27 +526,6 @@ class SClass:
             return self.scale(other)
         return self.mul(other)
 
-    __radd__ = __add__
-
-    def scale(self, c: int) -> "SClass":
-        return SClass(self.field, {s: cc * c for s, cc in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def frozen(self):
-        return tuple(sorted(self.terms.items(), key=lambda kv: repr(kv[0])))
-
-    def __eq__(self, other):
-        return (isinstance(other, SClass) and self.field == other.field
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.field, self.frozen()))
-
-    def __repr__(self):
-        return sclass_str(self)
-
 
 def lift_const(z: KClass) -> SClass:
     return SClass(z.field, {("const", s): c for s, c in z.terms.items()})
@@ -563,10 +533,6 @@ def lift_const(z: KClass) -> SClass:
 
 def lift_power(z: KClass, symmetric: bool = False) -> SClass:
     return SClass(z.field, {("pow", z.frozen(), symmetric): 1})
-
-
-def sclass_zero(field: Field) -> SClass:
-    return SClass(field, {})
 
 
 def _materialize(field, sym, cfg: Config):
@@ -717,48 +683,10 @@ def sym_str(sym) -> str:
         return symbol_str(sym[1])
     if kind == "pow":
         tag = "sym" if sym[2] else "fib"
-        return "%s(%s)" % (tag, _frozen_str(sym[1]))
+        return "%s(%s)" % (tag, class_str(sym[1]))
     if kind == "levels":
-        return "levels(%s)" % "; ".join(_frozen_str(fr) for fr in sym[1])
+        return "levels(%s)" % "; ".join(class_str(fr) for fr in sym[1])
     raise WorkbenchError("unknown symbol kind %r" % (kind,))
-
-
-def _frozen_str(frozen) -> str:
-    bits = []
-    for s, c in frozen:
-        body = symbol_str(s)
-        if c == 1:
-            bits.append(body)
-        elif c == -1:
-            bits.append("-%s" % body)
-        elif body == "1":
-            bits.append("%d" % c)
-        else:
-            bits.append("%d*%s" % (c, body))
-    if not bits:
-        return "0"
-    out = bits[0]
-    for b in bits[1:]:
-        out += " - " + b[1:] if b.startswith("-") else " + " + b
-    return out
-
-
-def sclass_str(z: SClass) -> str:
-    if not z.terms:
-        return "0"
-    bits = []
-    for sym, c in sorted(z.terms.items(), key=lambda kv: repr(kv[0])):
-        body = sym_str(sym)
-        if c == 1:
-            bits.append(body)
-        elif c == -1:
-            bits.append("-%s" % body)
-        else:
-            bits.append("%d*%s" % (c, body))
-    out = bits[0]
-    for b in bits[1:]:
-        out += " - " + b[1:] if b.startswith("-") else " + " + b
-    return out
 
 
 def counting_simplicial(z: SClass, m: FatPoint, n: int,

@@ -18,13 +18,12 @@ from math import ceil
 
 from .config import DEFAULT, Config
 from .errors import EvalError, WorkbenchError
-from .fatpoints import FatPoint, PointSystem, base_point
+from .fatpoints import FatPoint, base_point
 from .kring import (KClass, SClass, class_of_sieve, class_of_simplicial,
-                    counting_simplicial, level_class, sclass_str,
-                    twist_by_rule)
+                    counting_simplicial, level_class, twist_by_rule)
 from .schemes import AffineScheme, weil_restrict
-from .sieves import (ConstSieve, IndexedAmbient, LevelSieve, LimitSieve,
-                     Sieve, arc_plain_sieve, full_sieve, level_presentation)
+from .sieves import (IndexedAmbient, LevelSieve, LimitSieve, Sieve,
+                     arc_plain_sieve, full_sieve, level_presentation)
 
 
 @dataclass
@@ -59,26 +58,14 @@ class MeasureReport:
     per_level: list = dc_field(default_factory=list)
     diagnostics: list = dc_field(default_factory=list)
 
-    def verdict_str(self) -> str:
-        if self.stabilized:
-            return "stabilized value=%s since=%d" % (sclass_str(self.value), self.since)
-        return "indeterminate horizon=%d" % self.horizon
-
 
 def _stabilize(values, window: int, finite_system: bool):
     """(stabilized, value, since) per the window rule."""
     if not values:
         return False, None, None
-    if finite_system:
-        last = values[-1]
-        since = len(values) - 1
-        while since > 0 and values[since - 1] == last:
-            since -= 1
-        return True, last, since
-    if len(values) < window:
-        return False, None, None
     last = values[-1]
-    if any(v != last for v in values[-window:]):
+    if not finite_system and (len(values) < window
+                              or any(v != last for v in values[-window:])):
         return False, None, None
     since = len(values) - 1
     while since > 0 and values[since - 1] == last:

@@ -8,7 +8,6 @@ reversed, negated exponent comparison.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product as iproduct
 
 from .config import DEFAULT, Config
@@ -244,13 +243,25 @@ class Poly:
             self._hash = hash(self.key())
         return self._hash
 
+    def __reduce__(self):
+        # leave the cached hash behind: string hashes differ between processes
+        return (Poly, (self.vars, self.field, self.terms))
+
     def __repr__(self):
         return poly_str(self)
 
 
-def poly_str(p: Poly) -> str:
-    if p.is_zero():
+def join_terms(bits) -> str:
+    """Signed term strings joined as "a + b - c"; no terms print as "0"."""
+    if not bits:
         return "0"
+    out = bits[0]
+    for b in bits[1:]:
+        out += " - " + b[1:] if b.startswith("-") else " + " + b
+    return out
+
+
+def poly_str(p: Poly) -> str:
     bits = []
     for e in sorted(p.terms, key=grevlex_key, reverse=True):
         c = p.terms[e]
@@ -267,10 +278,7 @@ def poly_str(p: Poly) -> str:
         else:
             piece = cs
         bits.append(piece)
-    out = bits[0]
-    for piece in bits[1:]:
-        out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
-    return out
+    return join_terms(bits)
 
 
 # -- division and bases ------------------------------------------------------

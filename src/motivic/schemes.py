@@ -47,9 +47,6 @@ class AffineScheme:
     def presentation_key(self):
         return (self.field, self.vars, tuple(g.key() for g in self.ideal.basis()))
 
-    def same_presentation(self, other: "AffineScheme") -> bool:
-        return self.presentation_key() == other.presentation_key()
-
     def __eq__(self, other):
         return (isinstance(other, AffineScheme)
                 and self.presentation_key() == other.presentation_key())
@@ -216,9 +213,6 @@ class ArcScheme(AffineScheme):
         self.source = source
         self.point = point
         self.raw_equation_count = raw_equation_count
-
-    def coord(self, v: str, j: int) -> str:
-        return arc_var(v, j)
 
 
 def _expansion_ring(x: AffineScheme, m: FatPoint):

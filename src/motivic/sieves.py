@@ -17,13 +17,12 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, product as iproduct
 
 from .config import DEFAULT, Config
-from .errors import (AmbientMismatch, CapExceeded, EnumerationUnavailable,
-                     WorkbenchError)
+from .errors import AmbientMismatch, CapExceeded, WorkbenchError
 from .fatpoints import FatPoint, SimplicialFatPoint, base_point
 from .poly import Ideal, Poly, poly_str
-from .schemes import (AffineScheme, ArcScheme, CoordMap, arc_coefficients,
-                      arc_of_map, identity_map, points, product_scheme,
-                      truncation_map, weil_restrict)
+from .schemes import (AffineScheme, CoordMap, arc_coefficients, arc_of_map,
+                      identity_map, points, product_scheme, truncation_map,
+                      weil_restrict)
 
 # ---------------------------------------------------------------------------
 # expression nodes
@@ -956,11 +955,6 @@ class RelativeSieve:
         return hash(self.key())
 
 
-def relative_full(base: Sieve) -> RelativeSieve:
-    """The base itself, structured by the identity."""
-    return RelativeSieve(base, base, identity_map(base.ambient))
-
-
 def fiber_product(a: RelativeSieve, b: RelativeSieve,
                   cfg: Config = DEFAULT) -> RelativeSieve:
     """Pointwise pairs agreeing on the base."""
@@ -1012,9 +1006,6 @@ class LimitSieve:
 
     def members(self, horizon: int, cfg: Config = DEFAULT):
         return [(m, self.member_at(m, cfg)) for m in self.system.materialize(horizon)]
-
-    def is_supported(self, ambient: SimplicialAmbient) -> bool:
-        return self.base.ambient.key() == ambient.key()
 
     def battery_validate(self, horizon: int, cfg: Config = DEFAULT,
                          levels: int = 1) -> dict:

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .config import DEFAULT, Config
-from .errors import AmbientMismatch, CapExceeded, EvalError, WorkbenchError
+from .errors import CapExceeded, EvalError, WorkbenchError
 from .fatpoints import FatPoint, base_point
+from .measures import _stabilize
 from .sieves import (InterSieve, ProductSieve, SimplicialSieve, UnionSieve)
 
 HOMOTOPY_KEY_PROXY = "necessary-only"
@@ -334,18 +335,6 @@ def homotopy_stabilization(family, horizon: int, window: int = 3,
         member = family.member_at(m, cfg)
         A = evaluate_to_sset(member, k0, top, cfg)
         keys.append(homotopy_class_key(A))
-    finite_system = family.system.finite
-    if finite_system:
-        stab, val, since = True, keys[-1], len(keys) - 1
-        while since > 0 and keys[since - 1] == val:
-            since -= 1
-    else:
-        stab = len(keys) >= window and all(k == keys[-1] for k in keys[-window:])
-        val = keys[-1] if stab else None
-        since = None
-        if stab:
-            since = len(keys) - 1
-            while since > 0 and keys[since - 1] == val:
-                since -= 1
+    stab, val, since = _stabilize(keys, window, family.system.finite)
     return {"stabilized": stab, "key": val, "since": since,
             "proxy": HOMOTOPY_KEY_PROXY, "keys": keys}

@@ -104,6 +104,24 @@ class TestReports:
         assert by_text["check adjunction X m m"]["ok"] == "true"
         assert by_text["check scissor s h at m"]["ok"] == "true"
 
+    def test_class_values_print_in_their_own_script(self):
+        # a class symbol carries its own presentation, so a second script
+        # with the same image condition prints its own source name
+        text = ("field Q\nscheme Src = Spec k[u]\nscheme X = Spec k[v]\n"
+                "map f = Src -> X : v -> u^2\nsieve s = im(f) in X\n"
+                "class c = [s]\n")
+        first = record_blocks(run_script(text)[0])[-1]
+        second = record_blocks(run_script(text.replace("Src", "S1"))[0])[-1]
+        assert first["value"] == "[im(Src)]"
+        assert second["value"] == "[im(S1)]"
+
+    def test_integer_terms_of_simplicial_classes(self):
+        text = ("field Q\nscheme X = Spec k[x]\nsimplicial S = fiber(X) @ 2\n"
+                "class c = [S] + 3\n")
+        block = record_blocks(run_script(text)[0])[-1]
+        assert block["simplicial"] == "true"
+        assert block["value"] == "3 + fib(L)"
+
     def test_check_failure_sets_exit_one(self):
         text = ("field F 2\nfatpoint m = k[t]/(t^2)\nscheme X = Spec k[x, y]\n"
                 "scheme A = Spec k[u]\n"
@@ -201,6 +219,15 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout == "field F 3\nscheme X = Spec k[x]\n"
+
+    def test_malformed_environment_integer_is_a_clean_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("MOTIVIC_HORIZON", "abc")
+        monkeypatch.setattr("sys.stdin", __import__("io").StringIO(
+            "field F 3\nscheme X = Spec k[x]\n"))
+        assert main([]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("motivic: ")
+        assert "MOTIVIC_HORIZON" in err and "Traceback" not in err
 
     def test_environment_field_with_flag_override(self, monkeypatch):
         monkeypatch.setenv("MOTIVIC_FIELD", "F5")

@@ -12,7 +12,7 @@ from motivic.kring import (class_of_scheme, class_of_sieve,
                            counting_simplicial, discrete_hom_check,
                            galois_check, is_strictly_schemic, kclass_int,
                            kclass_one, kclass_zero, lefschetz, level_class,
-                           lift_const, lift_power, pushforward, sclass_str,
+                           lift_const, lift_power, pushforward,
                            twist_by_rule)
 from motivic.poly import Ideal, Poly
 from motivic.schemes import AffineScheme, CoordMap, affine_space
@@ -84,6 +84,53 @@ class TestPlainClasses:
         za = class_of_sieve(open_sieve(A, Poly.variable("a", A.vars, F3)))
         zb = class_of_sieve(open_sieve(B, Poly.variable("b", B.vars, F3)))
         assert za == zb
+
+
+class TestPickling:
+    def test_class_counts_after_a_round_trip_through_another_process(self):
+        # the payload of each block travels with the class: no table in the
+        # building process is needed to print or count it
+        import os
+        import pickle
+        import subprocess
+        import sys
+
+        import motivic
+        build = (
+            "import pickle\n"
+            "from motivic.fatpoints import make_fat_point\n"
+            "from motivic.fields import GF\n"
+            "from motivic.kring import class_of_sieve, class_str, counting_hom\n"
+            "from motivic.poly import Poly\n"
+            "from motivic.schemes import affine_space\n"
+            "from motivic.sieves import closed_sieve, open_sieve, sieve_inter\n"
+            "F3 = GF(3)\n"
+            "A2 = affine_space(F3, ('x', 'y'), 'A2')\n"
+            "x, y = (Poly.variable(v, A2.vars, F3) for v in A2.vars)\n"
+            "t = Poly.variable('t', ('t',), F3)\n"
+            "m = make_fat_point(('t',), F3, [t * t], 't2')\n"
+            "cusp = y * y - x * x * x\n"
+            "z = class_of_sieve(sieve_inter(closed_sieve(A2, [cusp]),\n"
+            "                               open_sieve(A2, x)))\n"
+            "hash(cusp)\n"
+            "print(pickle.dumps((z, cusp)).hex())\n"
+            "print(class_str(z))\n"
+            "print(counting_hom(z, m))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(motivic.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONHASHSEED", None)  # string hashes differ from ours
+        proc = subprocess.run([sys.executable, "-c", build], env=env,
+                              capture_output=True, text=True, check=True)
+        blob, printed, count = proc.stdout.splitlines()
+        z, cusp = pickle.loads(bytes.fromhex(blob))
+        A2 = affine_space(F3, ("x", "y"), "A2")
+        x, y = (Poly.variable(v, A2.vars, F3) for v in A2.vars)
+        assert cusp in {y * y - x * x * x}
+        assert z == class_of_sieve(sieve_inter(closed_sieve(A2, [cusp]),
+                                               open_sieve(A2, x)))
+        assert "V(" in printed and "D(" in printed
+        assert class_str(z) == printed
+        assert str(counting_hom(z, fat2(F3))) == count
 
 
 class TestCounting:

@@ -3,7 +3,8 @@
 import pytest
 
 from motivic.errors import EvalError, WorkbenchError
-from motivic.fatpoints import PointSystem, base_point, jet_rule
+from motivic.fatpoints import (PointSystem, base_point, jet_rule,
+                                make_fat_point)
 from motivic.fields import GF
 from motivic.poly import Poly
 from motivic.schemes import affine_space
@@ -141,6 +142,21 @@ class TestHomotopyStabilization:
         rep = homotopy_stabilization(fam, horizon=4, window=3, top=1)
         assert not rep["stabilized"]
         assert rep["proxy"] == HOMOTOPY_KEY_PROXY
+
+    def test_explicit_chain_settles_at_its_last_member(self):
+        # a finite system is read at its last member, even when it is
+        # shorter than the window; `since` is where the final run of keys
+        # begins
+        A1f = affine_space(F3, ("x",), "A1f")
+        t = Poly.variable("t", ("t",), F3)
+        members = [make_fat_point(("t",), F3, [t ** k], "t%d" % k)
+                   for k in (2, 3, 3)]
+        fam = limit_sieve(A1f, PointSystem(members=members, label="C"))
+        rep = homotopy_stabilization(fam, horizon=4, window=4, top=1)
+        assert rep["stabilized"]
+        assert rep["keys"][0] != rep["keys"][1] == rep["keys"][2]
+        assert rep["key"] == rep["keys"][-1]
+        assert rep["since"] == 1
 
 
 class TestValidation:
