@@ -260,6 +260,24 @@ class PointSystem:
         return True, None, "chain of length %d" % len(ms)
 
 
+def stabilize(values, window: int, finite_system: bool):
+    """(stabilized, value, since) of a sequence of values along a point system.
+
+    A finite system settles at its last member. A rule system settles once
+    its last `window` values agree; `since` is where the final run begins.
+    """
+    if not values:
+        return False, None, None
+    last = values[-1]
+    if not finite_system and (len(values) < window
+                              or any(v != last for v in values[-window:])):
+        return False, None, None
+    since = len(values) - 1
+    while since > 0 and values[since - 1] == last:
+        since -= 1
+    return True, last, since
+
+
 def jet_rule(field: Field, var: str = "t", cfg: Config = DEFAULT):
     """index -> k[var]/(var^index), the standard jet chain (index starts at 1)."""
 

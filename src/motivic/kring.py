@@ -91,23 +91,31 @@ class Block:
 
     Equality, hashing and repr come from the key alone, so blocks order and
     merge as their keys do; the payload is what printing and counting read.
+    The key's repr and hash are taken once, since canonical order sorts by
+    repr and every class sum hashes its symbols.
     """
 
-    __slots__ = ("key", "scheme", "node")
+    __slots__ = ("key", "scheme", "node", "_repr", "_hash")
 
     def __init__(self, key, scheme: AffineScheme, node):
         self.key = key
         self.scheme = scheme
         self.node = node
+        self._repr = repr(key)
+        self._hash = hash(key)
 
     def __eq__(self, other):
         return isinstance(other, Block) and self.key == other.key
 
     def __hash__(self):
-        return hash(self.key)
+        return self._hash
 
     def __repr__(self):
-        return repr(self.key)
+        return self._repr
+
+    def __reduce__(self):
+        # string hashes are salted per process: rebuild rather than copy _hash
+        return Block, (self.key, self.scheme, self.node)
 
 
 def _permute_poly(p: Poly, perm, new_vars, field) -> Poly:
@@ -464,6 +472,12 @@ def symbol_str(sym) -> str:
 
 def class_str(z) -> str:
     """Printed form of a plain class, a simplicial class or a frozen plain class."""
+    # classes nested in simplicial symbols print through _terms_str, so one
+    # printed class is one call here (perfbench/spans.py times this name)
+    return _terms_str(z)
+
+
+def _terms_str(z) -> str:
     body_str = sym_str if isinstance(z, SClass) else symbol_str
     bits = []
     for sym, c in (z if isinstance(z, tuple) else z.frozen()):
@@ -683,9 +697,9 @@ def sym_str(sym) -> str:
         return symbol_str(sym[1])
     if kind == "pow":
         tag = "sym" if sym[2] else "fib"
-        return "%s(%s)" % (tag, class_str(sym[1]))
+        return "%s(%s)" % (tag, _terms_str(sym[1]))
     if kind == "levels":
-        return "levels(%s)" % "; ".join(class_str(fr) for fr in sym[1])
+        return "levels(%s)" % "; ".join(_terms_str(fr) for fr in sym[1])
     raise WorkbenchError("unknown symbol kind %r" % (kind,))
 
 

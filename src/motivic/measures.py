@@ -18,7 +18,7 @@ from math import ceil
 
 from .config import DEFAULT, Config
 from .errors import EvalError, WorkbenchError
-from .fatpoints import FatPoint, base_point
+from .fatpoints import FatPoint, base_point, stabilize
 from .kring import (KClass, SClass, class_of_sieve, class_of_simplicial,
                     counting_simplicial, level_class, twist_by_rule)
 from .schemes import AffineScheme, weil_restrict
@@ -57,20 +57,6 @@ class MeasureReport:
     lax_values: list = dc_field(default_factory=list)
     per_level: list = dc_field(default_factory=list)
     diagnostics: list = dc_field(default_factory=list)
-
-
-def _stabilize(values, window: int, finite_system: bool):
-    """(stabilized, value, since) per the window rule."""
-    if not values:
-        return False, None, None
-    last = values[-1]
-    if not finite_system and (len(values) < window
-                              or any(v != last for v in values[-window:])):
-        return False, None, None
-    since = len(values) - 1
-    while since > 0 and values[since - 1] == last:
-        since -= 1
-    return True, last, since
 
 
 def _ambient_level_dims(member, top: int, cfg: Config):
@@ -144,7 +130,7 @@ def limit_measure(q: MeasureQuery, cfg: Config = DEFAULT) -> MeasureReport:
         if q.lax_rule is not None:
             lax_vals.append(q.lax_rule(m))
     values = [v for _, v in seq]
-    stabilized, value, since = _stabilize(values, q.window, finite_system)
+    stabilized, value, since = stabilize(values, q.window, finite_system)
     return MeasureReport(mode=mode, sequence=seq, stabilized=stabilized,
                          value=value, since=since, horizon=q.horizon,
                          lax_values=lax_vals)
@@ -213,7 +199,7 @@ def indexed_mode(q: MeasureQuery, cfg: Config = DEFAULT) -> MeasureReport:
             lv = [level_class(v, n, cfg) for v in values]
         except WorkbenchError:
             break
-        st, val, since = _stabilize(lv, q.window, subject.system.finite)
+        st, val, since = stabilize(lv, q.window, subject.system.finite)
         per_level.append({"level": n, "stabilized": st, "since": since})
     report.per_level = per_level
     return report

@@ -18,8 +18,7 @@ from itertools import combinations_with_replacement
 
 from .config import DEFAULT, Config
 from .errors import CapExceeded, EvalError, WorkbenchError
-from .fatpoints import FatPoint, base_point
-from .measures import _stabilize
+from .fatpoints import FatPoint, base_point, stabilize
 from .sieves import (InterSieve, ProductSieve, SimplicialSieve, UnionSieve)
 
 HOMOTOPY_KEY_PROXY = "necessary-only"
@@ -335,6 +334,6 @@ def homotopy_stabilization(family, horizon: int, window: int = 3,
         member = family.member_at(m, cfg)
         A = evaluate_to_sset(member, k0, top, cfg)
         keys.append(homotopy_class_key(A))
-    stab, val, since = _stabilize(keys, window, family.system.finite)
+    stab, val, since = stabilize(keys, window, family.system.finite)
     return {"stabilized": stab, "key": val, "since": since,
             "proxy": HOMOTOPY_KEY_PROXY, "keys": keys}
