@@ -2,8 +2,9 @@
 
 A fat point is k[y1..ys]/I with every generator nilpotent (so the algebra is
 local with residue field k). Elements are handled as coefficient vectors over
-the standard-monomial basis; a lazily built multiplication table keeps point
-enumeration cheap.
+the standard-monomial basis, multiplied through a lazily built table. Point
+counting reads polynomials through `QuotientAlgebra.coefficient_rows`: their
+coefficients at the generic point, one row of plain terms per basis monomial.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ class QuotientAlgebra:
         self.index = {e: i for i, e in enumerate(self.basis_exps)}
         self.dim = len(basis)
         self._table = {}
+        # derived data that depends on this algebra only, keyed by a tagged
+        # input: ("rows", poly) for coefficient rows, ("image", map) for the
+        # image sets of sieve leaves
+        self.memo = {}
 
     @property
     def vars(self):
@@ -52,13 +57,14 @@ class QuotientAlgebra:
         return tuple(out)
 
     def _pair(self, i: int, j: int):
+        """b_i * b_j as sparse (basis index, coefficient) pairs."""
         key = (i, j) if i <= j else (j, i)
         got = self._table.get(key)
         if got is None:
             prod = Poly.monomial(
                 tuple(a + b for a, b in zip(self.basis_exps[i], self.basis_exps[j])),
                 1, self.vars, self.field)
-            got = self.nf_vector(prod)
+            got = [(k, c) for k, c in enumerate(self.nf_vector(prod)) if c]
             self._table[key] = got
         return got
 
@@ -72,9 +78,8 @@ class QuotientAlgebra:
                 if not b:
                     continue
                 ab = f.mul(a, b)
-                for k, c in enumerate(self._pair(i, j)):
-                    if c:
-                        out[k] = f.add(out[k], f.mul(ab, c))
+                for k, c in self._pair(i, j):
+                    out[k] = f.add(out[k], f.mul(ab, c))
         return tuple(out)
 
     def eval_poly(self, p: Poly, images: dict):
@@ -100,6 +105,53 @@ class QuotientAlgebra:
                     out[idx] = f.add(out[idx], f.mul(f.of(c), t))
         return tuple(out)
 
+    def coefficient_rows(self, p: Poly):
+        """The coefficients of p at the generic point, one row per basis monomial.
+
+        Variable i of p (of n) goes to the generic element sum_j a_ij b_j over
+        the standard basis b_0, b_1, ...; coordinate a_ij sits at position
+        j*n + i, so positions run x_0, y_0, x_1, y_1, ... for variables x, y.
+        Row k is the coefficient of b_k in the normal form, as a tuple of
+        terms (c, ((position, exponent), ...)) with c a field element and
+        positions increasing; a zero row is empty. Cached per polynomial.
+        """
+        key = ("rows", p)
+        got = self.memo.get(key)
+        if got is None:
+            got = self._expand(p)
+            self.memo[key] = got
+        return got
+
+    def _expand(self, p: Poly):
+        f = self.field
+        n = len(p.vars)
+
+        def times_coordinate(acc, i):
+            """acc * (sum_j a_ij b_j); acc maps (monomial, basis index) -> c."""
+            out = {}
+            for (mono, k), c in acc.items():
+                for j in range(self.dim):
+                    prod = self._pair(k, j)
+                    if prod:
+                        grown = _bump(mono, j * n + i)
+                        for l, t in prod:
+                            out[(grown, l)] = out.get((grown, l), 0) + c * t
+            return _clean(f, out)
+
+        one = self.index[(0,) * len(self.vars)]
+        total = {}
+        for e, c in p.terms.items():
+            acc = {((), one): c}
+            for i, k in enumerate(e):
+                for _ in range(k):
+                    acc = times_coordinate(acc, i)
+            for key, c2 in acc.items():
+                total[key] = total.get(key, 0) + c2
+        rows = [[] for _ in range(self.dim)]
+        for (mono, k), c in _clean(f, total).items():
+            rows[k].append((c, mono))
+        return tuple(tuple(sorted(r, key=lambda term: term[1])) for r in rows)
+
     def residue(self, vec):
         """Coefficient of the basis monomial 1."""
         one = (0,) * len(self.vars)
@@ -111,6 +163,50 @@ class QuotientAlgebra:
 
     def is_zero_vec(self, vec) -> bool:
         return not any(vec)
+
+
+def _clean(field: Field, coeffs: dict) -> dict:
+    """coeffs with every value coerced into the field and zeros dropped."""
+    out = {}
+    for key, c in coeffs.items():
+        c = field.of(c)
+        if c:
+            out[key] = c
+    return out
+
+
+def _bump(mono, pos: int):
+    """A sparse monomial ((position, exponent), ...) times coordinate `pos`."""
+    out = list(mono)
+    for idx, (q, e) in enumerate(out):
+        if q == pos:
+            out[idx] = (q, e + 1)
+            return tuple(out)
+        if q > pos:
+            out.insert(idx, (pos, 1))
+            return tuple(out)
+    out.append((pos, 1))
+    return tuple(out)
+
+
+def flat_coordinates(point, length: int):
+    """A point's coefficient vectors as coordinates, in `coefficient_rows` order."""
+    return [vec[j] for j in range(length) for vec in point]
+
+
+def point_of(coords, n: int):
+    """The point of n variables whose flat coordinates are `coords`."""
+    return tuple(tuple(coords[i::n]) for i in range(n))
+
+
+def row_value(row, vals):
+    """A coefficient row at the coordinates `vals`, unreduced."""
+    total = 0
+    for c, mono in row:
+        for pos, e in mono:
+            c *= vals[pos] ** e
+        total += c
+    return total
 
 
 class FatPoint:

@@ -1,9 +1,9 @@
 """Affine schemes of finite type, their points over fat points, and arcs.
 
 The arc construction is a Weil restriction: coordinates are expanded over the
-standard-monomial basis of the fat point, defining equations are reduced with
-polynomial coefficients, and one equation is read off per (generator, basis
-monomial) pair.
+standard-monomial basis of the fat point, and one equation is read off per
+(generator, basis monomial) pair. Point enumeration searches the same
+coefficients one base-field coordinate at a time.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from itertools import product as iproduct
 from .config import DEFAULT, Config
 from .errors import (AmbientMismatch, CapExceeded, EnumerationUnavailable,
                      FieldMismatch, WorkbenchError)
-from .fatpoints import FatPoint, QuotientAlgebra, truncation_compatible
+from .fatpoints import (FatPoint, QuotientAlgebra, point_of, row_value,
+                        truncation_compatible)
 from .fields import Field
-from .poly import Ideal, Poly, poly_str, reduce_full, tensor_product
+from .poly import Ideal, Poly, poly_str, tensor_product
 
 _RESERVED = re.compile(r".*_[0-9]+$")
 
@@ -131,58 +132,63 @@ def identity_map(x: AffineScheme) -> CoordMap:
 # -- point enumeration --------------------------------------------------------
 
 
-def _vector_options(m: FatPoint):
-    field = m.field
-    return [tuple(vec) for vec in iproduct(field.elements(), repeat=m.length)]
-
-
 def points(x: AffineScheme, m: FatPoint, cfg: Config = DEFAULT):
     """All algebra maps from x's coordinate ring into O_m, as image tuples.
 
-    Backtracking over coordinates with early rejection: an equation is tested
-    as soon as every variable it touches has an image. Finite fields only.
+    A point is a tuple of base-field coordinates, the coefficients of each
+    variable's image over m's standard basis (the restriction adjunction).
+    Each generator becomes one coefficient row per basis monomial
+    (`QuotientAlgebra.coefficient_rows`, cached on m's algebra). The search
+    sets the n*len coordinates one at a time in basis order x_0, y_0, x_1,
+    y_1, ..., and tests each row, mod p, as soon as its last coordinate is
+    set, so a partial jet is dropped at the first equation it breaks.
+    Returns the points sorted, each a tuple of coefficient vectors, one per
+    variable. Finite fields only.
     """
     if not x.field.finite:
         raise EnumerationUnavailable("point enumeration needs a finite field")
     if x.field != m.field:
         raise FieldMismatch("scheme and fat point over different fields")
     alg = m.algebra
-    n = len(x.vars)
-    total = (x.field.order ** (n * m.length)) if n else 1
+    n, length = len(x.vars), m.length
+    size = n * length
+    total = (x.field.order ** size) if n else 1
     if total > cfg.max_candidates:
         raise CapExceeded("enumeration of %d candidates exceeds cap %d"
                           % (total, cfg.max_candidates))
-    eqs = []
+    p = x.field.char
+    due = [[] for _ in range(size)]      # rows by the position that completes them
     for g in x.ideal.gens:
-        sup = g.support()
-        eqs.append((max(sup) if sup else -1, g))
-    if not x.vars:
-        ok = all(alg.is_zero_vec(alg.eval_poly(g, {})) for _, g in eqs)
-        return [()] if ok else []
-    options = _vector_options(m)
-    out = []
-    images = {}
+        for row in alg.coefficient_rows(g):
+            if not row:
+                continue
+            last = max(mono[-1][0] if mono else -1 for _, mono in row)
+            if last < 0:                 # a nonzero constant vetoes everything
+                return []
+            due[last].append(row)
+    # coordinates past the last one that completes a row are unconstrained
+    free = max((s for s in range(size) if due[s]), default=-1) + 1
+    vals = [0] * size
+    found = []
 
-    def assign(i):
-        if i == n:
-            out.append(tuple(images[v] for v in x.vars))
+    def assign(s):
+        if s == free:
+            head = vals[:free]
+            for tail in iproduct(range(p), repeat=size - free):
+                found.append(point_of(head + list(tail), n))
             return
-        for vec in options:
-            images[x.vars[i]] = vec
-            good = True
-            for last, g in eqs:
-                if last == i and not alg.is_zero_vec(alg.eval_poly(g, images)):
-                    good = False
+        rows = due[s]
+        for v in range(p):
+            vals[s] = v
+            for row in rows:
+                if row_value(row, vals) % p:
                     break
-            if good:
-                assign(i + 1)
-        images.pop(x.vars[i], None)
+            else:
+                assign(s + 1)
 
-    # constant equations (no variables) veto everything up front
-    if any(last < 0 and not alg.is_zero_vec(alg.eval_poly(g, {})) for last, g in eqs):
-        return []
     assign(0)
-    return out
+    found.sort()
+    return found
 
 
 def count_points(x: AffineScheme, m: FatPoint, cfg: Config = DEFAULT) -> int:
@@ -215,50 +221,37 @@ class ArcScheme(AffineScheme):
         self.raw_equation_count = raw_equation_count
 
 
-def _expansion_ring(x: AffineScheme, m: FatPoint):
-    """Variables for the expansion: arc coordinates first, then the point's."""
-    arc_vars = tuple(arc_var(v, j) for v in x.vars for j in range(m.length))
-    mixed = arc_vars + tuple(m.ideal.vars)
-    if len(set(mixed)) != len(mixed):
-        raise WorkbenchError("arc coordinate names collide with the point's")
-    return arc_vars, mixed
-
-
 def arc_coefficients(polys, x: AffineScheme, m: FatPoint, cfg: Config = DEFAULT):
     """Expand each polynomial over the point's basis and split off coefficients.
 
     Returns (arc variable tuple, list of coefficient rows); row s has one
     polynomial (over the arc variables) per standard basis monomial of m.
+    These are m's `coefficient_rows` with the coordinate at position j*n + i
+    named v_j for the i-th variable v.
     """
     if x.field != m.field:
         raise FieldMismatch("scheme and fat point over different fields")
     field = x.field
-    arc_vars, mixed = _expansion_ring(x, m)
-    alg = m.algebra
-    nm = len(m.ideal.vars)
-    na = len(arc_vars)
-    subs = {}
-    for v in x.vars:
-        acc = Poly.zero(mixed, field)
-        for j, bexp in enumerate(alg.basis_exps):
-            e = [0] * len(mixed)
-            e[arc_vars.index(arc_var(v, j))] = 1
-            for t, k in enumerate(bexp):
-                e[na + t] = k
-            acc = acc + Poly.monomial(tuple(e), 1, mixed, field)
-        subs[v] = acc
-    divisors = [g.embed(mixed) for g in m.ideal.basis()]
-    rows = []
-    for f in polys:
-        expanded = f.substitute(subs, vars=mixed, field=field)
-        reduced = reduce_full(expanded, divisors) if divisors else expanded
-        cells = {j: {} for j in range(m.length)}
-        for e, c in reduced.terms.items():
-            yexp = tuple(e[na:])
-            xexp = tuple(e[:na])
-            j = alg.index[yexp]
-            cells[j][xexp] = c
-        rows.append([Poly(arc_vars, field, cells[j]) for j in range(m.length)])
+    arc_vars = tuple(arc_var(v, j) for v in x.vars for j in range(m.length))
+    names = arc_vars + tuple(m.ideal.vars)
+    if len(set(names)) != len(names):
+        raise WorkbenchError("arc coordinate names collide with the point's")
+    # arc variable v_j is coefficient j of v: the arc variables list the
+    # coordinates of a point variable by variable
+    order = [pos for vec in point_of(range(len(x.vars) * m.length), len(x.vars))
+             for pos in vec]
+    slot = {pos: a for a, pos in enumerate(order)}
+
+    def named(row):
+        terms = {}
+        for c, mono in row:
+            e = [0] * len(arc_vars)
+            for pos, k in mono:
+                e[slot[pos]] = k
+            terms[tuple(e)] = c
+        return Poly(arc_vars, field, terms)
+
+    rows = [[named(row) for row in m.algebra.coefficient_rows(f)] for f in polys]
     return arc_vars, rows
 
 

@@ -18,7 +18,8 @@ from itertools import combinations_with_replacement, product as iproduct
 
 from .config import DEFAULT, Config
 from .errors import AmbientMismatch, CapExceeded, WorkbenchError
-from .fatpoints import FatPoint, SimplicialFatPoint, base_point
+from .fatpoints import (FatPoint, SimplicialFatPoint, base_point,
+                        flat_coordinates, row_value)
 from .poly import Ideal, Poly, poly_str
 from .schemes import (AffineScheme, CoordMap, arc_coefficients, arc_of_map,
                       identity_map, points, product_scheme, truncation_map,
@@ -83,24 +84,35 @@ def node_str(node) -> str:
     raise WorkbenchError("unknown node %r" % (node,))
 
 
-_image_cache: dict = {}
-
-
 def _image_points(cmap: CoordMap, m: FatPoint, cfg: Config):
-    key = (cmap, m)
-    got = _image_cache.get(key)
+    """The image of cmap's points at m, cached on m's algebra."""
+    memo = m.algebra.memo
+    key = ("image", cmap)
+    got = memo.get(key)
     if got is None:
         alg = m.algebra
         src = points(cmap.source, m, cfg)
         got = frozenset(cmap.apply_point(alg, p) for p in src)
-        _image_cache[key] = got
+        memo[key] = got
     return got
 
 
 def node_member(node, ambient: AffineScheme, m: FatPoint, point,
                 cfg: Config = DEFAULT) -> bool:
+    """Does the point satisfy the condition tree?
+
+    Closed and open leaves are read through the coefficient rows of m's
+    algebra, on the point flattened into the coordinates that `points`
+    searches: V(g) holds when every row of g vanishes, D(g) when the row of
+    the basis monomial 1 does not.
+    """
     alg = m.algebra
-    images = dict(zip(ambient.vars, point))
+    p = alg.field.char
+    vals = flat_coordinates(point, alg.dim)
+
+    def zero(row) -> bool:
+        v = row_value(row, vals)
+        return not (v % p if p else v)
 
     def walk(nd) -> bool:
         if isinstance(nd, Full):
@@ -108,9 +120,9 @@ def node_member(node, ambient: AffineScheme, m: FatPoint, point,
         if isinstance(nd, Empty):
             return False
         if isinstance(nd, Closed):
-            return all(alg.is_zero_vec(alg.eval_poly(g, images)) for g in nd.gens)
+            return all(zero(row) for g in nd.gens for row in alg.coefficient_rows(g))
         if isinstance(nd, OpenLoc):
-            return alg.is_unit(alg.eval_poly(nd.g, images))
+            return not zero(alg.residue(alg.coefficient_rows(nd.g)))
         if isinstance(nd, Im):
             return tuple(point) in _image_points(nd.cmap, m, cfg)
         if isinstance(nd, Union):

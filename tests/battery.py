@@ -1,20 +1,26 @@
-"""Seeded random generators shared by the test batteries.
+"""Seeded random generators and reference enumerators for the test batteries.
 
 Everything is driven by random.Random seeded from a string, which is stable
 across runs and platforms, so battery tests are reproducible bit for bit.
+The reference enumerators evaluate through `QuotientAlgebra.eval_poly`, one
+algebra vector per coordinate, independently of the counting kernel.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product as iproduct
 
-from motivic.fields import Field, GF, QQ
+from motivic.config import DEFAULT
+from motivic.errors import CapExceeded
+from motivic.fields import Field
 from motivic.kring import KClass, class_of_sieve, kclass_int, lefschetz
-from motivic.poly import Ideal, Poly
-from motivic.schemes import AffineScheme, affine_space
-from motivic.sieves import (Sieve, closed_sieve, empty_sieve, full_sieve,
-                            open_sieve, sieve_inter, sieve_union)
+from motivic.poly import Poly
+from motivic.schemes import AffineScheme
+from motivic.sieves import (Closed, Empty, Full, Inter, OpenLoc, Sieve, Union,
+                            closed_sieve, empty_sieve, full_sieve, open_sieve,
+                            sieve_inter, sieve_union)
 
 
 def rng_for(label: str, seed: int = 0) -> random.Random:
@@ -72,7 +78,6 @@ def rand_sieve(rng, scheme: AffineScheme, depth: int = 2) -> Sieve:
 
 def rand_class(rng, field: Field, schemes, cfg=None) -> KClass:
     """A random ring element: ints, Lefschetz powers, sieve classes."""
-    from motivic.config import DEFAULT
     cfg = cfg or DEFAULT
     out = kclass_int(field, 0)
     for _ in range(rng.randint(1, 3)):
@@ -90,3 +95,72 @@ def rand_class(rng, field: Field, schemes, cfg=None) -> KClass:
         else:
             out = out - term
     return out
+
+
+# -- reference enumerators ---------------------------------------------------
+
+
+def reference_points(x: AffineScheme, m, cfg=DEFAULT):
+    """points(x, m) by backtracking over whole algebra vectors.
+
+    Each variable in turn takes every vector of O_m, and an equation is
+    tested through `eval_poly` once every variable it touches has an image.
+    The points come out sorted because the vectors are tried in order.
+    """
+    alg = m.algebra
+    n = len(x.vars)
+    total = (x.field.order ** (n * m.length)) if n else 1
+    if total > cfg.max_candidates:
+        raise CapExceeded("enumeration of %d candidates exceeds cap %d"
+                          % (total, cfg.max_candidates))
+    eqs = []
+    for g in x.ideal.gens:
+        sup = g.support()
+        eqs.append((max(sup) if sup else -1, g))
+    # constant equations (no variables) veto everything up front
+    if any(last < 0 and not alg.is_zero_vec(alg.eval_poly(g, {})) for last, g in eqs):
+        return []
+    options = list(iproduct(x.field.elements(), repeat=m.length))
+    out = []
+    images = {}
+
+    def assign(i):
+        if i == n:
+            out.append(tuple(images[v] for v in x.vars))
+            return
+        for vec in options:
+            images[x.vars[i]] = vec
+            if all(last != i or alg.is_zero_vec(alg.eval_poly(g, images))
+                   for last, g in eqs):
+                assign(i + 1)
+        images.pop(x.vars[i], None)
+
+    assign(0)
+    return out
+
+
+def reference_member(node, ambient: AffineScheme, m, point) -> bool:
+    """Membership in a tree of full/empty/V/D leaves through `eval_poly`."""
+    alg = m.algebra
+    images = dict(zip(ambient.vars, point))
+    if isinstance(node, Full):
+        return True
+    if isinstance(node, Empty):
+        return False
+    if isinstance(node, Closed):
+        return all(alg.is_zero_vec(alg.eval_poly(g, images)) for g in node.gens)
+    if isinstance(node, OpenLoc):
+        return alg.is_unit(alg.eval_poly(node.g, images))
+    if isinstance(node, Union):
+        return (reference_member(node.left, ambient, m, point)
+                or reference_member(node.right, ambient, m, point))
+    if isinstance(node, Inter):
+        return (reference_member(node.left, ambient, m, point)
+                and reference_member(node.right, ambient, m, point))
+    raise TypeError("no reference for %r" % (node,))
+
+
+def reference_sieve_points(s: Sieve, m, cfg=DEFAULT):
+    """Sieve.points(m) from the reference enumerator and membership."""
+    return tuple(p for p in reference_points(s.ambient, m, cfg)
+                 if reference_member(s.node, s.ambient, m, p))

@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 from itertools import product as iproduct
 
-from battery import rand_class, rand_sieve, rng_for
+from battery import rand_class, rand_sieve, reference_points, rng_for
 from motivic import dsl
 from motivic.cli import run_script
 from motivic.config import DEFAULT
@@ -26,7 +26,7 @@ from motivic.measures import (MeasureQuery, finite_measure, lax_measure,
                               limit_measure)
 from motivic.poly import Ideal, Poly, poly_str
 from motivic.schemes import (AffineScheme, CoordMap, adjunction_check,
-                             affine_space, weil_restrict)
+                             affine_space, points, weil_restrict)
 from motivic.sieves import (Closed, ConstSieve, InterSieve, ProductSieve,
                             UnionSieve, closed_sieve, full_sieve, lift_sieve,
                             limit_sieve, open_sieve, sieve_inter, sieve_union,
@@ -101,6 +101,10 @@ def test_criterion_01_restriction_adjunction():
                 rep = adjunction_check(x, m, a)
                 assert rep["tensor_count"] == rep["arc_count"]
                 assert rep["bijection"]
+                # both sides go through the counting kernel; the tensor side
+                # is also checked against the vector-level enumerator
+                am = rep["tensor_point"]
+                assert points(x, am) == reference_points(x, am)
                 checked += 1
     dt = time.monotonic() - t0
     assert checked >= 30

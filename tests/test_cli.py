@@ -1,13 +1,13 @@
 """Script language and driver: parsing, printing, reports, exit codes."""
 
+import os
 import subprocess
 import sys
 
 import pytest
 
 from motivic import dsl
-from motivic.cli import Session, main, run_script
-from motivic.config import DEFAULT
+from motivic.cli import main, run_script
 from motivic.fields import GF
 
 DEMO = """\
@@ -122,6 +122,26 @@ class TestReports:
         assert block["simplicial"] == "true"
         assert block["value"] == "3 + fib(L)"
 
+    def test_point_names_may_look_like_arc_coordinates(self):
+        # counting never names arc coordinates, so a point variable x_0
+        # beside a scheme variable x is no collision
+        text = ("field F 2\nscheme X = Spec k[x]/(x^2)\n"
+                "fatpoint m = k[x_0]/(x_0^2)\nsieve s = D(x + 1) in X\n"
+                "count X at m\ncount s at m\n")
+        rep, code = run_script(text)
+        assert code == 0
+        assert [b["value"] for b in record_blocks(rep)[-2:]] == ["2", "2"]
+
+    def test_enumeration_cap_is_checked_before_the_search(self):
+        text = ("field F 3\nscheme C = Spec k[x, y]/(y^2 - x^3)\n"
+                "fatpoint m = k[t]/(t^7)\ncount C at m\n")
+        rep, code = run_script(text)
+        assert code == 2
+        block = record_blocks(rep)[-1]
+        assert block["status"] == "error"
+        assert block["error"] == ("enumeration of 4782969 candidates exceeds "
+                                  "cap 1048576")
+
     def test_check_failure_sets_exit_one(self):
         text = ("field F 2\nfatpoint m = k[t]/(t^2)\nscheme X = Spec k[x, y]\n"
                 "scheme A = Spec k[u]\n"
@@ -211,6 +231,16 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "value=3" in proc.stdout
+
+    def test_package_runs_as_a_module(self):
+        path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "corpus", "10_adjunction.mot")
+        proc = subprocess.run([sys.executable, "-m", "motivic", path],
+                              capture_output=True, text=True)
+        with open(path) as fh:
+            report, code = run_script(fh.read())
+        assert proc.returncode == code
+        assert proc.stdout == report
 
     def test_format_mode(self):
         proc = subprocess.run(

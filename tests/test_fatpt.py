@@ -8,7 +8,7 @@ from motivic.fatpoints import (PointSystem, SimplicialFatPoint, base_point,
                                jet_rule, make_fat_point, tensor_points,
                                truncation_compatible)
 from motivic.fields import GF, QQ
-from motivic.poly import Poly, poly_str
+from motivic.poly import Poly
 
 T = Poly.variable("t", ("t",), QQ)
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from motivic.errors import AmbientMismatch, WorkbenchError
+from motivic.errors import AmbientMismatch
 from motivic.fatpoints import base_point, make_fat_point
 from motivic.fields import GF, QQ
 from motivic.kring import (class_of_scheme, class_of_sieve,
@@ -12,8 +12,7 @@ from motivic.kring import (class_of_scheme, class_of_sieve,
                            counting_simplicial, discrete_hom_check,
                            galois_check, is_strictly_schemic, kclass_int,
                            kclass_one, kclass_zero, lefschetz, level_class,
-                           lift_const, lift_power, pushforward,
-                           twist_by_rule)
+                           lift_const, pushforward, twist_by_rule)
 from motivic.poly import Ideal, Poly
 from motivic.schemes import AffineScheme, CoordMap, affine_space
 from motivic.sieves import (Closed, ConstSieve, DisjointSieve, Inter,

@@ -1,7 +1,5 @@
 """Limit measures: stabilization windows, lax variants, indexed mode."""
 
-from fractions import Fraction
-
 import pytest
 
 from motivic.config import DEFAULT

@@ -5,11 +5,9 @@ completes to a reduced basis {x*y, x^2 + y^2, y^3} by a single S-pair
 reduction, and its quotient has standard monomials {1, y, x, y^2}.
 """
 
-from fractions import Fraction
-
 import pytest
 
-from motivic.config import Config, DEFAULT
+from motivic.config import DEFAULT
 from motivic.errors import CapExceeded, FieldMismatch
 from motivic.fields import GF, QQ
 from motivic.poly import Ideal, Poly, poly_str, reduce_full

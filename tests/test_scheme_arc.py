@@ -5,9 +5,8 @@ gives n free coefficient coordinates, and the double point x^2 = 0 picks up
 the relations (x_0^2, 2 x_0 x_1) at the dual numbers.
 """
 
-import pytest
-
-from motivic.errors import AmbientMismatch, WorkbenchError
+from battery import (rand_poly, rand_sieve, reference_points,
+                     reference_sieve_points, rng_for)
 from motivic.fatpoints import base_point, make_fat_point, tensor_points
 from motivic.fields import GF, QQ
 from motivic.poly import Ideal, Poly, poly_str
@@ -77,6 +76,39 @@ def test_parabola_arc_presentation():
     assert arc.vars == ("x_0", "x_1", "y_0", "y_1")
     gens = [poly_str(g) for g in arc.ideal.gens]
     assert gens == ["-x_0^2 + y_0", "-2*x_0*x_1 + y_1"]
+
+
+def kernel_points(field):
+    """Fat points for the differential test, monomial and not."""
+    vs = ("x", "y")
+    x = Poly.variable("x", vs, field)
+    y = Poly.variable("y", vs, field)
+    return [base_point(field), fat(field, 2), fat(field, 3), fat(field, 4),
+            make_fat_point(vs, field, [x * x, y * y], "sq"),
+            make_fat_point(vs, field, [x * x - y ** 3, x * y], "cusp")]
+
+
+def test_points_match_the_reference_enumerator():
+    # the counting kernel against the vector-level backtracking it replaced:
+    # the same points in the same order, for schemes and for sieves
+    checked = 0
+    for field in (GF(2), GF(3), GF(5)):
+        rng = rng_for("kernel", field.char)
+        for m in kernel_points(field):
+            for _ in range(4):
+                vs = ("x", "y")[:rng.randint(1, 2)]
+                if field.order ** (len(vs) * m.length) > 4096:
+                    vs = vs[:1]
+                if field.order ** (len(vs) * m.length) > 4096:
+                    continue
+                gens = [rand_poly(rng, vs, field, max_deg=3)
+                        for _ in range(rng.randint(1, 2))]
+                x = AffineScheme("X", Ideal(vs, field, gens))
+                assert points(x, m) == reference_points(x, m)
+                s = rand_sieve(rng, x)
+                assert s.points(m) == reference_sieve_points(s, m)
+                checked += 1
+    assert checked >= 60
 
 
 def test_restriction_counts_match_hom_sets():

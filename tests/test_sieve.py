@@ -10,13 +10,12 @@ from motivic.poly import Ideal, Poly, poly_str
 from motivic.schemes import (AffineScheme, CoordMap, affine_space,
                              identity_map, weil_restrict)
 from motivic.sieves import (Closed, ConstSieve, Full, LevelSieve, OpenLoc,
-                            RelativeSieve, Sieve, admissible_open, arc_sieve,
+                            RelativeSieve, admissible_open, arc_sieve,
                             closed_sieve, continuity_probe, empty_sieve,
                             fiber_product, full_sieve, image_sieve,
                             is_admissible_open, level_presentation,
-                            lift_sieve, limit_sieve, node_str, open_sieve,
-                            sieve_inter, sieve_union, simplicial_arc,
-                            simplicial_full)
+                            lift_sieve, limit_sieve, open_sieve, sieve_inter,
+                            sieve_union, simplicial_arc)
 
 F3 = GF(3)
 F2 = GF(2)

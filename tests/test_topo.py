@@ -10,7 +10,7 @@ from motivic.poly import Poly
 from motivic.schemes import affine_space
 from motivic.sieves import (Closed, ConstSieve, InterSieve, OpenLoc,
                             ProductSieve, UnionSieve, closed_sieve,
-                            full_sieve, lift_sieve, limit_sieve, open_sieve)
+                            full_sieve, lift_sieve, limit_sieve)
 from motivic.topology import (HOMOTOPY_KEY_PROXY, FiniteSimplicialSet,
                               boundary_simplex, discrete_sset,
                               evaluate_to_sset, homotopy_class_key,
