@@ -447,10 +447,30 @@ def _thaw(field: Field, frozen) -> KClass:
     return KClass(field, dict(frozen))
 
 
+# entries of an ambient's conjunction memo; the oldest goes first past this
+MEMO_BOUND = 64
+
+
 def class_of_sieve(s: Sieve, cfg: Config = DEFAULT) -> KClass:
+    """Sum of the canonical symbols of the node's conjunctions.
+
+    Each symbol is looked up in the ambient's memo under (literals, cfg)
+    first. Conjunctions with image literals bypass the memo: equal maps
+    may come from differently named sources, and the block prints the name.
+    """
+    memo = s.ambient.memo
     terms: dict = {}
     for coeff, lits in expand_node(s.node):
-        sym = canonical_conjunction(s.ambient, lits, cfg)
+        key = (lits, cfg)
+        if any(kind == "I" for kind, _ in lits):
+            sym = canonical_conjunction(s.ambient, lits, cfg)
+        elif key in memo:
+            sym = memo[key]
+        else:
+            sym = canonical_conjunction(s.ambient, lits, cfg)
+            if len(memo) >= MEMO_BOUND:
+                del memo[next(iter(memo))]
+            memo[key] = sym
         if sym is None:
             continue
         terms[sym] = terms.get(sym, 0) + coeff

@@ -8,7 +8,9 @@ reversed, negated exponent comparison.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from itertools import product as iproduct
+from operator import add, ge, sub
 
 from .config import DEFAULT, Config
 from .errors import CapExceeded, FieldMismatch, WorkbenchError
@@ -20,7 +22,7 @@ def grevlex_key(exps):
 
 
 def _div_exps(a, b):
-    return all(x >= y for x, y in zip(a, b))
+    return all(map(ge, a, b))
 
 
 def _sub_exps(a, b):
@@ -36,7 +38,7 @@ def _lcm_exps(a, b):
 
 
 class Poly:
-    __slots__ = ("vars", "field", "terms", "_key", "_hash")
+    __slots__ = ("vars", "field", "terms", "_key", "_hash", "_lead")
 
     def __init__(self, vars: tuple, field: Field, terms: dict):
         self.vars = tuple(vars)
@@ -45,6 +47,7 @@ class Poly:
         self.terms = clean
         self._key = None
         self._hash = None
+        self._lead = None
 
     # -- construction ------------------------------------------------------
 
@@ -86,8 +89,10 @@ class Poly:
 
     def leading(self):
         """(exponents, coefficient) of the grevlex-largest term."""
-        e = max(self.terms, key=grevlex_key)
-        return e, self.terms[e]
+        if self._lead is None:
+            e = max(self.terms, key=grevlex_key)
+            self._lead = (e, self.terms[e])
+        return self._lead
 
     def support(self):
         """Indices of variables that actually occur."""
@@ -284,26 +289,57 @@ def poly_str(p: Poly) -> str:
 # -- division and bases ------------------------------------------------------
 
 
+def _descending(e):
+    """Heap entry that pops exponents grevlex-largest first."""
+    return (-sum(e), e[::-1], e)
+
+
 def reduce_full(f: Poly, basis) -> Poly:
-    """Remainder of f on full division by the list `basis` (every term reduced)."""
+    """Remainder of f on full division by the list `basis` (every term reduced).
+
+    The largest remaining term is divided by the first element of `basis`
+    whose leading term divides it, or else moved to the remainder. The work
+    is one term dict, with its exponents waiting in a grevlex-descending
+    heap; each divisor's leading exponent, inverse leading coefficient and
+    other terms are read once per call.
+    """
     field = f.field
-    lead = [(g.leading(), g) for g in basis if not g.is_zero()]
+    p = field.char
+    divisors = []
+    for g in basis:
+        if g.terms:
+            le, lc = g.leading()
+            tail = [(e, c) for e, c in g.terms.items() if e != le]
+            divisors.append((le, field.inv(lc), tail))
+    work = dict(f.terms)
+    heap = [_descending(e) for e in work]
+    heapify(heap)
     rem = {}
-    work = f
-    while not work.is_zero():
-        e, c = work.leading()
-        hit = None
-        for (ge, gc), g in lead:
-            if _div_exps(e, ge):
-                hit = (ge, gc, g)
+    while heap:
+        e = heappop(heap)[2]
+        c = work.pop(e, None)
+        if c is None:  # cancelled after it was queued, or queued twice
+            continue
+        for le, inv, tail in divisors:
+            if all(map(ge, e, le)):
                 break
-        if hit is None:
-            rem[e] = c
-            work = work - Poly.monomial(e, c, f.vars, field)
         else:
-            ge, gc, g = hit
-            factor = Poly.monomial(_sub_exps(e, ge), field.div(c, gc), f.vars, field)
-            work = work - factor * g
+            rem[e] = c
+            continue
+        q = c * inv % p if p else c * inv
+        shift = tuple(map(sub, e, le))
+        for te, tc in tail:
+            ne = tuple(map(add, te, shift))
+            old = work.get(ne)
+            if old is None:
+                work[ne] = -q * tc % p if p else -q * tc
+                heappush(heap, _descending(ne))
+            else:
+                v = (old - q * tc) % p if p else old - q * tc
+                if v:
+                    work[ne] = v
+                else:
+                    del work[ne]
     return Poly(f.vars, field, rem)
 
 
@@ -316,11 +352,29 @@ def s_poly(f: Poly, g: Poly) -> Poly:
     return mf * f - mg * g
 
 
+def _coprime(a, b):
+    return not any(x and y for x, y in zip(a, b))
+
+
 def buchberger(gens, cfg: Config = DEFAULT):
     """Reduced basis of the ideal the generators span.
 
-    Pairs with coprime leading terms are skipped; the result is monic,
-    autoreduced, and sorted with grevlex-increasing leading terms.
+    S-pairs wait in a heap keyed by the grevlex key of the lcm of their
+    leading terms, and the least is reduced first (the normal strategy).
+    Each polynomial that joins the basis, input or nonzero remainder, goes
+    through the Gebauer-Moller update (J. Symb. Comput. 6, 1988):
+
+    - of its new pairs, one whose lcm is a multiple of another new pair's
+      lcm is not formed (one pair is kept per equal lcm), and pairs with
+      coprime leading terms are dropped, since they reduce to zero;
+    - a waiting pair is dropped when the new leading term divides its lcm
+      and differs from it in the lcm with either member;
+    - an element whose leading term the new one divides leaves the set
+      that remainders are reduced against; its pairs stay queued.
+
+    The surviving set is minimized, each element is reduced against the
+    others, and the result is monic, autoreduced, and sorted with
+    grevlex-increasing leading terms.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -332,38 +386,59 @@ def buchberger(gens, cfg: Config = DEFAULT):
         if g.total_degree() > cfg.max_degree:
             raise CapExceeded("generator degree %d exceeds cap %d"
                               % (g.total_degree(), cfg.max_degree))
-    basis = [g.monic() for g in gens]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    one = Poly.constant(1, gens[0].vars, gens[0].field)
+    basis = []   # every polynomial added so far; pairs are index pairs
+    lead = []    # leading exponents of basis
+    active = []  # indices that remainders are reduced against
+    pairs = []   # heap of (grevlex key of lcm, i, j, lcm)
+
+    def update(h):
+        """Add h to the basis and rearrange the pairs; False if h is a unit."""
+        nonlocal active, pairs
+        if h.is_constant():
+            return False
+        k = len(basis)
+        he = h.leading()[0]
+        basis.append(h)
+        lead.append(he)
+        new = [(i, _lcm_exps(lead[i], he)) for i in active]
+        kept = []
+        for at, (i, l) in enumerate(new):
+            if _coprime(lead[i], he) or not any(
+                    _div_exps(l, l2) for _, l2 in new[at + 1:] + kept):
+                kept.append((i, l))
+        live = [pr for pr in pairs
+                if not (_div_exps(pr[3], he)
+                        and _lcm_exps(lead[pr[1]], he) != pr[3]
+                        and _lcm_exps(lead[pr[2]], he) != pr[3])]
+        if len(live) != len(pairs):
+            heapify(live)
+            pairs = live
+        for i, l in kept:
+            if not _coprime(lead[i], he):
+                heappush(pairs, (grevlex_key(l), i, k, l))
+        active = [i for i in active if not _div_exps(lead[i], he)] + [k]
+        return True
+
+    for g in gens:
+        if not update(g.monic()):
+            return [one]
     while pairs:
-        pairs.sort(key=lambda ij: grevlex_key(
-            _lcm_exps(basis[ij[0]].leading()[0], basis[ij[1]].leading()[0])))
-        i, j = pairs.pop(0)
-        fe = basis[i].leading()[0]
-        ge = basis[j].leading()[0]
-        if _lcm_exps(fe, ge) == _add_exps(fe, ge):  # coprime leads reduce to zero
-            continue
-        r = reduce_full(s_poly(basis[i], basis[j]), basis)
-        if not r.is_zero():
-            basis.append(r.monic())
-            k = len(basis) - 1
-            pairs.extend((i2, k) for i2 in range(k))
-    # autoreduce to the unique reduced basis; each element is rewritten
-    # against the already-reduced head plus the untouched tail, so equal
-    # generators collapse to one copy instead of cancelling each other
-    changed = True
-    while changed:
-        changed = False
-        nxt = []
-        for i, g in enumerate(basis):
-            others = [h for h in nxt + basis[i + 1:] if not h.is_zero()]
-            r = reduce_full(g, others) if others else g
-            if r.key() != g.key():
-                changed = True
-            if not r.is_zero():
-                nxt.append(r.monic())
-        basis = nxt
-    basis.sort(key=lambda g: grevlex_key(g.leading()[0]))
-    return basis
+        _, i, j, _ = heappop(pairs)
+        r = reduce_full(s_poly(basis[i], basis[j]), [basis[a] for a in active])
+        if not r.is_zero() and not update(r.monic()):
+            return [one]
+    # minimize, then reduce each element against the others: leading terms
+    # stay put, so the elements stay monic and the order stays sorted
+    minimal = []
+    for g in sorted((basis[i] for i in active), key=lambda g: grevlex_key(g.leading()[0])):
+        e = g.leading()[0]
+        if not any(_div_exps(e, m.leading()[0]) for m in minimal):
+            minimal.append(g)
+    if len(minimal) == 1:
+        return minimal
+    return [reduce_full(g, minimal[:at] + minimal[at + 1:])
+            for at, g in enumerate(minimal)]
 
 
 class Ideal:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from itertools import product as iproduct
+from operator import itemgetter
 
 from .config import DEFAULT, Config
 from .errors import (AmbientMismatch, CapExceeded, EnumerationUnavailable,
@@ -31,6 +32,9 @@ class AffineScheme:
     def __init__(self, name: str, ideal: Ideal, check_names: bool = False):
         self.name = name
         self.ideal = ideal
+        # canonical symbols of conjunctions on this ambient, kept by
+        # kring.class_of_sieve; not part of equality or hashing
+        self.memo = {}
         if check_names:
             for v in ideal.vars:
                 if reserved_name(v):
@@ -335,18 +339,18 @@ def adjunction_check(x: AffineScheme, m: FatPoint, a: FatPoint,
     arc = weil_restrict(x, m, cfg)
     right = points(arc, a, cfg)
     pairs = _joint_split(am, a, m)
-    la_dim = a.length
-    mapped = []
-    for pt in left:
-        images = {}
-        for i, v in enumerate(x.vars):
-            w = pt[i]
-            for j in range(m.length):
-                vec = tuple(w[pairs[(u, j)]] for u in range(la_dim))
-                images[arc_var(v, j)] = vec
-        mapped.append(tuple(images[av] for av in arc.vars))
-    ok = (len(mapped) == len(set(mapped)) == len(right)
-          and set(mapped) == set(right))
+    # arc coordinate v_j gathers the coefficients at (u, j) of v, for every
+    # a-basis index u: one getter per arc coordinate, made once
+    source = {}
+    for i, v in enumerate(x.vars):
+        for j in range(m.length):
+            idx = [pairs[(u, j)] for u in range(a.length)]
+            take = itemgetter(*idx) if len(idx) > 1 else (lambda w, k=idx[0]: (w[k],))
+            source[arc_var(v, j)] = (i, take)
+    gather = [source[av] for av in arc.vars]
+    mapped = [tuple([take(pt[i]) for i, take in gather]) for pt in left]
+    image = set(mapped)
+    ok = len(mapped) == len(image) == len(right) and image == set(right)
     return {
         "tensor_count": len(left),
         "arc_count": len(right),

@@ -3,7 +3,10 @@
 Everything is driven by random.Random seeded from a string, which is stable
 across runs and platforms, so battery tests are reproducible bit for bit.
 The reference enumerators evaluate through `QuotientAlgebra.eval_poly`, one
-algebra vector per coordinate, independently of the counting kernel.
+algebra vector per coordinate, independently of the counting kernel. The
+reference Buchberger run is the plain textbook loop on `Poly` arithmetic:
+every pair, re-sorted before each pop, with only the coprime-leading-term
+skip, independently of the Gröbner kernel in `motivic.poly`.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from motivic.config import DEFAULT
 from motivic.errors import CapExceeded
 from motivic.fields import Field
 from motivic.kring import KClass, class_of_sieve, kclass_int, lefschetz
-from motivic.poly import Poly
+from motivic.poly import Poly, grevlex_key, s_poly
 from motivic.schemes import AffineScheme
 from motivic.sieves import (Closed, Empty, Full, Inter, OpenLoc, Sieve, Union,
                             closed_sieve, empty_sieve, full_sieve, open_sieve,
@@ -164,3 +167,79 @@ def reference_sieve_points(s: Sieve, m, cfg=DEFAULT):
     """Sieve.points(m) from the reference enumerator and membership."""
     return tuple(p for p in reference_points(s.ambient, m, cfg)
                  if reference_member(s.node, s.ambient, m, p))
+
+
+# -- reference Groebner bases ------------------------------------------------
+
+
+def _lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def reference_reduce_full(f: Poly, basis) -> Poly:
+    """Full division of f by the list `basis`, one `Poly` step at a time."""
+    field = f.field
+    lead = [(g.leading(), g) for g in basis if not g.is_zero()]
+    rem = {}
+    work = f
+    while not work.is_zero():
+        e, c = work.leading()
+        hit = None
+        for (ge, gc), g in lead:
+            if all(x >= y for x, y in zip(e, ge)):
+                hit = (ge, gc, g)
+                break
+        if hit is None:
+            rem[e] = c
+            work = work - Poly.monomial(e, c, f.vars, field)
+        else:
+            ge, gc, g = hit
+            shift = tuple(x - y for x, y in zip(e, ge))
+            factor = Poly.monomial(shift, field.div(c, gc), f.vars, field)
+            work = work - factor * g
+    return Poly(f.vars, field, rem)
+
+
+def reference_buchberger(gens):
+    """The reduced grevlex basis, monic and sorted by leading term; no caps."""
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return []
+    basis = [g.monic() for g in gens]
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    while pairs:
+        pairs.sort(key=lambda ij: grevlex_key(
+            _lcm(basis[ij[0]].leading()[0], basis[ij[1]].leading()[0])))
+        i, j = pairs.pop(0)
+        fe = basis[i].leading()[0]
+        ge = basis[j].leading()[0]
+        if _lcm(fe, ge) == tuple(x + y for x, y in zip(fe, ge)):
+            continue  # coprime leads reduce to zero
+        r = reference_reduce_full(s_poly(basis[i], basis[j]), basis)
+        if not r.is_zero():
+            basis.append(r.monic())
+            k = len(basis) - 1
+            pairs.extend((i2, k) for i2 in range(k))
+    # autoreduce; each element is rewritten against the already-reduced head
+    # plus the untouched tail, so equal generators collapse to one copy
+    changed = True
+    while changed:
+        changed = False
+        nxt = []
+        for i, g in enumerate(basis):
+            others = [h for h in nxt + basis[i + 1:] if not h.is_zero()]
+            r = reference_reduce_full(g, others) if others else g
+            if r.key() != g.key():
+                changed = True
+            if not r.is_zero():
+                nxt.append(r.monic())
+        basis = nxt
+    basis.sort(key=lambda g: grevlex_key(g.leading()[0]))
+    return basis
+
+
+def rand_ideal_gens(rng, field: Field, nvars: int):
+    """Up to four random generators of degree at most 2 in nvars variables."""
+    vars = tuple("xyzw"[:nvars])
+    return [rand_poly(rng, vars, field, max_deg=2, max_terms=4)
+            for _ in range(rng.randint(1, 4))]

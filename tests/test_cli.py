@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import motivic
 from motivic import dsl
 from motivic.cli import main, run_script
 from motivic.fields import GF
@@ -29,6 +30,13 @@ measure X on J Q=1 horizon 6 window 3
 check adjunction X m m
 check scissor s h at m
 """
+
+
+def child_env():
+    """Environment for a child interpreter that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(motivic.__file__)))
+    old = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + old if old else ""))
 
 
 def record_blocks(report):
@@ -114,6 +122,17 @@ class TestReports:
         second = record_blocks(run_script(text.replace("Src", "S1"))[0])[-1]
         assert first["value"] == "[im(Src)]"
         assert second["value"] == "[im(S1)]"
+
+    def test_equal_images_keep_their_source_names(self):
+        # the two maps are equal as coordinate maps, and their sources differ
+        # only by name; each class must still print its own source
+        text = ("field Q\nscheme A = Spec k[u]\nscheme B = Spec k[u]\n"
+                "scheme L2 = Spec k[x]\nmap f = A -> L2 : x -> u^2\n"
+                "map g = B -> L2 : x -> u^2\nsieve s = im(f) in L2\n"
+                "sieve t = im(g) in L2\nclass a = [s]\nclass b = [t]\n")
+        blocks = record_blocks(run_script(text)[0])
+        assert blocks[-2]["value"] == "[im(A)]"
+        assert blocks[-1]["value"] == "[im(B)]"
 
     def test_integer_terms_of_simplicial_classes(self):
         text = ("field Q\nscheme X = Spec k[x]\nsimplicial S = fiber(X) @ 2\n"
@@ -228,7 +247,7 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "motivic.cli", "-"],
             input="field F 3\nscheme X = Spec k[x]\nfatpoint p = k\ncount X at p\n",
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert "value=3" in proc.stdout
 
@@ -236,7 +255,7 @@ class TestEntryPoint:
         path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                             "corpus", "10_adjunction.mot")
         proc = subprocess.run([sys.executable, "-m", "motivic", path],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=child_env())
         with open(path) as fh:
             report, code = run_script(fh.read())
         assert proc.returncode == code
@@ -246,7 +265,7 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "motivic.cli", "--format", "-"],
             input="field  F 3\nscheme   X = Spec k[ x ]\n",
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert proc.stdout == "field F 3\nscheme X = Spec k[x]\n"
 

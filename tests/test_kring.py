@@ -4,15 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from motivic.errors import AmbientMismatch
+from motivic.config import DEFAULT, Config
+from motivic.errors import AmbientMismatch, CapExceeded
 from motivic.fatpoints import base_point, make_fat_point
 from motivic.fields import GF, QQ
-from motivic.kring import (class_of_scheme, class_of_sieve,
+from motivic.kring import (MEMO_BOUND, class_of_scheme, class_of_sieve,
                            class_of_simplicial, class_str, counting_hom,
                            counting_simplicial, discrete_hom_check,
-                           galois_check, is_strictly_schemic, kclass_int,
-                           kclass_one, kclass_zero, lefschetz, level_class,
-                           lift_const, pushforward, twist_by_rule)
+                           expand_node, galois_check, is_strictly_schemic,
+                           kclass_int, kclass_one, kclass_zero, lefschetz,
+                           level_class, lift_const, pushforward,
+                           twist_by_rule)
 from motivic.poly import Ideal, Poly
 from motivic.schemes import AffineScheme, CoordMap, affine_space
 from motivic.sieves import (Closed, ConstSieve, DisjointSieve, Inter,
@@ -130,6 +132,39 @@ class TestPickling:
         assert "V(" in printed and "D(" in printed
         assert class_str(z) == printed
         assert str(counting_hom(z, fat2(F3))) == count
+
+
+class TestConjunctionMemo:
+    def test_the_config_is_part_of_the_key(self):
+        A2 = affine_space(QQ, ("x", "y"), "A2")
+        x, y = (Poly.variable(v, A2.vars, QQ) for v in A2.vars)
+        s = closed_sieve(A2, [x * x - y * y * y + x])
+        assert class_of_sieve(s, DEFAULT) == class_of_sieve(s, DEFAULT)
+        assert A2.memo
+        with pytest.raises(CapExceeded):
+            class_of_sieve(s, Config(max_degree=1))
+
+    def test_the_memo_stays_bounded_and_serves_equal_classes(self):
+        ambient = AffineScheme("X", Ideal(("x", "y"), F3, []))
+        rng = rng_for("memo")
+        sieves, seen = [], set()
+        while len(seen) <= MEMO_BOUND + 20:
+            s = rand_sieve(rng, ambient, depth=2)
+            sieves.append(s)
+            seen.update(lits for _, lits in expand_node(s.node))
+        classes = []
+        for s in sieves:
+            classes.append(class_of_sieve(s))
+            assert len(ambient.memo) <= MEMO_BOUND
+        assert len(ambient.memo) == MEMO_BOUND
+        # again, now with the early conjunctions evicted and the late ones
+        # served from the memo, then on a fresh ambient without a memo entry
+        for s, z in zip(sieves, classes):
+            assert class_of_sieve(s) == z
+            fresh = AffineScheme("X", Ideal(("x", "y"), F3, []))
+            again = class_of_sieve(Sieve(fresh, s.node))
+            assert again == z and class_str(again) == class_str(z)
+        assert len(ambient.memo) <= MEMO_BOUND
 
 
 class TestCounting:

@@ -2,15 +2,22 @@
 
 Oracle values are hand computed: the running example (x^2 + y^2, x*y)
 completes to a reduced basis {x*y, x^2 + y^2, y^3} by a single S-pair
-reduction, and its quotient has standard monomials {1, y, x, y^2}.
+reduction, and its quotient has standard monomials {1, y, x, y^2}. Random
+ideals are checked against the textbook loop in `battery.py` and, when it
+is installed, against sympy's grevlex bases.
 """
+
+from fractions import Fraction
 
 import pytest
 
 from motivic.config import DEFAULT
 from motivic.errors import CapExceeded, FieldMismatch
 from motivic.fields import GF, QQ
-from motivic.poly import Ideal, Poly, poly_str, reduce_full
+from motivic.poly import Ideal, Poly, buchberger, poly_str, reduce_full
+
+from battery import (rand_ideal_gens, reference_buchberger,
+                     reference_reduce_full, rng_for)
 
 VARS = ("x", "y")
 X = Poly.variable("x", VARS, QQ)
@@ -113,3 +120,73 @@ def test_variable_cap_guards_basis_computation():
             for n in names[1:]]
     with pytest.raises(CapExceeded):
         Ideal(names, QQ, gens).basis()
+
+
+# -- differential checks of the Groebner kernel --------------------------------
+
+
+def _edge_cases():
+    """The hand-checked inputs above: repeated generators, a unit ideal,
+    the running example, and generators that are all zero."""
+    two = GF(2)
+    x2 = Poly.variable("x", VARS, two)
+    y2 = Poly.variable("y", VARS, two)
+    return [
+        (QQ, [Y - X * X, Y - X * X]),
+        (two, [y2 - x2 * x2, x2 * x2 + y2]),
+        (QQ, [X * Y - ONE, X * X]),
+        (QQ, [X * X + Y * Y, X * Y]),
+        (QQ, [ONE * 0, X * 0]),
+    ]
+
+
+def _random_ideals(label, per_shape):
+    """Seeded generator lists over Q/F2/F3/F7 in 2-4 variables."""
+    out = []
+    for field in (QQ, GF(2), GF(3), GF(7)):
+        for nvars in (2, 3, 4):
+            for seed in range(per_shape):
+                rng = rng_for("%s:%r:%d" % (label, field, nvars), seed)
+                out.append((field, rand_ideal_gens(rng, field, nvars)))
+    return out
+
+
+def _keys(basis):
+    return [g.key() for g in basis]
+
+
+def test_buchberger_matches_the_reference_loop():
+    for _, gens in _edge_cases() + _random_ideals("groebner", 30):
+        assert _keys(buchberger(gens)) == _keys(reference_buchberger(gens)), gens
+
+
+def test_full_division_matches_the_reference_division():
+    # the generators are seldom a basis, so the remainder depends on the
+    # division rule: the first divisor whose leading term divides wins
+    for _, gens in _random_ideals("division", 10):
+        f = gens[0] * gens[-1] * gens[-1] + gens[0]
+        assert reduce_full(f, gens) == reference_reduce_full(f, gens), gens
+
+
+def test_buchberger_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for field, gens in _edge_cases() + _random_ideals("sympy", 8):
+        syms = sympy.symbols(gens[0].vars)
+        opts = {"modulus": field.char} if field.char else {"domain": "QQ"}
+
+        def to_sympy(p):
+            return sympy.Poly.from_dict(
+                {e: sympy.Rational(c.numerator, c.denominator) if not field.char else c
+                 for e, c in p.terms.items()}, *syms, **opts)
+
+        def of_sympy(b):
+            return frozenset((e, Fraction(int(c.p), int(c.q)) if not field.char
+                              else int(c) % field.char)
+                             for e, c in b.terms())
+
+        polys = [to_sympy(g) for g in gens if not g.is_zero()]
+        want = ([of_sympy(b) for b in sympy.groebner(polys, *syms, order="grevlex",
+                                                      **opts).polys]
+                if polys else [])
+        got = [frozenset(g.terms.items()) for g in buchberger(gens)]
+        assert len(got) == len(want) and set(got) == set(want), gens
