@@ -62,7 +62,7 @@ def poly_from_ast(ast, vars, field: Field) -> Poly:
     return out
 
 
-def _algebra_parts(alg: dsl.Algebra, field: Field, cfg: Config):
+def _algebra_parts(alg: dsl.Algebra, field: Field):
     gens = [poly_from_ast(g, alg.vars, field) for g in alg.gens]
     return tuple(alg.vars), gens
 
@@ -119,7 +119,7 @@ class Session:
     def eval_fatpoint(self, st):
         field = self.need_field()
         alg = st.payload[0]
-        vars, gens = _algebra_parts(alg, field, self.cfg)
+        vars, gens = _algebra_parts(alg, field)
         if not vars:
             m = base_point(field)
         else:
@@ -135,7 +135,7 @@ class Session:
         else:
             members = []
             for i, alg in enumerate(body):
-                vars, gens = _algebra_parts(alg, field, self.cfg)
+                vars, gens = _algebra_parts(alg, field)
                 if not vars:
                     members.append(base_point(field))
                 else:
@@ -147,7 +147,7 @@ class Session:
 
     def eval_scheme(self, st):
         field = self.need_field()
-        vars, gens = _algebra_parts(st.payload[0], field, self.cfg)
+        vars, gens = _algebra_parts(st.payload[0], field)
         if gens:
             x = AffineScheme(st.name, Ideal(vars, field, gens, self.cfg))
         else:
@@ -229,9 +229,9 @@ class Session:
             kind, value = self.lookup(
                 expr[1], ("scheme", "sieve", "simplicial", "class"))
             if kind == "scheme":
-                return class_of_scheme(value, self.cfg)
+                return class_of_scheme(value)
             if kind == "sieve":
-                return class_of_sieve(value, self.cfg)
+                return class_of_sieve(value)
             if kind == "simplicial":
                 return class_of_simplicial(value[0], self.cfg)
             return value
@@ -246,6 +246,8 @@ class Session:
             return left + right
         if tag == "sub":
             return left - right
+        if isinstance(left, SClass):
+            return left.mul(right, self.cfg)
         return left * right
 
     def eval_class(self, st):
@@ -265,11 +267,11 @@ class Session:
         if kind == "scheme":
             if level is not None:
                 raise EvalError("plain schemes take no level")
-            n = count_points(value, m, self.cfg)
+            n = count_points(value, m)
         elif kind == "sieve":
             if level is not None:
                 raise EvalError("plain sieves take no level")
-            n = value.count(m, self.cfg)
+            n = value.count(m)
         elif kind == "simplicial":
             lifted, bound = value
             lvl = 0 if level is None else level
@@ -277,16 +279,16 @@ class Session:
                 raise EvalError("level %d exceeds the declared truncation %d"
                                 % (lvl, bound))
             out["level"] = str(lvl)
-            n = lifted.count(m, lvl, self.cfg)
+            n = lifted.count(m, lvl)
         else:
             if isinstance(value, SClass):
                 lvl = 0 if level is None else level
                 out["level"] = str(lvl)
-                n = counting_simplicial(value, m, lvl, self.cfg)
+                n = counting_simplicial(value, m, lvl)
             else:
                 if level is not None:
                     raise EvalError("plain classes take no level")
-                n = counting_hom(value, m, self.cfg)
+                n = counting_hom(value, m)
         out["value"] = str(n)
         return out
 
@@ -295,12 +297,12 @@ class Session:
         m = self.fat_point(point)
         kind, value = self.lookup(subject, ("scheme", "sieve"))
         if kind == "scheme":
-            arc = weil_restrict(value, m, self.cfg)
+            arc = weil_restrict(value, m)
             return {"subject": subject, "point": point,
                     "vars": str(len(arc.vars)),
                     "relations": str(len(arc.ideal.gens)),
                     "dim": str(arc.ideal.krull_dimension())}
-        arc = arc_plain_sieve(value, m, self.cfg)
+        arc = arc_plain_sieve(value, m)
         return {"subject": subject, "point": point,
                 "vars": str(len(arc.ambient.vars)),
                 "relations": str(len(arc.ambient.ideal.gens)),
@@ -342,7 +344,7 @@ class Session:
             x = self.lookup(names[0], ("scheme",))[1]
             m = self.fat_point(names[1])
             a = self.fat_point(names[2])
-            rep = adjunction_check(x, m, a, self.cfg)
+            rep = adjunction_check(x, m, a)
             out.update(subject=names[0], point=names[1], probe=names[2],
                        tensor_count=str(rep["tensor_count"]),
                        arc_count=str(rep["arc_count"]))
@@ -350,20 +352,19 @@ class Session:
         elif what == "scissor":
             a = self.as_sieve(names[0])
             b = self.as_sieve(names[1])
-            za = class_of_sieve(a, self.cfg)
-            zb = class_of_sieve(b, self.cfg)
-            zu = class_of_sieve(sieve_union(a, b), self.cfg)
-            zi = class_of_sieve(sieve_inter(a, b), self.cfg)
+            za = class_of_sieve(a)
+            zb = class_of_sieve(b)
+            zu = class_of_sieve(sieve_union(a, b))
+            zi = class_of_sieve(sieve_inter(a, b))
             ok = (zu + zi) == (za + zb)
             out.update(left=names[0], right=names[1],
                        value=class_str(zu + zi))
             if point is not None:
                 m = self.fat_point(point)
                 out["point"] = point
-                lhs = a.count(m, self.cfg) + b.count(m, self.cfg)
-                rhs = (sieve_union(a, b).count(m, self.cfg)
-                       + sieve_inter(a, b).count(m, self.cfg))
-                hom = counting_hom(zu + zi, m, self.cfg)
+                lhs = a.count(m) + b.count(m)
+                rhs = sieve_union(a, b).count(m) + sieve_inter(a, b).count(m)
+                hom = counting_hom(zu + zi, m)
                 out["count"] = str(rhs)
                 ok = ok and lhs == rhs and hom == rhs
         elif what == "continuity":
@@ -371,7 +372,7 @@ class Session:
             host = self.as_sieve(names[1])
             adm = self.as_sieve(names[2])
             m = self.fat_point(point) if point is not None else None
-            rep = continuity_probe(f, [(m, host, adm)], self.cfg)
+            rep = continuity_probe(f, [(m, host, adm)])
             case = rep["cases"][0]
             out.update(map=names[0], host=names[1], open=names[2])
             if point is not None:
@@ -386,7 +387,7 @@ class Session:
             lifted, bound = self.lookup(names[1], ("simplicial",))[1]
             m = self.fat_point(point)
             top = min(bound, 1) if level is None else level
-            rep = discrete_hom_check(y, lifted, m, top, self.cfg)
+            rep = discrete_hom_check(y, lifted, m, top)
             out.update(source=names[0], target=names[1], point=point,
                        level=str(top), morphisms=str(rep["morphisms"]),
                        expected=str(rep["expected"]))
@@ -396,7 +397,7 @@ class Session:
             a = self.as_sieve(names[1])
             b = self.as_sieve(names[2])
             m = self.fat_point(point)
-            rep = galois_check(f, a, b, m, self.cfg)
+            rep = galois_check(f, a, b, m)
             out.update(map=names[0], left=names[1], right=names[2], point=point,
                        forward=str(rep["left"]).lower(),
                        backward=str(rep["right"]).lower())
@@ -406,7 +407,7 @@ class Session:
             lb, bb = self.lookup(names[1], ("simplicial",))[1]
             m = self.fat_point(point)
             top = min(ba, bb, 2) if level is None else level
-            rep = preservation_check(la, lb, m, top, self.cfg)
+            rep = preservation_check(la, lb, m, top)
             out.update(left=names[0], right=names[1], point=point, level=str(top))
             for key in ("union", "intersection", "product"):
                 if rep[key] is not None:
@@ -486,8 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="parse and reprint the script canonically, do not run")
     ap.add_argument("--horizon", type=int, default=None)
     ap.add_argument("--window", type=int, default=None)
-    ap.add_argument("--battery-size", type=int, default=None, dest="battery_size")
-    ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--max-candidates", type=int, default=None, dest="max_candidates")
     ap.add_argument("--skeletal-level", type=int, default=None, dest="skeletal_level")
     return ap
@@ -500,12 +499,9 @@ def main(argv=None) -> int:
     except WorkbenchError as err:
         sys.stderr.write("motivic: %s\n" % err)
         return 2
-    overrides = {key: getattr(args, key) for key in
-                 ("horizon", "window", "battery_size", "seed",
-                  "max_candidates", "skeletal_level")
-                 if getattr(args, key) is not None}
-    if overrides:
-        cfg = cfg.with_overrides(**overrides)
+    cfg = cfg.with_overrides(horizon=args.horizon, window=args.window,
+                             max_candidates=args.max_candidates,
+                             skeletal_level=args.skeletal_level)
 
     field = None
     label = args.field if args.field is not None else os.environ.get("MOTIVIC_FIELD")

@@ -7,7 +7,7 @@ Defaults match the documented contract; the CLI overlays environment variables
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import WorkbenchError
 
@@ -22,8 +22,6 @@ class Config:
     horizon: int = 8               # members materialized for limit measures
     window: int = 3                # trailing agreement window for stabilization
     skeletal_level: int = 4        # default simplicial truncation
-    battery_size: int = 20         # default size for randomized check batteries
-    seed: int = 0                  # RNG seed for generated batteries
     max_cells: int = 512           # cap on homology chain-complex size
 
     def with_overrides(self, **kw) -> "Config":
@@ -31,10 +29,7 @@ class Config:
         return replace(self, **live) if live else self
 
 
-_FIELDS = (
-    "max_variables", "max_degree", "max_candidates", "horizon", "window",
-    "skeletal_level", "battery_size", "seed", "max_cells",
-)
+_FIELDS = tuple(f.name for f in fields(Config))
 
 
 def from_environment(base: Config | None = None) -> Config:

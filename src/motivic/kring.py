@@ -208,9 +208,13 @@ def _block_candidates(vars_sub, field, gens, open_g, ims, cfg):
     return Block(best_key, *best_payload)
 
 
-def canonical_conjunction(ambient: AffineScheme, literals, cfg: Config = DEFAULT):
-    """Symbol (blocks, lef) for one conjunction, or None when empty."""
+def canonical_conjunction(ambient: AffineScheme, literals):
+    """Symbol (blocks, lef) for one conjunction, or None when empty.
+
+    Every presentation derived here keeps the ambient's config.
+    """
     field = ambient.field
+    cfg = ambient.ideal.cfg
     closed = []
     opens = []
     ims = []
@@ -451,34 +455,34 @@ def _thaw(field: Field, frozen) -> KClass:
 MEMO_BOUND = 64
 
 
-def class_of_sieve(s: Sieve, cfg: Config = DEFAULT) -> KClass:
+def class_of_sieve(s: Sieve) -> KClass:
     """Sum of the canonical symbols of the node's conjunctions.
 
-    Each symbol is looked up in the ambient's memo under (literals, cfg)
-    first. Conjunctions with image literals bypass the memo: equal maps
-    may come from differently named sources, and the block prints the name.
+    Each symbol is looked up in the ambient's memo under its literals first;
+    the memo lives on the ambient, whose config is fixed. Conjunctions with
+    image literals bypass the memo: equal maps may come from differently
+    named sources, and the block prints the name.
     """
     memo = s.ambient.memo
     terms: dict = {}
     for coeff, lits in expand_node(s.node):
-        key = (lits, cfg)
         if any(kind == "I" for kind, _ in lits):
-            sym = canonical_conjunction(s.ambient, lits, cfg)
-        elif key in memo:
-            sym = memo[key]
+            sym = canonical_conjunction(s.ambient, lits)
+        elif lits in memo:
+            sym = memo[lits]
         else:
-            sym = canonical_conjunction(s.ambient, lits, cfg)
+            sym = canonical_conjunction(s.ambient, lits)
             if len(memo) >= MEMO_BOUND:
                 del memo[next(iter(memo))]
-            memo[key] = sym
+            memo[lits] = sym
         if sym is None:
             continue
         terms[sym] = terms.get(sym, 0) + coeff
     return KClass(s.ambient.field, terms)
 
 
-def class_of_scheme(x: AffineScheme, cfg: Config = DEFAULT) -> KClass:
-    return class_of_sieve(Sieve(x, Full()), cfg)
+def class_of_scheme(x: AffineScheme) -> KClass:
+    return class_of_sieve(Sieve(x, Full()))
 
 
 def symbol_str(sym) -> str:
@@ -513,7 +517,7 @@ def _terms_str(z) -> str:
     return join_terms(bits)
 
 
-def counting_hom(z: KClass, m: FatPoint, cfg: Config = DEFAULT) -> Fraction:
+def counting_hom(z: KClass, m: FatPoint) -> Fraction:
     """Point count of a class at a finite fat point; L goes to q**length."""
     field = z.field
     if not field.finite:
@@ -524,7 +528,7 @@ def counting_hom(z: KClass, m: FatPoint, cfg: Config = DEFAULT) -> Fraction:
     for (blocks, lef), c in z.terms.items():
         val = Fraction(q) ** (ell * lef)
         for block in blocks:
-            val *= Sieve(block.scheme, block.node).count(m, cfg)
+            val *= Sieve(block.scheme, block.node).count(m)
         total += c * val
     return total
 
@@ -609,11 +613,11 @@ def _sym_mul(field, s1, s2, cfg: Config) -> SClass:
 
 def class_of_simplicial(s, cfg: Config = DEFAULT) -> SClass:
     if isinstance(s, Sieve):
-        return lift_const(class_of_sieve(s, cfg))
+        return lift_const(class_of_sieve(s))
     if isinstance(s, ConstSieve):
-        return lift_const(class_of_sieve(s.plain(), cfg))
+        return lift_const(class_of_sieve(s.plain()))
     if isinstance(s, PowerSieve):
-        base = class_of_sieve(Sieve(s.scheme, s.node), cfg)
+        base = class_of_sieve(Sieve(s.scheme, s.node))
         return lift_power(base, s.symmetric)
     if isinstance(s, ProductSieve):
         a = class_of_simplicial(s.left, cfg)
@@ -629,11 +633,11 @@ def class_of_simplicial(s, cfg: Config = DEFAULT) -> SClass:
         a, b = s.left, s.right
         if isinstance(a, ConstSieve) and isinstance(b, ConstSieve):
             return lift_const(class_of_sieve(
-                Sieve(a.scheme, Inter(a.node, b.node)), cfg))
+                Sieve(a.scheme, Inter(a.node, b.node))))
         if (isinstance(a, PowerSieve) and isinstance(b, PowerSieve)
                 and a.symmetric == b.symmetric
                 and a.scheme.presentation_key() == b.scheme.presentation_key()):
-            base = class_of_sieve(Sieve(a.scheme, Inter(a.node, b.node)), cfg)
+            base = class_of_sieve(Sieve(a.scheme, Inter(a.node, b.node)))
             return lift_power(base, a.symmetric)
         return _levels_class(s, cfg)
     if isinstance(s, LevelSieve):
@@ -648,17 +652,17 @@ def _levels_class(s: SimplicialSieve, cfg: Config) -> SClass:
     if isinstance(s, LevelSieve):
         top = min(top, s.truncation)
     for n in range(top + 1):
-        pres = level_presentation(s, n, cfg)
+        pres = level_presentation(s, n)
         if pres is None:
             raise EvalError("no affine presentation at level %d" % n)
         scheme, node = pres
-        z = class_of_sieve(Sieve(scheme, node), cfg)
+        z = class_of_sieve(Sieve(scheme, node))
         field = z.field
         out.append(z.frozen())
     return SClass(field, {("levels", tuple(out)): 1})
 
 
-def level_class(z: SClass, n: int, cfg: Config = DEFAULT) -> KClass:
+def level_class(z: SClass, n: int) -> KClass:
     """Extract the plain class of level n."""
     field = z.field
     out = kclass_zero(field)
@@ -723,17 +727,16 @@ def sym_str(sym) -> str:
     raise WorkbenchError("unknown symbol kind %r" % (kind,))
 
 
-def counting_simplicial(z: SClass, m: FatPoint, n: int,
-                        cfg: Config = DEFAULT) -> Fraction:
+def counting_simplicial(z: SClass, m: FatPoint, n: int) -> Fraction:
     """Level-n point count of a simplicial class at a finite fat point."""
     field = z.field
     total = Fraction(0)
     for sym, c in z.terms.items():
         kind = sym[0]
         if kind == "const":
-            val = counting_hom(KClass(field, {sym[1]: 1}), m, cfg)
+            val = counting_hom(KClass(field, {sym[1]: 1}), m)
         elif kind == "pow":
-            base = counting_hom(_thaw(field, sym[1]), m, cfg)
+            base = counting_hom(_thaw(field, sym[1]), m)
             if sym[2]:
                 if base.denominator != 1 or base < 0:
                     raise EvalError("orbit count needs a nonnegative integer base")
@@ -743,7 +746,7 @@ def counting_simplicial(z: SClass, m: FatPoint, n: int,
         elif kind == "levels":
             if n >= len(sym[1]):
                 raise CapExceeded("level %d beyond materialized tuple" % n)
-            val = counting_hom(_thaw(field, sym[1][n]), m, cfg)
+            val = counting_hom(_thaw(field, sym[1][n]), m)
         else:
             raise WorkbenchError("unknown symbol kind %r" % (kind,))
         total += c * val
@@ -755,21 +758,21 @@ def counting_simplicial(z: SClass, m: FatPoint, n: int,
 
 
 def discrete_hom_check(y: AffineScheme, x: SimplicialSieve, m: FatPoint,
-                       top: int = 2, cfg: Config = DEFAULT) -> dict:
+                       top: int = 2) -> dict:
     """Morphisms from the discrete object on y into x, counted two ways.
 
     A morphism is a compatible family of maps from y(m) into the levels of
     x(m); the discrete side has identity faces and degeneracies, so the
-    family is pinned by its bottom layer. The check enumerates all families
-    and compares with the one-level count.
+    family is pinned by its bottom layer. The check enumerates all families,
+    up to y's candidate cap, and compares with the one-level count.
     """
-    ypts = list(points(y, m, cfg))
-    levels = [list(x.level_points(m, n, cfg)) for n in range(top + 1)]
+    ypts = list(points(y, m))
+    levels = [list(x.level_points(m, n)) for n in range(top + 1)]
     expected = len(levels[0]) ** len(ypts)
     total = 1
     for lv in levels:
         total *= max(1, len(lv)) ** len(ypts)
-        if total > cfg.max_candidates:
+        if total > y.ideal.cfg.max_candidates:
             raise CapExceeded("morphism enumeration too large")
     amb = x.ambient
 
@@ -825,7 +828,7 @@ def _conjunction_parts(node):
     raise WorkbenchError("pushforward needs a conjunction of equations and opens")
 
 
-def pushforward(s: Sieve, f: CoordMap, cfg: Config = DEFAULT) -> Sieve:
+def pushforward(s: Sieve, f: CoordMap) -> Sieve:
     """Image sieve of a conjunction under a morphism.
 
     Opens are absorbed by inverting the localizing function in one extra
@@ -849,13 +852,13 @@ def pushforward(s: Sieve, f: CoordMap, cfg: Config = DEFAULT) -> Sieve:
         wpoly = Poly.variable(w, new_vars, field)
         all_gens.append(loc.embed(new_vars) * wpoly - 1)
         vars = new_vars
-    src = AffineScheme(s.ambient.name + "_sub", Ideal(vars, field, all_gens, cfg))
+    src = AffineScheme(s.ambient.name + "_sub",
+                       Ideal(vars, field, all_gens, s.ambient.ideal.cfg))
     images = {v: f.images[v].embed(vars) for v in f.target.vars}
     return image_sieve(CoordMap(src, f.target, images))
 
 
-def galois_check(f: CoordMap, a: Sieve, b: Sieve, m: FatPoint,
-                 cfg: Config = DEFAULT) -> dict:
+def galois_check(f: CoordMap, a: Sieve, b: Sieve, m: FatPoint) -> dict:
     """Image-of and preimage-of are adjoint on point sets.
 
     Containment of the image of a in b must coincide with containment of a
@@ -865,11 +868,11 @@ def galois_check(f: CoordMap, a: Sieve, b: Sieve, m: FatPoint,
         raise AmbientMismatch("left sieve does not live in the map source")
     if b.ambient.presentation_key() != f.target.presentation_key():
         raise AmbientMismatch("right sieve does not live in the map target")
-    apts = set(a.points(m, cfg))
-    bpts = set(b.points(m, cfg))
+    apts = set(a.points(m))
+    bpts = set(b.points(m))
     alg = m.algebra
     image = set(f.apply_point(alg, p) for p in apts)
     left = image <= bpts
-    pull = b.pullback(f, cfg)
-    right = apts <= set(pull.points(m, cfg))
+    pull = b.pullback(f)
+    right = apts <= set(pull.points(m))
     return {"left": left, "right": right, "ok": left == right}

@@ -59,7 +59,7 @@ class MeasureReport:
     diagnostics: list = dc_field(default_factory=list)
 
 
-def _ambient_level_dims(member, top: int, cfg: Config):
+def _ambient_level_dims(member, top: int):
     """Krull dimension of the ambient arc scheme at each level."""
     dims = []
     for n in range(top + 1):
@@ -72,13 +72,13 @@ def _ambient_level_dims(member, top: int, cfg: Config):
 
 def _member_value(subject: LimitSieve, m: FatPoint, Q: Fraction, lax,
                   cfg: Config, relative: LimitSieve | None = None) -> SClass:
-    member = subject.member_at(m, cfg)
+    member = subject.member_at(m)
     z = class_of_simplicial(member, cfg)
     top = cfg.skeletal_level
-    dims = _ambient_level_dims(member, top, cfg)
+    dims = _ambient_level_dims(member, top)
     if relative is not None:
-        base_member = relative.member_at(m, cfg)
-        base_dims = _ambient_level_dims(base_member, top, cfg)
+        base_member = relative.member_at(m)
+        base_dims = _ambient_level_dims(base_member, top)
         dims = [a - b for a, b in zip(dims, base_dims)]
     extra = lax(m) if lax is not None else 0
     if extra < 0:
@@ -93,24 +93,24 @@ def _member_value(subject: LimitSieve, m: FatPoint, Q: Fraction, lax,
     return twist_by_rule(z, rule, cfg)
 
 
-def finite_measure(s, m: FatPoint, cfg: Config = DEFAULT) -> KClass:
+def finite_measure(s, m: FatPoint) -> KClass:
     """The plain class of the arc member at a single fat point."""
     if isinstance(s, AffineScheme):
         s = full_sieve(s)
     if not isinstance(s, Sieve):
         raise EvalError("finite measure takes a plain sieve or scheme")
-    return class_of_sieve(arc_plain_sieve(s, m, cfg), cfg)
+    return class_of_sieve(arc_plain_sieve(s, m))
 
 
-def integral_form(s, x: AffineScheme, m: FatPoint, cfg: Config = DEFAULT) -> KClass:
+def integral_form(s, x: AffineScheme, m: FatPoint) -> KClass:
     """Product of the uncorrected class of s and the Q=1 corrected arc of x."""
     if isinstance(s, AffineScheme):
         s = full_sieve(s)
     field = x.field
-    f1 = finite_measure(s, base_point(field), cfg)
-    arc = weil_restrict(x, m, cfg)
+    f1 = finite_measure(s, base_point(field))
+    arc = weil_restrict(x, m)
     dim = arc.ideal.krull_dimension()
-    f2 = class_of_sieve(full_sieve(arc), cfg).twist(-dim)
+    f2 = class_of_sieve(full_sieve(arc)).twist(-dim)
     return f1 * f2
 
 
@@ -146,7 +146,7 @@ def lax_measure(q: MeasureQuery, cfg: Config = DEFAULT) -> MeasureReport:
 def stable_set_measure(family: LimitSieve, horizon: int = 8, window: int = 3,
                        cfg: Config = DEFAULT) -> MeasureReport:
     """Measure a truncation-compatible family at Q = 1, validating first."""
-    check = family.battery_validate(min(horizon, 4), cfg)
+    check = family.battery_validate(min(horizon, 4))
     if not check["ok"]:
         raise EvalError("incompatible family: %s" % "; ".join(check["issues"]))
     q = MeasureQuery(family, Q=Fraction(1), horizon=horizon, window=window)
@@ -165,7 +165,7 @@ def forget_structure(s, cfg: Config = DEFAULT):
     levels = []
     nodes = []
     for n in range(top + 1):
-        pres = level_presentation(s, n, cfg)
+        pres = level_presentation(s, n)
         if pres is None:
             raise EvalError("no affine presentation at level %d" % n)
         scheme, node = pres
@@ -183,7 +183,7 @@ def indexed_mode(q: MeasureQuery, cfg: Config = DEFAULT) -> MeasureReport:
     subject = q.subject
 
     def rule(m):
-        return forget_structure(subject.member_at(m, cfg), cfg)
+        return forget_structure(subject.member_at(m), cfg)
 
     forgotten = LimitSieve(subject.base, subject.system, rule=rule,
                            label=subject.label)
@@ -196,7 +196,7 @@ def indexed_mode(q: MeasureQuery, cfg: Config = DEFAULT) -> MeasureReport:
     per_level = []
     for n in range(top + 1):
         try:
-            lv = [level_class(v, n, cfg) for v in values]
+            lv = [level_class(v, n) for v in values]
         except WorkbenchError:
             break
         st, val, since = stabilize(lv, q.window, subject.system.finite)
@@ -205,15 +205,14 @@ def indexed_mode(q: MeasureQuery, cfg: Config = DEFAULT) -> MeasureReport:
     return report
 
 
-def counting_consistency(report: MeasureReport, probes, window: int,
-                         cfg: Config = DEFAULT) -> bool:
+def counting_consistency(report: MeasureReport, probes, window: int) -> bool:
     """A stabilized value must count like every member in the final window."""
     if not report.stabilized:
         raise EvalError("no stabilized value to compare")
     tail = [v for _, v in report.sequence][-window:]
     for m, n in probes:
-        want = counting_simplicial(report.value, m, n, cfg)
+        want = counting_simplicial(report.value, m, n)
         for v in tail:
-            if counting_simplicial(v, m, n, cfg) != want:
+            if counting_simplicial(v, m, n) != want:
                 return False
     return True

@@ -136,7 +136,7 @@ def identity_map(x: AffineScheme) -> CoordMap:
 # -- point enumeration --------------------------------------------------------
 
 
-def points(x: AffineScheme, m: FatPoint, cfg: Config = DEFAULT):
+def points(x: AffineScheme, m: FatPoint):
     """All algebra maps from x's coordinate ring into O_m, as image tuples.
 
     A point is a tuple of base-field coordinates, the coefficients of each
@@ -147,7 +147,7 @@ def points(x: AffineScheme, m: FatPoint, cfg: Config = DEFAULT):
     y_1, ..., and tests each row, mod p, as soon as its last coordinate is
     set, so a partial jet is dropped at the first equation it breaks.
     Returns the points sorted, each a tuple of coefficient vectors, one per
-    variable. Finite fields only.
+    variable. Finite fields only; the candidate cap is x's own.
     """
     if not x.field.finite:
         raise EnumerationUnavailable("point enumeration needs a finite field")
@@ -157,9 +157,10 @@ def points(x: AffineScheme, m: FatPoint, cfg: Config = DEFAULT):
     n, length = len(x.vars), m.length
     size = n * length
     total = (x.field.order ** size) if n else 1
-    if total > cfg.max_candidates:
+    cap = x.ideal.cfg.max_candidates
+    if total > cap:
         raise CapExceeded("enumeration of %d candidates exceeds cap %d"
-                          % (total, cfg.max_candidates))
+                          % (total, cap))
     p = x.field.char
     due = [[] for _ in range(size)]      # rows by the position that completes them
     for g in x.ideal.gens:
@@ -195,10 +196,10 @@ def points(x: AffineScheme, m: FatPoint, cfg: Config = DEFAULT):
     return found
 
 
-def count_points(x: AffineScheme, m: FatPoint, cfg: Config = DEFAULT) -> int:
+def count_points(x: AffineScheme, m: FatPoint) -> int:
     if not x.ideal.gens:
         return x.field.order ** (len(x.vars) * m.length)
-    return len(points(x, m, cfg))
+    return len(points(x, m))
 
 
 def validate_point(x: AffineScheme, m: FatPoint, point) -> bool:
@@ -214,18 +215,7 @@ def arc_var(v: str, j: int) -> str:
     return "%s_%d" % (v, j)
 
 
-class ArcScheme(AffineScheme):
-    """The restriction of a scheme along a fat point, with its bookkeeping."""
-
-    def __init__(self, ideal: Ideal, source: AffineScheme, point: FatPoint,
-                 raw_equation_count: int):
-        super().__init__("arc(%s@%s)" % (source.name, point.name or repr(point)), ideal)
-        self.source = source
-        self.point = point
-        self.raw_equation_count = raw_equation_count
-
-
-def arc_coefficients(polys, x: AffineScheme, m: FatPoint, cfg: Config = DEFAULT):
+def arc_coefficients(polys, x: AffineScheme, m: FatPoint):
     """Expand each polynomial over the point's basis and split off coefficients.
 
     Returns (arc variable tuple, list of coefficient rows); row s has one
@@ -259,24 +249,27 @@ def arc_coefficients(polys, x: AffineScheme, m: FatPoint, cfg: Config = DEFAULT)
     return arc_vars, rows
 
 
-def weil_restrict(x: AffineScheme, m: FatPoint, cfg: Config = DEFAULT) -> ArcScheme:
-    """One equation per (generator, basis monomial), zero rows pruned."""
-    arc_vars, rows = arc_coefficients(x.ideal.gens, x, m, cfg)
-    raw = len(x.ideal.gens) * m.length
+def weil_restrict(x: AffineScheme, m: FatPoint) -> AffineScheme:
+    """One equation per (generator, basis monomial), zero rows pruned.
+
+    The restriction keeps x's config, so its caps are x's.
+    """
+    arc_vars, rows = arc_coefficients(x.ideal.gens, x, m)
     gens = [c for row in rows for c in row if not c.is_zero()]
-    return ArcScheme(Ideal(arc_vars, x.field, gens, cfg), x, m, raw)
+    return AffineScheme("arc(%s@%s)" % (x.name, m.name or repr(m)),
+                        Ideal(arc_vars, x.field, gens, x.ideal.cfg))
 
 
-def arc_dimension(x: AffineScheme, m: FatPoint, cfg: Config = DEFAULT) -> int:
-    return weil_restrict(x, m, cfg).ideal.krull_dimension()
+def arc_dimension(x: AffineScheme, m: FatPoint) -> int:
+    return weil_restrict(x, m).ideal.krull_dimension()
 
 
-def arc_of_map(f: CoordMap, m: FatPoint, cfg: Config = DEFAULT) -> CoordMap:
+def arc_of_map(f: CoordMap, m: FatPoint) -> CoordMap:
     """Restriction applied to a morphism: coefficients of the pushed coordinates."""
-    src = weil_restrict(f.source, m, cfg)
-    tgt = weil_restrict(f.target, m, cfg)
+    src = weil_restrict(f.source, m)
+    tgt = weil_restrict(f.target, m)
     order = [f.images[v] for v in f.target.vars]
-    _, rows = arc_coefficients(order, f.source, m, cfg)
+    _, rows = arc_coefficients(order, f.source, m)
     images = {}
     for vi, v in enumerate(f.target.vars):
         for j in range(m.length):
@@ -287,8 +280,7 @@ def arc_of_map(f: CoordMap, m: FatPoint, cfg: Config = DEFAULT) -> CoordMap:
 # -- truncation ---------------------------------------------------------------
 
 
-def truncation_map(x: AffineScheme, big: FatPoint, small: FatPoint,
-                   cfg: Config = DEFAULT) -> CoordMap:
+def truncation_map(x: AffineScheme, big: FatPoint, small: FatPoint) -> CoordMap:
     """The linear projection between arcs induced by a closed subpoint.
 
     `small` must present a closed subpoint of `big` (same coordinates, larger
@@ -296,8 +288,8 @@ def truncation_map(x: AffineScheme, big: FatPoint, small: FatPoint,
     """
     if not truncation_compatible(small, big):
         raise AmbientMismatch("second point is not a closed subpoint of the first")
-    src = weil_restrict(x, big, cfg)
-    tgt = weil_restrict(x, small, cfg)
+    src = weil_restrict(x, big)
+    tgt = weil_restrict(x, small)
     salg = small.algebra
     rows = [salg.nf_vector(b) for b in big.algebra.basis]
     images = {}
@@ -325,8 +317,7 @@ def _joint_split(am: FatPoint, a: FatPoint, m: FatPoint):
     return pairs
 
 
-def adjunction_check(x: AffineScheme, m: FatPoint, a: FatPoint,
-                     cfg: Config = DEFAULT) -> dict:
+def adjunction_check(x: AffineScheme, m: FatPoint, a: FatPoint) -> dict:
     """Compare maps out of the tensor point with points of the restriction.
 
     The rearrangement sends the coefficient at (a-basis u, m-basis v) of
@@ -335,9 +326,9 @@ def adjunction_check(x: AffineScheme, m: FatPoint, a: FatPoint,
     """
     from .fatpoints import tensor_points
     am = tensor_points(a, m)
-    left = points(x, am, cfg)
-    arc = weil_restrict(x, m, cfg)
-    right = points(arc, a, cfg)
+    left = points(x, am)
+    arc = weil_restrict(x, m)
+    right = points(arc, a)
     pairs = _joint_split(am, a, m)
     # arc coordinate v_j gathers the coefficients at (u, j) of v, for every
     # a-basis index u: one getter per arc coordinate, made once

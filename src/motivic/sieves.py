@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product as iproduct
 
-from .config import DEFAULT, Config
 from .errors import AmbientMismatch, CapExceeded, WorkbenchError
 from .fatpoints import (FatPoint, SimplicialFatPoint, base_point,
                         flat_coordinates, row_value)
@@ -84,21 +83,20 @@ def node_str(node) -> str:
     raise WorkbenchError("unknown node %r" % (node,))
 
 
-def _image_points(cmap: CoordMap, m: FatPoint, cfg: Config):
+def _image_points(cmap: CoordMap, m: FatPoint):
     """The image of cmap's points at m, cached on m's algebra."""
     memo = m.algebra.memo
     key = ("image", cmap)
     got = memo.get(key)
     if got is None:
         alg = m.algebra
-        src = points(cmap.source, m, cfg)
+        src = points(cmap.source, m)
         got = frozenset(cmap.apply_point(alg, p) for p in src)
         memo[key] = got
     return got
 
 
-def node_member(node, ambient: AffineScheme, m: FatPoint, point,
-                cfg: Config = DEFAULT) -> bool:
+def node_member(node, m: FatPoint, point) -> bool:
     """Does the point satisfy the condition tree?
 
     Closed and open leaves are read through the coefficient rows of m's
@@ -124,7 +122,7 @@ def node_member(node, ambient: AffineScheme, m: FatPoint, point,
         if isinstance(nd, OpenLoc):
             return not zero(alg.residue(alg.coefficient_rows(nd.g)))
         if isinstance(nd, Im):
-            return tuple(point) in _image_points(nd.cmap, m, cfg)
+            return tuple(point) in _image_points(nd.cmap, m)
         if isinstance(nd, Union):
             return walk(nd.left) or walk(nd.right)
         if isinstance(nd, Inter):
@@ -134,7 +132,7 @@ def node_member(node, ambient: AffineScheme, m: FatPoint, point,
     return walk(node)
 
 
-def node_pullback(node, f: CoordMap, cfg: Config = DEFAULT):
+def node_pullback(node, f: CoordMap):
     """Leafwise substitution; image leaves become images of fiber products."""
     if isinstance(node, (Full, Empty)):
         return node
@@ -143,16 +141,16 @@ def node_pullback(node, f: CoordMap, cfg: Config = DEFAULT):
     if isinstance(node, OpenLoc):
         return OpenLoc(f.pullback_poly(node.g))
     if isinstance(node, Im):
-        fp, pr, _ = fiber_product_schemes(f, node.cmap, cfg)
+        fp, pr, _ = fiber_product_schemes(f, node.cmap)
         return Im(pr)
     if isinstance(node, Union):
-        return Union(node_pullback(node.left, f, cfg), node_pullback(node.right, f, cfg))
+        return Union(node_pullback(node.left, f), node_pullback(node.right, f))
     if isinstance(node, Inter):
-        return Inter(node_pullback(node.left, f, cfg), node_pullback(node.right, f, cfg))
+        return Inter(node_pullback(node.left, f), node_pullback(node.right, f))
     raise WorkbenchError("unknown node %r" % (node,))
 
 
-def fiber_product_schemes(f: CoordMap, g: CoordMap, cfg: Config = DEFAULT):
+def fiber_product_schemes(f: CoordMap, g: CoordMap):
     """W x_X Z for f: W -> X, g: Z -> X; returns (scheme, to W, to Z)."""
     if f.target.presentation_key() != g.target.presentation_key():
         raise AmbientMismatch("fiber product needs a common target")
@@ -164,7 +162,7 @@ def fiber_product_schemes(f: CoordMap, g: CoordMap, cfg: Config = DEFAULT):
         b = g.images[v].rename(rmap).embed(prod.vars)
         gens.append(a - b)
     total = AffineScheme(f.source.name + "x" + g.source.name,
-                         Ideal(prod.vars, field, gens, cfg))
+                         Ideal(prod.vars, field, gens, prod.ideal.cfg))
     to_w = CoordMap(total, f.source,
                     {v: Poly.variable(lmap[v], total.vars, field) for v in f.source.vars})
     to_z = CoordMap(total, g.source,
@@ -181,20 +179,19 @@ class Sieve:
         self.ambient = ambient
         self.node = node
 
-    def member(self, m: FatPoint, point, cfg: Config = DEFAULT) -> bool:
-        return node_member(self.node, self.ambient, m, point, cfg)
+    def member(self, m: FatPoint, point) -> bool:
+        return node_member(self.node, m, point)
 
-    def points(self, m: FatPoint, cfg: Config = DEFAULT):
-        base = points(self.ambient, m, cfg)
-        return tuple(p for p in sorted(base) if self.member(m, p, cfg))
+    def points(self, m: FatPoint):
+        return tuple(p for p in points(self.ambient, m) if self.member(m, p))
 
-    def count(self, m: FatPoint, cfg: Config = DEFAULT) -> int:
-        return len(self.points(m, cfg))
+    def count(self, m: FatPoint) -> int:
+        return len(self.points(m))
 
-    def pullback(self, f: CoordMap, cfg: Config = DEFAULT) -> "Sieve":
+    def pullback(self, f: CoordMap) -> "Sieve":
         if f.target.presentation_key() != self.ambient.presentation_key():
             raise AmbientMismatch("pullback along a morphism into a different ambient")
-        return Sieve(f.source, node_pullback(self.node, f, cfg))
+        return Sieve(f.source, node_pullback(self.node, f))
 
     def key(self):
         return (self.ambient.presentation_key(), self.node)
@@ -294,7 +291,7 @@ def admissible_open(host: Sieve, opens) -> Sieve:
     return Sieve(host.ambient, Inter(host.node, nd))
 
 
-def continuity_probe(f: CoordMap, battery, cfg: Config = DEFAULT) -> dict:
+def continuity_probe(f: CoordMap, battery) -> dict:
     """Pull admissible opens back along f and re-test admissibility.
 
     battery: iterable of (fat point or None, host sieve, admissible sieve).
@@ -310,15 +307,15 @@ def continuity_probe(f: CoordMap, battery, cfg: Config = DEFAULT) -> dict:
                             "semantic": None})
             ok = False
             continue
-        pulled = adm.pullback(f, cfg)
-        pulled_host = host.pullback(f, cfg)
+        pulled = adm.pullback(f)
+        pulled_host = host.pullback(f)
         after = is_admissible_open(pulled, pulled_host)
         semantic = None
         if m is not None and f.source.field.finite:
             alg = m.algebra
             semantic = all(
-                pulled.member(m, p, cfg) == adm.member(m, f.apply_point(alg, p), cfg)
-                for p in points(f.source, m, cfg))
+                pulled.member(m, p) == adm.member(m, f.apply_point(alg, p))
+                for p in points(f.source, m))
         results.append({"admissible_before": True, "admissible_after": after,
                         "semantic": semantic})
         if not after or semantic is False:
@@ -330,32 +327,32 @@ def continuity_probe(f: CoordMap, battery, cfg: Config = DEFAULT) -> dict:
 # arcs of sieves
 
 
-def arc_node(node, x: AffineScheme, m: FatPoint, cfg: Config = DEFAULT):
+def arc_node(node, x: AffineScheme, m: FatPoint):
     """Rewrite a condition on x into one on the restriction of x along m."""
     if isinstance(node, (Full, Empty)):
         return node
     if isinstance(node, Closed):
         if not node.gens:
             return Full()
-        _, rows = arc_coefficients(list(node.gens), x, m, cfg)
+        _, rows = arc_coefficients(list(node.gens), x, m)
         gens = tuple(c for row in rows for c in row if not c.is_zero())
         return Closed(gens)
     if isinstance(node, OpenLoc):
         # a Weil-restricted unit test: the residue coefficient must be a unit
-        _, rows = arc_coefficients([node.g], x, m, cfg)
+        _, rows = arc_coefficients([node.g], x, m)
         return OpenLoc(rows[0][0])
     if isinstance(node, Im):
-        return Im(arc_of_map(node.cmap, m, cfg))
+        return Im(arc_of_map(node.cmap, m))
     if isinstance(node, Union):
-        return Union(arc_node(node.left, x, m, cfg), arc_node(node.right, x, m, cfg))
+        return Union(arc_node(node.left, x, m), arc_node(node.right, x, m))
     if isinstance(node, Inter):
-        return Inter(arc_node(node.left, x, m, cfg), arc_node(node.right, x, m, cfg))
+        return Inter(arc_node(node.left, x, m), arc_node(node.right, x, m))
     raise WorkbenchError("unknown node %r" % (node,))
 
 
-def arc_plain_sieve(s: Sieve, m: FatPoint, cfg: Config = DEFAULT) -> Sieve:
-    arc = weil_restrict(s.ambient, m, cfg)
-    return Sieve(arc, arc_node(s.node, s.ambient, m, cfg))
+def arc_plain_sieve(s: Sieve, m: FatPoint) -> Sieve:
+    arc = weil_restrict(s.ambient, m)
+    return Sieve(arc, arc_node(s.node, s.ambient, m))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +365,7 @@ class SimplicialAmbient:
     def level_scheme(self, n: int):
         raise NotImplementedError
 
-    def level_points(self, m: FatPoint, n: int, cfg: Config = DEFAULT):
+    def level_points(self, m: FatPoint, n: int):
         raise NotImplementedError
 
     def face(self, m, n, i, p):
@@ -394,8 +391,8 @@ class ConstAmbient(SimplicialAmbient):
     def level_scheme(self, n):
         return self.scheme
 
-    def level_points(self, m, n, cfg=DEFAULT):
-        return tuple(sorted(points(self.scheme, m, cfg)))
+    def level_points(self, m, n):
+        return tuple(points(self.scheme, m))
 
     def face(self, m, n, i, p):
         return p
@@ -422,12 +419,12 @@ class PowerAmbient(SimplicialAmbient):
             got = product_scheme(got, self.scheme)[0]
         return got
 
-    def base_points(self, m, cfg=DEFAULT):
-        return tuple(sorted(points(self.scheme, m, cfg)))
+    def base_points(self, m):
+        return tuple(points(self.scheme, m))
 
-    def level_points(self, m, n, cfg=DEFAULT):
-        base = self.base_points(m, cfg)
-        if len(base) ** (n + 1) > cfg.max_candidates:
+    def level_points(self, m, n):
+        base = self.base_points(m)
+        if len(base) ** (n + 1) > self.scheme.ideal.cfg.max_candidates:
             raise CapExceeded("power level too large to enumerate")
         if self.symmetric:
             return tuple(combinations_with_replacement(base, n + 1))
@@ -465,10 +462,10 @@ class ProductAmbient(SimplicialAmbient):
         got = self._schemes[n]
         return None if got is None else got[0]
 
-    def level_points(self, m, n, cfg=DEFAULT):
-        ls = self.left.level_points(m, n, cfg)
-        rs = self.right.level_points(m, n, cfg)
-        if len(ls) * len(rs) > cfg.max_candidates:
+    def level_points(self, m, n):
+        ls = self.left.level_points(m, n)
+        rs = self.right.level_points(m, n)
+        if len(ls) * len(rs) > _ambient_scheme(self.left).ideal.cfg.max_candidates:
             raise CapExceeded("product level too large to enumerate")
         return tuple((a, b) for a in ls for b in rs)
 
@@ -495,9 +492,9 @@ class DisjointAmbient(SimplicialAmbient):
     def level_scheme(self, n):
         return None
 
-    def level_points(self, m, n, cfg=DEFAULT):
-        ls = self.left.level_points(m, n, cfg)
-        rs = self.right.level_points(m, n, cfg)
+    def level_points(self, m, n):
+        ls = self.left.level_points(m, n)
+        rs = self.right.level_points(m, n)
         return tuple([("L", p) for p in ls] + [("R", p) for p in rs])
 
     def face(self, m, n, i, p):
@@ -570,8 +567,8 @@ class ExplicitAmbient(SimplicialAmbient):
                               % (n, self.truncation))
         return self.levels[n]
 
-    def level_points(self, m, n, cfg=DEFAULT):
-        return tuple(sorted(points(self.level_scheme(n), m, cfg)))
+    def level_points(self, m, n):
+        return tuple(points(self.level_scheme(n), m))
 
     def face(self, m, n, i, p):
         return self.faces[(n, i)].apply_point(m.algebra, p)
@@ -603,8 +600,8 @@ class IndexedAmbient(SimplicialAmbient):
                               % (n, self.truncation))
         return self.levels[n]
 
-    def level_points(self, m, n, cfg=DEFAULT):
-        return tuple(sorted(points(self.level_scheme(n), m, cfg)))
+    def level_points(self, m, n):
+        return tuple(points(self.level_scheme(n), m))
 
     def face(self, m, n, i, p):
         raise WorkbenchError("indexed family carries no face maps")
@@ -616,6 +613,17 @@ class IndexedAmbient(SimplicialAmbient):
         return ("idx", tuple(s.presentation_key() for s in self.levels))
 
 
+def _ambient_scheme(amb: SimplicialAmbient) -> AffineScheme:
+    """A defining affine scheme of a simplicial ambient (leftmost base)."""
+    if isinstance(amb, (ConstAmbient, PowerAmbient)):
+        return amb.scheme
+    if isinstance(amb, (ProductAmbient, DisjointAmbient)):
+        return _ambient_scheme(amb.left)
+    if isinstance(amb, (ExplicitAmbient, IndexedAmbient)):
+        return amb.levels[0]
+    raise WorkbenchError("no defining scheme for %r" % (amb,))
+
+
 # ---------------------------------------------------------------------------
 # simplicial sieves
 
@@ -623,15 +631,15 @@ class IndexedAmbient(SimplicialAmbient):
 class SimplicialSieve:
     ambient: SimplicialAmbient
 
-    def member(self, m, n, point, cfg: Config = DEFAULT) -> bool:
+    def member(self, m, n, point) -> bool:
         raise NotImplementedError
 
-    def level_points(self, m, n, cfg: Config = DEFAULT):
-        return tuple(p for p in self.ambient.level_points(m, n, cfg)
-                     if self.member(m, n, p, cfg))
+    def level_points(self, m, n):
+        return tuple(p for p in self.ambient.level_points(m, n)
+                     if self.member(m, n, p))
 
-    def count(self, m, n, cfg: Config = DEFAULT) -> int:
-        return len(self.level_points(m, n, cfg))
+    def count(self, m, n) -> int:
+        return len(self.level_points(m, n))
 
     def key(self):
         raise NotImplementedError
@@ -642,24 +650,24 @@ class SimplicialSieve:
     def __hash__(self):
         return hash(self.key())
 
-    def check_structure(self, m, top: int, cfg: Config = DEFAULT) -> bool:
+    def check_structure(self, m, top: int) -> bool:
         """Faces and degeneracies keep member points inside the sieve."""
         amb = self.ambient
         if not amb.has_maps:
             raise WorkbenchError("indexed family carries no structure maps")
         for n in range(0, top + 1):
-            pts = self.level_points(m, n, cfg)
+            pts = self.level_points(m, n)
             for p in pts:
                 if n >= 1:
                     for i in range(n + 1):
-                        if not self.member(m, n - 1, amb.face(m, n, i, p), cfg):
+                        if not self.member(m, n - 1, amb.face(m, n, i, p)):
                             return False
                 for i in range(n + 1):
                     try:
                         q = amb.degeneracy(m, n, i, p)
                     except (CapExceeded, KeyError):
                         continue
-                    if not self.member(m, n + 1, q, cfg):
+                    if not self.member(m, n + 1, q):
                         return False
         return True
 
@@ -677,8 +685,8 @@ class ConstSieve(SimplicialSieve):
     def plain(self) -> Sieve:
         return Sieve(self.scheme, self.node)
 
-    def member(self, m, n, point, cfg=DEFAULT):
-        return node_member(self.node, self.scheme, m, point, cfg)
+    def member(self, m, n, point):
+        return node_member(self.node, m, point)
 
     def key(self):
         return ("const", self.scheme.presentation_key(), self.node)
@@ -694,8 +702,8 @@ class PowerSieve(SimplicialSieve):
         self.symmetric = symmetric
         self.ambient = PowerAmbient(scheme, symmetric)
 
-    def member(self, m, n, point, cfg=DEFAULT):
-        return all(node_member(self.node, self.scheme, m, p, cfg) for p in point)
+    def member(self, m, n, point):
+        return all(node_member(self.node, m, p) for p in point)
 
     def key(self):
         return ("pow", self.scheme.presentation_key(), self.node, self.symmetric)
@@ -711,9 +719,9 @@ class ProductSieve(SimplicialSieve):
         self.right = right
         self.ambient = ProductAmbient(left.ambient, right.ambient)
 
-    def member(self, m, n, point, cfg=DEFAULT):
-        return (self.left.member(m, n, point[0], cfg)
-                and self.right.member(m, n, point[1], cfg))
+    def member(self, m, n, point):
+        return (self.left.member(m, n, point[0])
+                and self.right.member(m, n, point[1]))
 
     def key(self):
         return ("prod", self.left.key(), self.right.key())
@@ -725,10 +733,10 @@ class DisjointSieve(SimplicialSieve):
         self.right = right
         self.ambient = DisjointAmbient(left.ambient, right.ambient)
 
-    def member(self, m, n, point, cfg=DEFAULT):
+    def member(self, m, n, point):
         tag, q = point
         side = self.left if tag == "L" else self.right
-        return side.member(m, n, q, cfg)
+        return side.member(m, n, q)
 
     def key(self):
         return ("disj", self.left.key(), self.right.key())
@@ -745,10 +753,10 @@ class LevelSieve(SimplicialSieve):
     def truncation(self):
         return len(self.nodes) - 1
 
-    def member(self, m, n, point, cfg=DEFAULT):
+    def member(self, m, n, point):
         if n > self.truncation:
             raise CapExceeded("level %d beyond materialized truncation" % n)
-        return node_member(self.nodes[n], self.ambient.level_scheme(n), m, point, cfg)
+        return node_member(self.nodes[n], m, point)
 
     def key(self):
         return ("levels", self.ambient.key(), self.nodes)
@@ -762,8 +770,8 @@ class UnionSieve(SimplicialSieve):
         self.right = right
         self.ambient = left.ambient
 
-    def member(self, m, n, point, cfg=DEFAULT):
-        return self.left.member(m, n, point, cfg) or self.right.member(m, n, point, cfg)
+    def member(self, m, n, point):
+        return self.left.member(m, n, point) or self.right.member(m, n, point)
 
     def key(self):
         return ("union", self.left.key(), self.right.key())
@@ -777,8 +785,8 @@ class InterSieve(SimplicialSieve):
         self.right = right
         self.ambient = left.ambient
 
-    def member(self, m, n, point, cfg=DEFAULT):
-        return self.left.member(m, n, point, cfg) and self.right.member(m, n, point, cfg)
+    def member(self, m, n, point):
+        return self.left.member(m, n, point) and self.right.member(m, n, point)
 
     def key(self):
         return ("inter", self.left.key(), self.right.key())
@@ -821,7 +829,7 @@ def _rename_node(node, mapping: dict, new_vars, field):
     raise WorkbenchError("unknown node %r" % (node,))
 
 
-def level_presentation(s, n: int, cfg: Config = DEFAULT):
+def level_presentation(s, n: int):
     """(scheme, node) presenting level n of a simplicial sieve, or None.
 
     Symmetric shapes and disjoint unions have no single affine presentation.
@@ -842,8 +850,8 @@ def level_presentation(s, n: int, cfg: Config = DEFAULT):
             out_scheme, out_node = prod, Inter(left, right)
         return out_scheme, out_node
     if isinstance(s, ProductSieve):
-        lp = level_presentation(s.left, n, cfg)
-        rp = level_presentation(s.right, n, cfg)
+        lp = level_presentation(s.left, n)
+        rp = level_presentation(s.right, n)
         if lp is None or rp is None:
             return None
         (ls, lnode), (rs, rnode) = lp, rp
@@ -856,14 +864,14 @@ def level_presentation(s, n: int, cfg: Config = DEFAULT):
             return None
         return scheme, s.nodes[n]
     if isinstance(s, UnionSieve):
-        lp = level_presentation(s.left, n, cfg)
-        rp = level_presentation(s.right, n, cfg)
+        lp = level_presentation(s.left, n)
+        rp = level_presentation(s.right, n)
         if lp is None or rp is None:
             return None
         return lp[0], Union(lp[1], rp[1])
     if isinstance(s, InterSieve):
-        lp = level_presentation(s.left, n, cfg)
-        rp = level_presentation(s.right, n, cfg)
+        lp = level_presentation(s.left, n)
+        rp = level_presentation(s.right, n)
         if lp is None or rp is None:
             return None
         return lp[0], Inter(lp[1], rp[1])
@@ -876,37 +884,36 @@ def level_presentation(s, n: int, cfg: Config = DEFAULT):
 # arcs of simplicial sieves
 
 
-def arc_sieve(s, m: FatPoint, cfg: Config = DEFAULT):
+def arc_sieve(s, m: FatPoint):
     """Restriction applied leafwise, preserving the level shape."""
     if isinstance(s, Sieve):
-        return arc_plain_sieve(s, m, cfg)
+        return arc_plain_sieve(s, m)
     if isinstance(s, ConstSieve):
-        arc = weil_restrict(s.scheme, m, cfg)
-        return ConstSieve(arc, arc_node(s.node, s.scheme, m, cfg))
+        arc = weil_restrict(s.scheme, m)
+        return ConstSieve(arc, arc_node(s.node, s.scheme, m))
     if isinstance(s, PowerSieve):
-        arc = weil_restrict(s.scheme, m, cfg)
-        return PowerSieve(arc, arc_node(s.node, s.scheme, m, cfg), s.symmetric)
+        arc = weil_restrict(s.scheme, m)
+        return PowerSieve(arc, arc_node(s.node, s.scheme, m), s.symmetric)
     if isinstance(s, ProductSieve):
-        return ProductSieve(arc_sieve(s.left, m, cfg), arc_sieve(s.right, m, cfg))
+        return ProductSieve(arc_sieve(s.left, m), arc_sieve(s.right, m))
     if isinstance(s, DisjointSieve):
-        return DisjointSieve(arc_sieve(s.left, m, cfg), arc_sieve(s.right, m, cfg))
+        return DisjointSieve(arc_sieve(s.left, m), arc_sieve(s.right, m))
     if isinstance(s, UnionSieve):
-        return UnionSieve(arc_sieve(s.left, m, cfg), arc_sieve(s.right, m, cfg))
+        return UnionSieve(arc_sieve(s.left, m), arc_sieve(s.right, m))
     if isinstance(s, InterSieve):
-        return InterSieve(arc_sieve(s.left, m, cfg), arc_sieve(s.right, m, cfg))
+        return InterSieve(arc_sieve(s.left, m), arc_sieve(s.right, m))
     if isinstance(s, LevelSieve) and isinstance(s.ambient, ExplicitAmbient):
         amb = s.ambient
-        levels = [weil_restrict(sc, m, cfg) for sc in amb.levels]
-        faces = {k: arc_of_map(v, m, cfg) for k, v in amb.faces.items()}
-        degens = {k: arc_of_map(v, m, cfg) for k, v in amb.degens.items()}
+        levels = [weil_restrict(sc, m) for sc in amb.levels]
+        faces = {k: arc_of_map(v, m) for k, v in amb.faces.items()}
+        degens = {k: arc_of_map(v, m) for k, v in amb.degens.items()}
         new_amb = ExplicitAmbient(levels, faces, degens, validate=False)
-        nodes = [arc_node(nd, amb.levels[i], m, cfg) for i, nd in enumerate(s.nodes)]
+        nodes = [arc_node(nd, amb.levels[i], m) for i, nd in enumerate(s.nodes)]
         return LevelSieve(new_amb, nodes)
     raise WorkbenchError("no arc transform for %r" % (s,))
 
 
-def simplicial_arc(s, sfp: SimplicialFatPoint, top: int | None = None,
-                   cfg: Config = DEFAULT):
+def simplicial_arc(s, sfp: SimplicialFatPoint, top: int | None = None):
     """Levelwise restriction along a simplicial fat point.
 
     The constant shape keeps the full simplicial structure. The power shape
@@ -918,7 +925,7 @@ def simplicial_arc(s, sfp: SimplicialFatPoint, top: int | None = None,
     if isinstance(s, Sieve):
         s = ConstSieve(s.ambient, s.node)
     if sfp.tag == "trivial":
-        return arc_sieve(s, sfp.base, cfg)
+        return arc_sieve(s, sfp.base)
     if sfp.tag == "sym":
         raise WorkbenchError("symmetric shape carries no ambient algebra for arcs")
     if not isinstance(s, ConstSieve):
@@ -928,8 +935,8 @@ def simplicial_arc(s, sfp: SimplicialFatPoint, top: int | None = None,
     nodes = []
     for n in range(top + 1):
         mn = sfp.level(n)
-        levels.append(weil_restrict(s.scheme, mn, cfg))
-        nodes.append(arc_node(s.node, s.scheme, mn, cfg))
+        levels.append(weil_restrict(s.scheme, mn))
+        nodes.append(arc_node(s.node, s.scheme, mn))
     return LevelSieve(IndexedAmbient(levels), nodes)
 
 
@@ -949,11 +956,11 @@ class RelativeSieve:
         self.base = base
         self.structure = structure
 
-    def points_over(self, m: FatPoint, cfg: Config = DEFAULT):
+    def points_over(self, m: FatPoint):
         """Total points labelled by their base image."""
         alg = m.algebra
         out = []
-        for p in self.total.points(m, cfg):
+        for p in self.total.points(m):
             out.append((self.structure.apply_point(alg, p), p))
         return out
 
@@ -967,35 +974,19 @@ class RelativeSieve:
         return hash(self.key())
 
 
-def fiber_product(a: RelativeSieve, b: RelativeSieve,
-                  cfg: Config = DEFAULT) -> RelativeSieve:
+def fiber_product(a: RelativeSieve, b: RelativeSieve) -> RelativeSieve:
     """Pointwise pairs agreeing on the base."""
     if a.base.key() != b.base.key():
         raise AmbientMismatch("fiber product needs a common base")
-    total_scheme, to_a, to_b = fiber_product_schemes(a.structure, b.structure, cfg)
-    node = Inter(node_pullback(a.total.node, to_a, cfg),
-                 node_pullback(b.total.node, to_b, cfg))
+    total_scheme, to_a, to_b = fiber_product_schemes(a.structure, b.structure)
+    node = Inter(node_pullback(a.total.node, to_a),
+                 node_pullback(b.total.node, to_b))
     structure = a.structure.compose(to_a)
     return RelativeSieve(Sieve(total_scheme, node), a.base, structure)
 
 
 # ---------------------------------------------------------------------------
 # limit sieves
-
-
-def _sieve_scheme(s) -> AffineScheme:
-    """A defining affine scheme of a simplicial sieve (leftmost base)."""
-    if isinstance(s, (ConstSieve, PowerSieve)):
-        return s.scheme
-    if isinstance(s, (ProductSieve, DisjointSieve, UnionSieve, InterSieve)):
-        return _sieve_scheme(s.left)
-    if isinstance(s, LevelSieve):
-        return s.ambient.level_scheme(0)
-    raise WorkbenchError("no defining scheme for %r" % (s,))
-
-
-def _sieve_field(s):
-    return _sieve_scheme(s).field
 
 
 class LimitSieve:
@@ -1011,29 +1002,29 @@ class LimitSieve:
         self.rule = rule  # FatPoint -> SimplicialSieve over the arc ambient
         self.label = label
 
-    def member_at(self, m: FatPoint, cfg: Config = DEFAULT) -> SimplicialSieve:
+    def member_at(self, m: FatPoint) -> SimplicialSieve:
         if self.rule is None:
-            return arc_sieve(self.base, m, cfg)
+            return arc_sieve(self.base, m)
         return self.rule(m)
 
-    def members(self, horizon: int, cfg: Config = DEFAULT):
-        return [(m, self.member_at(m, cfg)) for m in self.system.materialize(horizon)]
+    def members(self, horizon: int):
+        return [(m, self.member_at(m)) for m in self.system.materialize(horizon)]
 
-    def battery_validate(self, horizon: int, cfg: Config = DEFAULT,
-                         levels: int = 1) -> dict:
+    def battery_validate(self, horizon: int, levels: int = 1) -> dict:
         """Finite-field checks on the family: each member sits inside the
         arcs of the base, and consecutive members are compatible with the
         truncation projections between arc ambients. Arc ambients live over
         the ground field, so enumeration happens at the ground point; over
         the rationals only the presentational checks run."""
         ms = self.system.materialize(horizon)
-        field = _sieve_field(self.base)
+        base0 = _ambient_scheme(self.base.ambient)
+        field = base0.field
         finite = field.finite
         k0 = base_point(field)
         issues = []
         for idx, m in enumerate(ms):
-            inside = self.member_at(m, cfg)
-            hull = arc_sieve(self.base, m, cfg)
+            inside = self.member_at(m)
+            hull = arc_sieve(self.base, m)
             s_in = inside.ambient.level_scheme(0)
             s_hull = hull.ambient.level_scheme(0)
             if (s_in is not None and s_hull is not None
@@ -1043,27 +1034,26 @@ class LimitSieve:
             if finite:
                 for n in range(levels + 1):
                     try:
-                        got = set(inside.level_points(k0, n, cfg))
-                        big = set(hull.level_points(k0, n, cfg))
+                        got = set(inside.level_points(k0, n))
+                        big = set(hull.level_points(k0, n))
                     except WorkbenchError:
                         continue
                     if not got <= big:
                         issues.append("member %d escapes the base arcs at level %d"
                                       % (idx, n))
         if finite:
-            base0 = _sieve_scheme(self.base)
             alg = k0.algebra
             for idx in range(len(ms) - 1):
                 small, big = ms[idx], ms[idx + 1]
                 try:
-                    tr = truncation_map(base0, big, small, cfg)
+                    tr = truncation_map(base0, big, small)
                 except WorkbenchError:
                     continue
-                small_sieve = self.member_at(small, cfg)
-                big_sieve = self.member_at(big, cfg)
-                for p in big_sieve.level_points(k0, 0, cfg):
+                small_sieve = self.member_at(small)
+                big_sieve = self.member_at(big)
+                for p in big_sieve.level_points(k0, 0):
                     q = tr.apply_point(alg, p)
-                    if not small_sieve.member(k0, 0, q, cfg):
+                    if not small_sieve.member(k0, 0, q):
                         issues.append("member %d image escapes member %d"
                                       % (idx + 1, idx))
                         break

@@ -232,7 +232,7 @@ def evaluate_to_sset(s: SimplicialSieve, m: FatPoint, top: int = 4,
     amb = s.ambient
     if not amb.has_maps:
         raise EvalError("indexed family carries no structure maps")
-    levels = [s.level_points(m, n, cfg) for n in range(top + 1)]
+    levels = [s.level_points(m, n) for n in range(top + 1)]
 
     def face(n, i, x):
         return amb.face(m, n, i, x)
@@ -287,7 +287,7 @@ def discrete_sset(elements, top: int = 4, cfg: Config = DEFAULT) -> FiniteSimpli
 
 
 def preservation_check(a: SimplicialSieve, b: SimplicialSieve, m: FatPoint,
-                       top: int = 2, cfg: Config = DEFAULT) -> dict:
+                       top: int = 2) -> dict:
     """Evaluation turns unions, intersections, products into set operations."""
     out = {"union": None, "intersection": None, "product": True}
     same = a.ambient.key() == b.ambient.key()
@@ -296,20 +296,20 @@ def preservation_check(a: SimplicialSieve, b: SimplicialSieve, m: FatPoint,
         it = InterSieve(a, b)
         ok_u = ok_i = True
         for n in range(top + 1):
-            pa = set(a.level_points(m, n, cfg))
-            pb = set(b.level_points(m, n, cfg))
-            if set(un.level_points(m, n, cfg)) != pa | pb:
+            pa = set(a.level_points(m, n))
+            pb = set(b.level_points(m, n))
+            if set(un.level_points(m, n)) != pa | pb:
                 ok_u = False
-            if set(it.level_points(m, n, cfg)) != pa & pb:
+            if set(it.level_points(m, n)) != pa & pb:
                 ok_i = False
         out["union"] = ok_u
         out["intersection"] = ok_i
     prod = ProductSieve(a, b)
     ok_p = True
     for n in range(top + 1):
-        pa = set(a.level_points(m, n, cfg))
-        pb = set(b.level_points(m, n, cfg))
-        if set(prod.level_points(m, n, cfg)) != {(x, y) for x in pa for y in pb}:
+        pa = set(a.level_points(m, n))
+        pb = set(b.level_points(m, n))
+        if set(prod.level_points(m, n)) != {(x, y) for x in pa for y in pb}:
             ok_p = False
     out["product"] = ok_p
     out["ok"] = all(v for v in (out["union"], out["intersection"], out["product"])
@@ -324,14 +324,14 @@ def homotopy_stabilization(family, horizon: int, window: int = 3,
     The key is a necessary invariant only, so the verdict is evidence, not a
     decision; the proxy flag travels with the report.
     """
-    from .sieves import _sieve_field
-    field = _sieve_field(family.base)
+    from .sieves import _ambient_scheme
+    field = _ambient_scheme(family.base.ambient).field
     if not field.finite:
         raise EvalError("homotopy keys need a finite base field")
     k0 = base_point(field)
     keys = []
     for m in family.system.materialize(horizon):
-        member = family.member_at(m, cfg)
+        member = family.member_at(m)
         A = evaluate_to_sset(member, k0, top, cfg)
         keys.append(homotopy_class_key(A))
     stab, val, since = stabilize(keys, window, family.system.finite)

@@ -79,9 +79,8 @@ def rand_sieve(rng, scheme: AffineScheme, depth: int = 2) -> Sieve:
     return op(left, right)
 
 
-def rand_class(rng, field: Field, schemes, cfg=None) -> KClass:
+def rand_class(rng, field: Field, schemes) -> KClass:
     """A random ring element: ints, Lefschetz powers, sieve classes."""
-    cfg = cfg or DEFAULT
     out = kclass_int(field, 0)
     for _ in range(rng.randint(1, 3)):
         term = kclass_int(field, rng.randint(-2, 2))
@@ -90,7 +89,7 @@ def rand_class(rng, field: Field, schemes, cfg=None) -> KClass:
             term = lefschetz(field, rng.randint(-2, 2))
         elif roll < 0.8:
             amb = schemes[rng.randrange(len(schemes))]
-            term = class_of_sieve(rand_sieve(rng, amb, depth=1), cfg)
+            term = class_of_sieve(rand_sieve(rng, amb, depth=1))
             if rng.random() < 0.3:
                 term = term.twist(rng.randint(-1, 1))
         if rng.random() < 0.5:

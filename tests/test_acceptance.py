@@ -120,9 +120,9 @@ def test_criterion_02_jet_regression():
     cfg = DEFAULT.with_overrides(max_variables=18)
     shapes = 0
     for d in (1, 2, 3):
-        space = affine_space(QQ, tuple("xyz"[:d]), "A%d" % d)
+        space = affine_space(QQ, tuple("xyz"[:d]), "A%d" % d, cfg)
         for n in range(1, 7):
-            arc = weil_restrict(space, fat(QQ, n), cfg)
+            arc = weil_restrict(space, fat(QQ, n))
             assert len(arc.vars) == d * n
             assert list(arc.ideal.gens) == []
             shapes += 1
@@ -248,11 +248,11 @@ def test_criterion_05_truncation_identities():
 # -- criterion 6: discrete-shape and image adjunctions -----------------------
 
 
-def enumerate_discrete_families(y, x, m, top, cfg=DEFAULT):
+def enumerate_discrete_families(y, x, m, top):
     """All simplicial maps from the discrete object on y(m) into x at m."""
     from motivic.schemes import points
-    ypts = list(points(y, m, cfg))
-    levels = [list(x.level_points(m, n, cfg)) for n in range(top + 1)]
+    ypts = list(points(y, m))
+    levels = [list(x.level_points(m, n)) for n in range(top + 1)]
     amb = x.ambient
     valid = []
     choice_sets = [list(iproduct(lv, repeat=len(ypts))) for lv in levels]
@@ -393,7 +393,7 @@ def test_criterion_07_measure_specialization():
 
     for d in (1, 2, 3):
         cfg = DEFAULT.with_overrides(max_variables=8 * d)
-        space = affine_space(QQ, tuple("xyz"[:d]), "A%d" % d)
+        space = affine_space(QQ, tuple("xyz"[:d]), "A%d" % d, cfg)
         fam = limit_sieve(space, jets(QQ, cfg))
         rep = limit_measure(MeasureQuery(fam, Q=1, horizon=8, window=3), cfg)
         assert rep.stabilized and rep.since == 0
@@ -424,7 +424,7 @@ def test_criterion_08_lax_consistency():
     line = affine_space(QQ, ("x",), "line")
     for d in (1, 2, 3):
         cfg = DEFAULT.with_overrides(max_variables=8 * d)
-        space = affine_space(QQ, tuple("xyz"[:d]), "A%d" % d)
+        space = affine_space(QQ, tuple("xyz"[:d]), "A%d" % d, cfg)
         fam = limit_sieve(space, jets(QQ, cfg))
         queries.append((MeasureQuery(fam, Q=1, horizon=8, window=3), cfg))
     for q, cfg in queries:

@@ -9,6 +9,7 @@ import pytest
 import motivic
 from motivic import dsl
 from motivic.cli import main, run_script
+from motivic.config import DEFAULT
 from motivic.fields import GF
 
 DEMO = """\
@@ -140,6 +141,14 @@ class TestReports:
         block = record_blocks(run_script(text)[0])[-1]
         assert block["simplicial"] == "true"
         assert block["value"] == "3 + fib(L)"
+
+    def test_class_products_respect_the_skeletal_level(self):
+        text = ("field F 2\nscheme X = Spec k[x]\nsieve s = V(x) in X\n"
+                "simplicial a = fiber(s) @ 2\nsimplicial b = trivial(s) @ 2\n"
+                "class c = [a] * [b]\n")
+        rep, code = run_script(text, DEFAULT.with_overrides(skeletal_level=2))
+        assert code == 0
+        assert record_blocks(rep)[-1]["value"] == "levels(1; 1; 1)"
 
     def test_point_names_may_look_like_arc_coordinates(self):
         # counting never names arc coordinates, so a point variable x_0

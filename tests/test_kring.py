@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from motivic.config import DEFAULT, Config
+from motivic.config import Config
 from motivic.errors import AmbientMismatch, CapExceeded
 from motivic.fatpoints import base_point, make_fat_point
 from motivic.fields import GF, QQ
@@ -135,14 +135,16 @@ class TestPickling:
 
 
 class TestConjunctionMemo:
-    def test_the_config_is_part_of_the_key(self):
+    def test_each_ambient_enforces_its_own_caps(self):
         A2 = affine_space(QQ, ("x", "y"), "A2")
+        tight = affine_space(QQ, ("x", "y"), "A2", Config(max_degree=1))
+        assert tight == A2
         x, y = (Poly.variable(v, A2.vars, QQ) for v in A2.vars)
         s = closed_sieve(A2, [x * x - y * y * y + x])
-        assert class_of_sieve(s, DEFAULT) == class_of_sieve(s, DEFAULT)
+        assert class_of_sieve(s) == class_of_sieve(s)
         assert A2.memo
         with pytest.raises(CapExceeded):
-            class_of_sieve(s, Config(max_degree=1))
+            class_of_sieve(Sieve(tight, s.node))
 
     def test_the_memo_stays_bounded_and_serves_equal_classes(self):
         ambient = AffineScheme("X", Ideal(("x", "y"), F3, []))

@@ -5,8 +5,12 @@ gives n free coefficient coordinates, and the double point x^2 = 0 picks up
 the relations (x_0^2, 2 x_0 x_1) at the dual numbers.
 """
 
+import pytest
+
 from battery import (rand_poly, rand_sieve, reference_points,
                      reference_sieve_points, rng_for)
+from motivic.config import DEFAULT
+from motivic.errors import CapExceeded
 from motivic.fatpoints import base_point, make_fat_point, tensor_points
 from motivic.fields import GF, QQ
 from motivic.poly import Ideal, Poly, poly_str
@@ -38,6 +42,19 @@ def test_point_counts_over_f3():
     P = parabola(F3)
     assert count_points(P, base_point(F3)) == 3
     assert count_points(P, fat(F3, 2)) == 9
+
+
+def test_derived_presentations_keep_the_source_config():
+    tight = DEFAULT.with_overrides(max_candidates=8)
+    vars = ("x", "y")
+    x, y = (Poly.variable(v, vars, F3) for v in vars)
+    P = AffineScheme("P", Ideal(vars, F3, [y - x * x], tight))
+    assert P == parabola(F3)
+    assert weil_restrict(P, fat(F3, 2)).ideal.cfg is P.ideal.cfg
+    # 3^4 candidates at k[t]/(t^2): past the tight cap, under the default
+    with pytest.raises(CapExceeded):
+        points(P, fat(F3, 2))
+    assert len(points(parabola(F3), fat(F3, 2))) == 9
 
 
 def test_points_satisfy_relations():
