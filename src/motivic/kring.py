@@ -39,7 +39,7 @@ from .schemes import AffineScheme, CoordMap, points
 from .sieves import (Closed, ConstSieve, DisjointSieve, Empty, Full, Im,
                      Inter, InterSieve, LevelSieve, OpenLoc, PowerSieve,
                      ProductSieve, Sieve, SimplicialSieve, Union, UnionSieve,
-                     image_sieve, level_presentation, node_str)
+                     image_sieve, node_str, presented_levels)
 
 # ---------------------------------------------------------------------------
 # inclusion-exclusion expansion into conjunctions of literals
@@ -573,26 +573,31 @@ def lift_power(z: KClass, symmetric: bool = False) -> SClass:
     return SClass(z.field, {("pow", z.frozen(), symmetric): 1})
 
 
-def _materialize(field, sym, cfg: Config):
-    """Tuple of frozen plain classes, one per level up to the skeletal cap."""
-    top = cfg.skeletal_level
+def _level(field, sym, n: int) -> KClass:
+    """The plain class at level n of one shaped symbol."""
     kind = sym[0]
     if kind == "const":
-        z = KClass(field, {sym[1]: 1})
-        return tuple(z.frozen() for _ in range(top + 1))
+        return KClass(field, {sym[1]: 1})
     if kind == "pow":
         if sym[2]:
             raise EvalError("symmetric shape has no level presentation")
         base = _thaw(field, sym[1])
-        out = []
-        acc = kclass_one(field)
-        for _ in range(top + 1):
-            acc = acc * base
-            out.append(acc.frozen())
-        return tuple(out)
+        out = base
+        for _ in range(n):
+            out = out * base
+        return out
     if kind == "levels":
-        return sym[1]
+        if n >= len(sym[1]):
+            raise CapExceeded("level %d beyond materialized tuple" % n)
+        return _thaw(field, sym[1][n])
     raise WorkbenchError("unknown symbol kind %r" % (kind,))
+
+
+def _materialize(field, sym, cfg: Config):
+    """Tuple of frozen plain classes: every level of a level tuple, and the
+    closed shapes up to the skeletal cap."""
+    top = len(sym[1]) - 1 if sym[0] == "levels" else cfg.skeletal_level
+    return tuple(_level(field, sym, n).frozen() for n in range(top + 1))
 
 
 def _sym_mul(field, s1, s2, cfg: Config) -> SClass:
@@ -646,44 +651,16 @@ def class_of_simplicial(s, cfg: Config = DEFAULT) -> SClass:
 
 
 def _levels_class(s: SimplicialSieve, cfg: Config) -> SClass:
-    field = None
-    out = []
-    top = cfg.skeletal_level
-    if isinstance(s, LevelSieve):
-        top = min(top, s.truncation)
-    for n in range(top + 1):
-        pres = level_presentation(s, n)
-        if pres is None:
-            raise EvalError("no affine presentation at level %d" % n)
-        scheme, node = pres
-        z = class_of_sieve(Sieve(scheme, node))
-        field = z.field
-        out.append(z.frozen())
-    return SClass(field, {("levels", tuple(out)): 1})
+    out = [class_of_sieve(Sieve(scheme, node))
+           for scheme, node in presented_levels(s, cfg.skeletal_level)]
+    return SClass(out[0].field, {("levels", tuple(z.frozen() for z in out)): 1})
 
 
 def level_class(z: SClass, n: int) -> KClass:
     """Extract the plain class of level n."""
-    field = z.field
-    out = kclass_zero(field)
+    out = kclass_zero(z.field)
     for sym, c in z.terms.items():
-        kind = sym[0]
-        if kind == "const":
-            out = out + KClass(field, {sym[1]: c})
-        elif kind == "pow":
-            if sym[2]:
-                raise EvalError("symmetric shape has no level presentation")
-            base = _thaw(field, sym[1])
-            acc = kclass_one(field)
-            for _ in range(n + 1):
-                acc = acc * base
-            out = out + acc * c
-        elif kind == "levels":
-            if n >= len(sym[1]):
-                raise CapExceeded("level %d beyond materialized tuple" % n)
-            out = out + _thaw(field, sym[1][n]) * c
-        else:
-            raise WorkbenchError("unknown symbol kind %r" % (kind,))
+        out = out + _level(z.field, sym, n) * c
     return out
 
 
@@ -703,10 +680,6 @@ def twist_by_rule(z: SClass, rule, cfg: Config = DEFAULT) -> SClass:
         if constant and kind == "const":
             blocks, lef = sym[1]
             nsym = ("const", (blocks, lef + probe[0]))
-        elif kind == "levels":
-            tup = tuple(_thaw(field, fr).twist(rule(n)).frozen()
-                        for n, fr in enumerate(sym[1]))
-            nsym = ("levels", tup)
         else:
             tup = tuple(_thaw(field, fr).twist(rule(n)).frozen()
                         for n, fr in enumerate(_materialize(field, sym, cfg)))
@@ -728,27 +701,24 @@ def sym_str(sym) -> str:
 
 
 def counting_simplicial(z: SClass, m: FatPoint, n: int) -> Fraction:
-    """Level-n point count of a simplicial class at a finite fat point."""
+    """Level-n point count of a simplicial class at a finite fat point.
+
+    A power shape counts its base once: level n is that count to the n+1,
+    or the number of (n+1)-multisets of it in the symmetric shape.
+    """
     field = z.field
     total = Fraction(0)
     for sym, c in z.terms.items():
-        kind = sym[0]
-        if kind == "const":
-            val = counting_hom(KClass(field, {sym[1]: 1}), m)
-        elif kind == "pow":
-            base = counting_hom(_thaw(field, sym[1]), m)
-            if sym[2]:
-                if base.denominator != 1 or base < 0:
-                    raise EvalError("orbit count needs a nonnegative integer base")
-                val = Fraction(comb(int(base) + n, n + 1))
-            else:
-                val = base ** (n + 1)
-        elif kind == "levels":
-            if n >= len(sym[1]):
-                raise CapExceeded("level %d beyond materialized tuple" % n)
-            val = counting_hom(_thaw(field, sym[1][n]), m)
+        if sym[0] != "pow":
+            val = counting_hom(_level(field, sym, n), m)
         else:
-            raise WorkbenchError("unknown symbol kind %r" % (kind,))
+            base = counting_hom(_thaw(field, sym[1]), m)
+            if not sym[2]:
+                val = base ** (n + 1)
+            elif base.denominator != 1 or base < 0:
+                raise EvalError("orbit count needs a nonnegative integer base")
+            else:
+                val = Fraction(comb(int(base) + n, n + 1))
         total += c * val
     return total
 

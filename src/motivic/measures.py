@@ -1,4 +1,4 @@
-"""Measures of arc families: finite, limit, lax, relative, and indexed.
+"""Measures of arc families: finite, limit, lax, and indexed.
 
 A measure query walks a family of sieves living in the arcs of a base along
 a system of fat points. Each member contributes its class times a levelwise
@@ -12,7 +12,7 @@ case. Anything else is reported indeterminate rather than guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from math import ceil
 
@@ -23,7 +23,8 @@ from .kring import (KClass, SClass, class_of_sieve, class_of_simplicial,
                     counting_simplicial, level_class, twist_by_rule)
 from .schemes import AffineScheme, weil_restrict
 from .sieves import (IndexedAmbient, LevelSieve, LimitSieve, Sieve,
-                     arc_plain_sieve, full_sieve, level_presentation)
+                     arc_plain_sieve, full_sieve, level_presentation,
+                     presented_levels)
 
 
 @dataclass
@@ -31,8 +32,6 @@ class MeasureQuery:
     subject: LimitSieve
     Q: Fraction = Fraction(0)
     lax_rule: object = None  # FatPoint -> nonnegative int
-    base_ring: str = "absolute"
-    relative_base: LimitSieve | None = None
     horizon: int = 8
     window: int = 3
 
@@ -53,8 +52,6 @@ class MeasureReport:
     stabilized: bool
     value: SClass | None
     since: int | None
-    horizon: int
-    lax_values: list = dc_field(default_factory=list)
     per_level: list = dc_field(default_factory=list)
     diagnostics: list = dc_field(default_factory=list)
 
@@ -63,23 +60,19 @@ def _ambient_level_dims(member, top: int):
     """Krull dimension of the ambient arc scheme at each level."""
     dims = []
     for n in range(top + 1):
-        scheme = member.ambient.level_scheme(n)
-        if scheme is None:
+        pres = level_presentation(member, n)
+        if pres is None:
             raise EvalError("no ambient level presentation for the correction")
-        dims.append(scheme.ideal.krull_dimension())
+        dims.append(pres[0].ideal.krull_dimension())
     return dims
 
 
 def _member_value(subject: LimitSieve, m: FatPoint, Q: Fraction, lax,
-                  cfg: Config, relative: LimitSieve | None = None) -> SClass:
+                  cfg: Config) -> SClass:
     member = subject.member_at(m)
     z = class_of_simplicial(member, cfg)
     top = cfg.skeletal_level
     dims = _ambient_level_dims(member, top)
-    if relative is not None:
-        base_member = relative.member_at(m)
-        base_dims = _ambient_level_dims(base_member, top)
-        dims = [a - b for a, b in zip(dims, base_dims)]
     extra = lax(m) if lax is not None else 0
     if extra < 0:
         raise EvalError("lax rule must be nonnegative")
@@ -117,29 +110,18 @@ def integral_form(s, x: AffineScheme, m: FatPoint) -> KClass:
 def limit_measure(q: MeasureQuery, cfg: Config = DEFAULT) -> MeasureReport:
     subject = q.subject
     system = subject.system
-    members = system.materialize(q.horizon)
-    finite_system = system.finite
-    relative = q.relative_base if q.base_ring != "absolute" else None
-    mode = "relative" if relative is not None else (
-        "lax" if q.lax_rule is not None else "limit")
-    seq = []
-    lax_vals = []
-    for m in members:
-        val = _member_value(subject, m, q.Q, q.lax_rule, cfg, relative)
-        seq.append((repr(m), val))
-        if q.lax_rule is not None:
-            lax_vals.append(q.lax_rule(m))
+    mode = "lax" if q.lax_rule is not None else "limit"
+    seq = [(repr(m), _member_value(subject, m, q.Q, q.lax_rule, cfg))
+           for m in system.materialize(q.horizon)]
     values = [v for _, v in seq]
-    stabilized, value, since = stabilize(values, q.window, finite_system)
+    stabilized, value, since = stabilize(values, q.window, system.finite)
     return MeasureReport(mode=mode, sequence=seq, stabilized=stabilized,
-                         value=value, since=since, horizon=q.horizon,
-                         lax_values=lax_vals)
+                         value=value, since=since)
 
 
 def lax_measure(q: MeasureQuery, cfg: Config = DEFAULT) -> MeasureReport:
     if q.lax_rule is None:
-        q = MeasureQuery(q.subject, q.Q, lambda m: 0, q.base_ring,
-                         q.relative_base, q.horizon, q.window)
+        q = replace(q, lax_rule=lambda m: 0)
     return limit_measure(q, cfg)
 
 
@@ -152,26 +134,17 @@ def stable_set_measure(family: LimitSieve, horizon: int = 8, window: int = 3,
     q = MeasureQuery(family, Q=Fraction(1), horizon=horizon, window=window)
     report = limit_measure(q, cfg)
     report.diagnostics.append("family validated to horizon %d" % min(horizon, 4))
+    report.diagnostics.extend("validation skipped %s" % s for s in check["skipped"])
     return report
 
 
 def forget_structure(s, cfg: Config = DEFAULT):
     """Re-present a simplicial sieve as an indexed family of levels."""
-    if isinstance(s, LevelSieve) and isinstance(s.ambient, IndexedAmbient):
-        return s
-    top = cfg.skeletal_level
     if isinstance(s, LevelSieve):
-        top = min(top, s.truncation)
-    levels = []
-    nodes = []
-    for n in range(top + 1):
-        pres = level_presentation(s, n)
-        if pres is None:
-            raise EvalError("no affine presentation at level %d" % n)
-        scheme, node = pres
-        levels.append(scheme)
-        nodes.append(node)
-    return LevelSieve(IndexedAmbient(levels), nodes)
+        return s
+    levels = presented_levels(s, cfg.skeletal_level)
+    return LevelSieve(IndexedAmbient([scheme for scheme, _ in levels]),
+                      [node for _, node in levels])
 
 
 def indexed_mode(q: MeasureQuery, cfg: Config = DEFAULT) -> MeasureReport:
@@ -187,9 +160,7 @@ def indexed_mode(q: MeasureQuery, cfg: Config = DEFAULT) -> MeasureReport:
 
     forgotten = LimitSieve(subject.base, subject.system, rule=rule,
                            label=subject.label)
-    q2 = MeasureQuery(forgotten, q.Q, q.lax_rule, q.base_ring,
-                      q.relative_base, q.horizon, q.window)
-    report = limit_measure(q2, cfg)
+    report = limit_measure(replace(q, subject=forgotten), cfg)
     report.mode = "indexed"
     values = [v for _, v in report.sequence]
     top = cfg.skeletal_level
@@ -197,7 +168,9 @@ def indexed_mode(q: MeasureQuery, cfg: Config = DEFAULT) -> MeasureReport:
     for n in range(top + 1):
         try:
             lv = [level_class(v, n) for v in values]
-        except WorkbenchError:
+        except WorkbenchError as exc:
+            report.diagnostics.append("per-level breakdown stops at level %d: %s"
+                                      % (n, exc))
             break
         st, val, since = stabilize(lv, q.window, subject.system.finite)
         per_level.append({"level": n, "stabilized": st, "since": since})

@@ -8,7 +8,6 @@ coefficients one base-field coordinate at a time.
 
 from __future__ import annotations
 
-import re
 from itertools import product as iproduct
 from operator import itemgetter
 
@@ -20,26 +19,13 @@ from .fatpoints import (FatPoint, QuotientAlgebra, point_of, row_value,
 from .fields import Field
 from .poly import Ideal, Poly, poly_str, tensor_product
 
-_RESERVED = re.compile(r".*_[0-9]+$")
-
-
-def reserved_name(v: str) -> bool:
-    """Names ending in _<digits> belong to generated arc coordinates."""
-    return bool(_RESERVED.match(v))
-
-
 class AffineScheme:
-    def __init__(self, name: str, ideal: Ideal, check_names: bool = False):
+    def __init__(self, name: str, ideal: Ideal):
         self.name = name
         self.ideal = ideal
         # canonical symbols of conjunctions on this ambient, kept by
         # kring.class_of_sieve; not part of equality or hashing
         self.memo = {}
-        if check_names:
-            for v in ideal.vars:
-                if reserved_name(v):
-                    raise WorkbenchError(
-                        "coordinate %r uses the reserved arc-name pattern" % v)
 
     @property
     def vars(self):

@@ -7,8 +7,9 @@ enumeration, finite fields only), or the trivial full/empty conditions.
 
 Simplicial sieves layer a level structure on top: constant levels, cartesian
 powers with coordinate deletion/duplication (orbit-counted in the symmetric
-shape), levelwise products and disjoint unions, explicit level lists with
-coordinate face maps, and indexed families that carry no maps at all.
+shape), levelwise products and disjoint unions, and indexed families that
+carry no maps at all. `level_presentation` says which affine scheme and
+condition present level n.
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product as iproduct
 
-from .errors import AmbientMismatch, CapExceeded, WorkbenchError
+from .errors import AmbientMismatch, CapExceeded, EvalError, WorkbenchError
 from .fatpoints import (FatPoint, SimplicialFatPoint, base_point,
                         flat_coordinates, row_value)
 from .poly import Ideal, Poly, poly_str
 from .schemes import (AffineScheme, CoordMap, arc_coefficients, arc_of_map,
-                      identity_map, points, product_scheme, truncation_map,
-                      weil_restrict)
+                      points, product_scheme, truncation_map, weil_restrict)
 
 # ---------------------------------------------------------------------------
 # expression nodes
@@ -362,9 +362,6 @@ def arc_plain_sieve(s: Sieve, m: FatPoint) -> Sieve:
 class SimplicialAmbient:
     has_maps = True
 
-    def level_scheme(self, n: int):
-        raise NotImplementedError
-
     def level_points(self, m: FatPoint, n: int):
         raise NotImplementedError
 
@@ -388,9 +385,6 @@ class ConstAmbient(SimplicialAmbient):
     def __init__(self, scheme: AffineScheme):
         self.scheme = scheme
 
-    def level_scheme(self, n):
-        return self.scheme
-
     def level_points(self, m, n):
         return tuple(points(self.scheme, m))
 
@@ -410,14 +404,6 @@ class PowerAmbient(SimplicialAmbient):
     def __init__(self, scheme: AffineScheme, symmetric: bool = False):
         self.scheme = scheme
         self.symmetric = symmetric
-
-    def level_scheme(self, n):
-        if self.symmetric:
-            return None  # orbit sets carry no ambient algebra
-        got = self.scheme
-        for _ in range(n):
-            got = product_scheme(got, self.scheme)[0]
-        return got
 
     def base_points(self, m):
         return tuple(points(self.scheme, m))
@@ -445,22 +431,10 @@ class ProductAmbient(SimplicialAmbient):
     def __init__(self, left: SimplicialAmbient, right: SimplicialAmbient):
         self.left = left
         self.right = right
-        self._schemes = {}
 
     @property
     def has_maps(self):
         return self.left.has_maps and self.right.has_maps
-
-    def level_scheme(self, n):
-        if n not in self._schemes:
-            l = self.left.level_scheme(n)
-            r = self.right.level_scheme(n)
-            if l is None or r is None:
-                self._schemes[n] = None
-            else:
-                self._schemes[n] = product_scheme(l, r)
-        got = self._schemes[n]
-        return None if got is None else got[0]
 
     def level_points(self, m, n):
         ls = self.left.level_points(m, n)
@@ -489,9 +463,6 @@ class DisjointAmbient(SimplicialAmbient):
     def has_maps(self):
         return self.left.has_maps and self.right.has_maps
 
-    def level_scheme(self, n):
-        return None
-
     def level_points(self, m, n):
         ls = self.left.level_points(m, n)
         rs = self.right.level_points(m, n)
@@ -509,77 +480,6 @@ class DisjointAmbient(SimplicialAmbient):
 
     def key(self):
         return ("disj", self.left.key(), self.right.key())
-
-
-class ExplicitAmbient(SimplicialAmbient):
-    """Explicit N-truncated levels with coordinate face/degeneracy maps."""
-
-    def __init__(self, levels, faces: dict, degens: dict, validate: bool = True):
-        self.levels = tuple(levels)
-        self.faces = dict(faces)
-        self.degens = dict(degens)
-        if validate:
-            self._validate()
-
-    @property
-    def truncation(self):
-        return len(self.levels) - 1
-
-    def _maps_equal(self, f: CoordMap, g: CoordMap) -> bool:
-        src = f.source.ideal
-        return all(src.contains(f.images[v] - g.images[v]) for v in f.target.vars)
-
-    def _validate(self):
-        n_top = self.truncation
-        for n in range(1, n_top + 1):
-            for i in range(n + 1):
-                if (n, i) not in self.faces:
-                    raise WorkbenchError("missing face (%d, %d)" % (n, i))
-        for n in range(0, n_top):
-            for i in range(n + 1):
-                if (n, i) not in self.degens:
-                    raise WorkbenchError("missing degeneracy (%d, %d)" % (n, i))
-        for n in range(2, n_top + 1):
-            for j in range(1, n + 1):
-                for i in range(j):
-                    a = self.faces[(n - 1, i)].compose(self.faces[(n, j)])
-                    b = self.faces[(n - 1, j - 1)].compose(self.faces[(n, i)])
-                    if not self._maps_equal(a, b):
-                        raise WorkbenchError("face identity fails at n=%d i=%d j=%d"
-                                             % (n, i, j))
-        for n in range(0, n_top):
-            for j in range(n + 1):
-                for i in range(n + 2):
-                    left = self.faces.get((n + 1, i))
-                    if left is None:
-                        continue
-                    comp = left.compose(self.degens[(n, j)])
-                    if i == j or i == j + 1:
-                        ident = identity_map(self.levels[n])
-                        if not self._maps_equal(comp, ident):
-                            raise WorkbenchError(
-                                "face/degeneracy identity fails at n=%d i=%d j=%d"
-                                % (n, i, j))
-
-    def level_scheme(self, n):
-        if n > self.truncation:
-            raise CapExceeded("level %d beyond materialized truncation %d"
-                              % (n, self.truncation))
-        return self.levels[n]
-
-    def level_points(self, m, n):
-        return tuple(points(self.level_scheme(n), m))
-
-    def face(self, m, n, i, p):
-        return self.faces[(n, i)].apply_point(m.algebra, p)
-
-    def degeneracy(self, m, n, i, p):
-        return self.degens[(n, i)].apply_point(m.algebra, p)
-
-    def key(self):
-        return ("expl", tuple(s.presentation_key() for s in self.levels),
-                tuple(sorted((k, v.key()) for k, v in self.faces.items())),
-                tuple(sorted((k, v.key()) for k, v in self.degens.items())))
 
 
 class IndexedAmbient(SimplicialAmbient):
@@ -619,7 +519,7 @@ def _ambient_scheme(amb: SimplicialAmbient) -> AffineScheme:
         return amb.scheme
     if isinstance(amb, (ProductAmbient, DisjointAmbient)):
         return _ambient_scheme(amb.left)
-    if isinstance(amb, (ExplicitAmbient, IndexedAmbient)):
+    if isinstance(amb, IndexedAmbient):
         return amb.levels[0]
     raise WorkbenchError("no defining scheme for %r" % (amb,))
 
@@ -663,11 +563,7 @@ class SimplicialSieve:
                         if not self.member(m, n - 1, amb.face(m, n, i, p)):
                             return False
                 for i in range(n + 1):
-                    try:
-                        q = amb.degeneracy(m, n, i, p)
-                    except (CapExceeded, KeyError):
-                        continue
-                    if not self.member(m, n + 1, q):
+                    if not self.member(m, n + 1, amb.degeneracy(m, n, i, p)):
                         return False
         return True
 
@@ -743,9 +639,9 @@ class DisjointSieve(SimplicialSieve):
 
 
 class LevelSieve(SimplicialSieve):
-    """Explicit per-level conditions over any ambient with level schemes."""
+    """Explicit per-level conditions over an indexed family of level schemes."""
 
-    def __init__(self, ambient: SimplicialAmbient, nodes):
+    def __init__(self, ambient: IndexedAmbient, nodes):
         self.ambient = ambient
         self.nodes = tuple(nodes)
 
@@ -808,31 +704,29 @@ def lift_sieve(s: Sieve, tag: str) -> SimplicialSieve:
 
 
 # ---------------------------------------------------------------------------
-# level presentations (for class canonicalization)
+# level presentations
 
 
-def _rename_node(node, mapping: dict, new_vars, field):
-    if isinstance(node, (Full, Empty)):
-        return node
-    if isinstance(node, Closed):
-        return Closed(tuple(g.rename(mapping).embed(new_vars) for g in node.gens))
-    if isinstance(node, OpenLoc):
-        return OpenLoc(node.g.rename(mapping).embed(new_vars))
-    if isinstance(node, Im):
-        raise WorkbenchError("image leaves cannot be re-embedded into a product")
-    if isinstance(node, Union):
-        return Union(_rename_node(node.left, mapping, new_vars, field),
-                     _rename_node(node.right, mapping, new_vars, field))
-    if isinstance(node, Inter):
-        return Inter(_rename_node(node.left, mapping, new_vars, field),
-                     _rename_node(node.right, mapping, new_vars, field))
-    raise WorkbenchError("unknown node %r" % (node,))
+def _level_product(a, b):
+    """The product of two level presentations: each condition is pulled back
+    along its projection, so image leaves become images of fiber products."""
+    (sa, na), (sb, nb) = a, b
+    prod, lmap, rmap = product_scheme(sa, sb)
+
+    def projection(x, names):
+        return CoordMap(prod, x, {v: Poly.variable(names[v], prod.vars, prod.field)
+                                  for v in x.vars})
+
+    return prod, Inter(node_pullback(na, projection(sa, lmap)),
+                       node_pullback(nb, projection(sb, rmap)))
 
 
 def level_presentation(s, n: int):
     """(scheme, node) presenting level n of a simplicial sieve, or None.
 
-    Symmetric shapes and disjoint unions have no single affine presentation.
+    Every caller that needs the scheme of a level asks here. A power or
+    product level is the product of its factors' levels. Symmetric shapes
+    and disjoint unions have no single affine presentation.
     """
     if isinstance(s, Sieve):
         return s.ambient, s.node
@@ -841,43 +735,37 @@ def level_presentation(s, n: int):
     if isinstance(s, PowerSieve):
         if s.symmetric:
             return None
-        scheme, node = s.scheme, s.node
-        out_scheme, out_node = scheme, node
+        out = s.scheme, s.node
         for _ in range(n):
-            prod, lmap, rmap = product_scheme(out_scheme, scheme)
-            left = _rename_node(out_node, lmap, prod.vars, prod.field)
-            right = _rename_node(node, rmap, prod.vars, prod.field)
-            out_scheme, out_node = prod, Inter(left, right)
-        return out_scheme, out_node
-    if isinstance(s, ProductSieve):
-        lp = level_presentation(s.left, n)
-        rp = level_presentation(s.right, n)
-        if lp is None or rp is None:
-            return None
-        (ls, lnode), (rs, rnode) = lp, rp
-        prod, lmap, rmap = product_scheme(ls, rs)
-        return prod, Inter(_rename_node(lnode, lmap, prod.vars, prod.field),
-                           _rename_node(rnode, rmap, prod.vars, prod.field))
+            out = _level_product(out, (s.scheme, s.node))
+        return out
     if isinstance(s, LevelSieve):
-        scheme = s.ambient.level_scheme(n)
-        if scheme is None:
-            return None
-        return scheme, s.nodes[n]
-    if isinstance(s, UnionSieve):
-        lp = level_presentation(s.left, n)
-        rp = level_presentation(s.right, n)
-        if lp is None or rp is None:
-            return None
-        return lp[0], Union(lp[1], rp[1])
-    if isinstance(s, InterSieve):
-        lp = level_presentation(s.left, n)
-        rp = level_presentation(s.right, n)
-        if lp is None or rp is None:
-            return None
-        return lp[0], Inter(lp[1], rp[1])
+        return s.ambient.level_scheme(n), s.nodes[n]
     if isinstance(s, DisjointSieve):
         return None
-    raise WorkbenchError("no level presentation for %r" % (s,))
+    if not isinstance(s, (ProductSieve, UnionSieve, InterSieve)):
+        raise WorkbenchError("no level presentation for %r" % (s,))
+    lp = level_presentation(s.left, n)
+    rp = level_presentation(s.right, n)
+    if lp is None or rp is None:
+        return None
+    if isinstance(s, ProductSieve):
+        return _level_product(lp, rp)
+    join = Union if isinstance(s, UnionSieve) else Inter
+    return lp[0], join(lp[1], rp[1])
+
+
+def presented_levels(s, top: int):
+    """[(scheme, node)] for levels 0..top, or up to a level list's end."""
+    if isinstance(s, LevelSieve):
+        top = min(top, s.truncation)
+    out = []
+    for n in range(top + 1):
+        pres = level_presentation(s, n)
+        if pres is None:
+            raise EvalError("no affine presentation at level %d" % n)
+        out.append(pres)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -902,14 +790,6 @@ def arc_sieve(s, m: FatPoint):
         return UnionSieve(arc_sieve(s.left, m), arc_sieve(s.right, m))
     if isinstance(s, InterSieve):
         return InterSieve(arc_sieve(s.left, m), arc_sieve(s.right, m))
-    if isinstance(s, LevelSieve) and isinstance(s.ambient, ExplicitAmbient):
-        amb = s.ambient
-        levels = [weil_restrict(sc, m) for sc in amb.levels]
-        faces = {k: arc_of_map(v, m) for k, v in amb.faces.items()}
-        degens = {k: arc_of_map(v, m) for k, v in amb.degens.items()}
-        new_amb = ExplicitAmbient(levels, faces, degens, validate=False)
-        nodes = [arc_node(nd, amb.levels[i], m) for i, nd in enumerate(s.nodes)]
-        return LevelSieve(new_amb, nodes)
     raise WorkbenchError("no arc transform for %r" % (s,))
 
 
@@ -1015,20 +895,22 @@ class LimitSieve:
         arcs of the base, and consecutive members are compatible with the
         truncation projections between arc ambients. Arc ambients live over
         the ground field, so enumeration happens at the ground point; over
-        the rationals only the presentational checks run."""
+        the rationals only the presentational checks run. A check that
+        cannot run is listed under "skipped" with its error."""
         ms = self.system.materialize(horizon)
         base0 = _ambient_scheme(self.base.ambient)
         field = base0.field
         finite = field.finite
         k0 = base_point(field)
         issues = []
+        skipped = []
         for idx, m in enumerate(ms):
             inside = self.member_at(m)
             hull = arc_sieve(self.base, m)
-            s_in = inside.ambient.level_scheme(0)
-            s_hull = hull.ambient.level_scheme(0)
-            if (s_in is not None and s_hull is not None
-                    and s_in.presentation_key() != s_hull.presentation_key()):
+            p_in = level_presentation(inside, 0)
+            p_hull = level_presentation(hull, 0)
+            if (p_in is not None and p_hull is not None
+                    and p_in[0].presentation_key() != p_hull[0].presentation_key()):
                 issues.append("member %d lives off the arc ambient" % idx)
                 continue
             if finite:
@@ -1036,7 +918,8 @@ class LimitSieve:
                     try:
                         got = set(inside.level_points(k0, n))
                         big = set(hull.level_points(k0, n))
-                    except WorkbenchError:
+                    except WorkbenchError as exc:
+                        skipped.append("member %d level %d: %s" % (idx, n, exc))
                         continue
                     if not got <= big:
                         issues.append("member %d escapes the base arcs at level %d"
@@ -1047,7 +930,8 @@ class LimitSieve:
                 small, big = ms[idx], ms[idx + 1]
                 try:
                     tr = truncation_map(base0, big, small)
-                except WorkbenchError:
+                except WorkbenchError as exc:
+                    skipped.append("members %d-%d: %s" % (idx, idx + 1, exc))
                     continue
                 small_sieve = self.member_at(small)
                 big_sieve = self.member_at(big)
@@ -1057,7 +941,7 @@ class LimitSieve:
                         issues.append("member %d image escapes member %d"
                                       % (idx + 1, idx))
                         break
-        return {"ok": not issues, "issues": issues}
+        return {"ok": not issues, "issues": issues, "skipped": skipped}
 
 
 def limit_sieve(base, system, rule=None, label: str = "") -> LimitSieve:

@@ -243,10 +243,14 @@ def evaluate_to_sset(s: SimplicialSieve, m: FatPoint, top: int = 4,
     return FiniteSimplicialSet(levels, face, degen, cfg)
 
 
-def standard_simplex(n: int, top: int = 4, cfg: Config = DEFAULT) -> FiniteSimplicialSet:
-    levels = []
-    for k in range(top + 1):
-        levels.append(tuple(combinations_with_replacement(range(n + 1), k + 1)))
+def _simplex(n: int, top: int, cfg: Config, boundary: bool) -> FiniteSimplicialSet:
+    """Nondecreasing vertex tuples of the n-simplex, faces deleting a vertex
+    and degeneracies repeating one; the boundary drops the cells that use
+    every vertex."""
+    every = set(range(n + 1))
+    levels = [tuple(x for x in combinations_with_replacement(range(n + 1), k + 1)
+                    if not (boundary and set(x) == every))
+              for k in range(top + 1)]
 
     def face(k, i, x):
         return x[:i] + x[i + 1:]
@@ -255,22 +259,14 @@ def standard_simplex(n: int, top: int = 4, cfg: Config = DEFAULT) -> FiniteSimpl
         return tuple(sorted(x[:i + 1] + (x[i],) + x[i + 1:]))
 
     return FiniteSimplicialSet(levels, face, degen, cfg)
+
+
+def standard_simplex(n: int, top: int = 4, cfg: Config = DEFAULT) -> FiniteSimplicialSet:
+    return _simplex(n, top, cfg, boundary=False)
 
 
 def boundary_simplex(n: int, top: int = 4, cfg: Config = DEFAULT) -> FiniteSimplicialSet:
-    full_set = set(range(n + 1))
-    levels = []
-    for k in range(top + 1):
-        levels.append(tuple(x for x in combinations_with_replacement(range(n + 1), k + 1)
-                            if set(x) != full_set))
-
-    def face(k, i, x):
-        return x[:i] + x[i + 1:]
-
-    def degen(k, i, x):
-        return tuple(sorted(x[:i + 1] + (x[i],) + x[i + 1:]))
-
-    return FiniteSimplicialSet(levels, face, degen, cfg)
+    return _simplex(n, top, cfg, boundary=True)
 
 
 def discrete_sset(elements, top: int = 4, cfg: Config = DEFAULT) -> FiniteSimplicialSet:

@@ -2,19 +2,22 @@
 
 import pytest
 
-from motivic.config import DEFAULT
-from motivic.errors import EvalError
+from motivic import measures
+from motivic.config import DEFAULT, Config
+from motivic.errors import CapExceeded, EvalError
 from motivic.fatpoints import PointSystem, base_point, jet_rule, make_fat_point
 from motivic.fields import GF, QQ
-from motivic.kring import kclass_one, kclass_zero, lefschetz, lift_const
+from motivic.kring import (kclass_one, kclass_zero, lefschetz, level_class,
+                           lift_const)
 from motivic.measures import (MeasureQuery, counting_consistency,
                               finite_measure, forget_structure, indexed_mode,
                               integral_form, lax_measure, limit_measure,
                               stable_set_measure)
 from motivic.poly import Ideal, Poly
 from motivic.schemes import AffineScheme, affine_space, weil_restrict
-from motivic.sieves import (Closed, ConstSieve, closed_sieve, empty_sieve,
-                            full_sieve, limit_sieve)
+from motivic.sieves import (Closed, ConstSieve, Full, ProductSieve,
+                            closed_sieve, empty_sieve, full_sieve, lift_sieve,
+                            limit_sieve)
 
 A1 = affine_space(QQ, ("x",), "A1")
 L = lefschetz(QQ)
@@ -98,6 +101,28 @@ class TestLimitMeasure:
             MeasureQuery(fam, Q=1, horizon=2, window=3)
 
 
+def fiber_member(m):
+    return lift_sieve(full_sieve(weil_restrict(A1, m)), "fiber")
+
+
+def product_member(m):
+    arc = weil_restrict(A1, m)
+    return ProductSieve(ConstSieve(arc, Full()), ConstSieve(arc, Full()))
+
+
+class TestShapedMembers:
+    """Fiber-power and product members: level n of the ambient is a product."""
+
+    @pytest.mark.parametrize("rule", [fiber_member, product_member],
+                             ids=["fiber", "product"])
+    def test_full_arcs_normalize_to_one_at_every_level(self, rule):
+        fam = limit_sieve(A1, jets(QQ), rule=rule)
+        rep = limit_measure(MeasureQuery(fam, Q=1), Config(skeletal_level=2))
+        assert rep.stabilized and rep.since == 0
+        for n in range(3):
+            assert level_class(rep.value, n) == kclass_one(QQ)
+
+
 class TestLaxMeasure:
     def test_zero_correction_is_verbatim(self):
         fam = limit_sieve(A1, jets(QQ))
@@ -131,6 +156,15 @@ class TestStableSets:
         rep = stable_set_measure(limit_sieve(A1f, jets(F3)), horizon=6)
         k3 = base_point(F3)
         assert counting_consistency(rep, [(k3, 0), (k3, 2)], window=3)
+
+    def test_skipped_checks_reach_the_diagnostics(self):
+        F3 = GF(3)
+        A1f = affine_space(F3, ("x",), "A1f")
+        members = PointSystem(members=[fat(F3, 3), fat(F3, 2)])
+        rep = stable_set_measure(limit_sieve(A1f, members), horizon=3)
+        assert rep.stabilized
+        assert rep.diagnostics[0] == "family validated to horizon 3"
+        assert rep.diagnostics[1].startswith("validation skipped members 0-1: ")
 
     def test_incompatible_family_is_refused(self):
         F3 = GF(3)
@@ -169,3 +203,19 @@ class TestIndexedMode:
         flat = forget_structure(fib)
         for n in range(3):
             assert flat.count(k3, n) == fib.count(k3, n)
+
+    def test_a_stopped_breakdown_is_reported(self, monkeypatch):
+        F3 = GF(3)
+        A1f = affine_space(F3, ("x",), "A1f")
+        real = measures.level_class
+
+        def level_class_to_one(z, n):
+            if n > 1:
+                raise CapExceeded("level %d beyond materialized tuple" % n)
+            return real(z, n)
+
+        monkeypatch.setattr(measures, "level_class", level_class_to_one)
+        rep = indexed_mode(MeasureQuery(limit_sieve(A1f, jets(F3)), Q=1))
+        assert [e["level"] for e in rep.per_level] == [0, 1]
+        assert rep.diagnostics == ["per-level breakdown stops at level 2: "
+                                   "level 2 beyond materialized tuple"]

@@ -10,7 +10,8 @@ from motivic.poly import Ideal, Poly, poly_str
 from motivic.schemes import (AffineScheme, CoordMap, affine_space,
                              identity_map, weil_restrict)
 from motivic.sieves import (Closed, ConstSieve, Full, LevelSieve, OpenLoc,
-                            RelativeSieve, admissible_open, arc_sieve,
+                            ProductSieve, RelativeSieve, Sieve,
+                            admissible_open, arc_sieve,
                             closed_sieve, continuity_probe, empty_sieve,
                             fiber_product, full_sieve, image_sieve,
                             is_admissible_open, level_presentation,
@@ -151,6 +152,16 @@ class TestSimplicialShapes:
         scheme, node = level_presentation(db, 1)
         assert len(scheme.vars) == 2
 
+    def test_image_leaves_carry_into_power_and_product_levels(self):
+        U = affine_space(F3, ("u",), "U")
+        u = Poly.variable("u", U.vars, F3)
+        squares = image_sieve(CoordMap(U, A1, {"x": u * u}))
+        fib = lift_sieve(squares, "fiber")
+        prod = ProductSieve(ConstSieve.of(squares), ConstSieve.of(full_sieve(A1)))
+        for s, n, want in ((fib, 1, 4), (fib, 2, 8), (prod, 0, 6)):
+            scheme, node = level_presentation(s, n)
+            assert s.count(K3, n) == Sieve(scheme, node).count(K3) == want
+
     def test_symmetric_shape_has_no_level_presentation(self):
         B = affine_space(F2, ("x",), "B")
         sym = lift_sieve(full_sieve(B), "sym")
@@ -197,8 +208,8 @@ class TestRelativeSieves:
 class TestLimitFamilies:
     def test_full_arc_family_validates(self):
         jets = PointSystem(rule=jet_rule(F3), label="jets")
-        lim = limit_sieve(A1, jets)
-        assert lim.battery_validate(3)["ok"]
+        rep = limit_sieve(A1, jets).battery_validate(3)
+        assert rep["ok"] and not rep["skipped"]
 
     def test_incompatible_family_is_caught(self):
         jets = PointSystem(rule=jet_rule(F3), label="jets")
@@ -212,3 +223,11 @@ class TestLimitFamilies:
 
         rep = limit_sieve(A1, jets, rule=bad_rule).battery_validate(3)
         assert not rep["ok"] and rep["issues"]
+
+    def test_a_check_that_cannot_run_is_listed(self):
+        t = Poly.variable("t", ("t",), F3)
+        members = [make_fat_point(("t",), F3, [t ** k], "t%d" % k) for k in (3, 2)]
+        rep = limit_sieve(A1, PointSystem(members=members)).battery_validate(3)
+        assert rep["ok"] and not rep["issues"]
+        assert len(rep["skipped"]) == 1
+        assert rep["skipped"][0].startswith("members 0-1: ")
