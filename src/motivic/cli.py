@@ -6,7 +6,10 @@ deterministic: same script, same flags, same bytes.
 
 Exit codes: 0 all statements evaluated and all checks passed, 1 at least one
 check failed, 2 at least one statement raised an evaluation error, 3 the
-script did not parse.
+script did not parse. An exception that is not a WorkbenchError is an
+internal error: its statement reports ``error=internal: <type name>``, its
+traceback goes to standard error, and the other statements are reported as
+usual.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from fractions import Fraction
 
 from . import dsl
@@ -452,6 +456,13 @@ def run_script(text, cfg: Config = DEFAULT, field: Field | None = None):
             any_error = True
             lines.append("status=error")
             lines.append("error=%s" % str(err).replace("\n", " "))
+        except Exception as err:
+            # a fault of the workbench, not of the script: the report names
+            # its type only and goes on; the traceback goes to stderr
+            traceback.print_exc(file=sys.stderr)
+            any_error = True
+            lines.append("status=error")
+            lines.append("error=internal: %s" % type(err).__name__)
         else:
             for key, val in fields.items():
                 lines.append("%s=%s" % (key, val))

@@ -88,7 +88,7 @@ class Field:
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("field inverse of zero")
-        return Fraction(1) / a if self.char == 0 else pow(a, self.char - 2, self.char)
+        return a ** -1 if self.char == 0 else pow(a, self.char - 2, self.char)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

@@ -167,15 +167,22 @@ def _node_of_parts(vars, field, gens, open_g, ims):
 
 
 def _block_candidates(vars_sub, field, gens, open_g, ims, cfg):
-    """The least presentation over coordinate permutations, or None when empty."""
+    """The least presentation over coordinate permutations, or None when empty.
+
+    `gens` is a reduced basis in the order of `vars_sub`.
+    """
     n = len(vars_sub)
-    perm_source = permutations(range(n)) if n <= 5 else [tuple(range(n))]
+    identity = tuple(range(n))
+    perm_source = permutations(range(n)) if n <= 5 else [identity]
     best_key = None
     best_payload = None
     zvars = tuple("z%d" % j for j in range(n))
     for perm in perm_source:
         pgens = [_permute_poly(g, perm, zvars, field) for g in gens]
         ideal = Ideal(zvars, field, pgens, cfg)
+        if perm == identity:
+            # an in-order renaming keeps a reduced grevlex basis reduced
+            ideal._basis = pgens
         basis = ideal.basis()
         if ideal.is_unit():
             return None
@@ -208,10 +215,12 @@ def _block_candidates(vars_sub, field, gens, open_g, ims, cfg):
     return Block(best_key, *best_payload)
 
 
-def canonical_conjunction(ambient: AffineScheme, literals):
+def canonical_conjunction(ambient: AffineScheme, literals, chain=None):
     """Symbol (blocks, lef) for one conjunction, or None when empty.
 
-    Every presentation derived here keeps the ambient's config.
+    Every presentation derived here keeps the ambient's config. A
+    `_ProductChain` of the node the literals come from orders the opens
+    and shares their products with the node's other conjunctions.
     """
     field = ambient.field
     cfg = ambient.ideal.cfg
@@ -233,6 +242,8 @@ def canonical_conjunction(ambient: AffineScheme, literals):
             opens.append(obj)
         else:
             ims.append(obj)
+    if chain is not None:
+        opens = chain.order(opens)
 
     vars = ambient.vars
     gens = list(ambient.ideal.gens) + closed
@@ -276,7 +287,7 @@ def canonical_conjunction(ambient: AffineScheme, literals):
     if ims:
         # image conditions constrain every coordinate: one indivisible block
         block = _block_candidates(vars, field, basis,
-                                  _merge_opens(opens, field, vars), ims, cfg)
+                                  _merge_opens(opens, chain), ims, cfg)
         return None if block is None else ((block,), 0)
 
     used = set()
@@ -324,7 +335,7 @@ def canonical_conjunction(ambient: AffineScheme, literals):
 
         bgens = [restrict(g) for g in basis if g.support() <= set(idxs)]
         bopens = [restrict(g) for g in opens if g.support() <= set(idxs)]
-        merged = _merge_opens(bopens, field, sub_vars)
+        merged = _merge_opens(bopens, chain)
         block = _block_candidates(sub_vars, field, bgens, merged, [], cfg)
         if block is None:
             return None
@@ -333,13 +344,56 @@ def canonical_conjunction(ambient: AffineScheme, literals):
     return (tuple(sorted(blocks, key=repr)), lef)
 
 
-def _merge_opens(opens, field, vars):
+def _merge_opens(opens, chain=None):
+    """The product of the opens, or None for none; through `chain` if given."""
     if not opens:
         return None
-    out = Poly.constant(1, vars, field)
-    for g in opens:
-        out = out * g
-    return out
+    if chain is None:
+        chain = _ProductChain(Full())
+    return chain.product(opens)
+
+
+class _ProductChain:
+    """Partial products of the opens of one node, shared by its conjunctions.
+
+    Each open has its first position in the node, and a conjunction takes
+    its opens last position first. `expand_node` lists the conjunctions of a
+    union of k opens in binary-counting order, so each product extends the
+    live prefix left by the one before with a single multiplication:
+    2^k - 1 - k products in all, and never more than k held at once. The
+    prefix is matched on the polynomials themselves, so opens that were
+    reduced or restricted differently in another conjunction are simply
+    multiplied again.
+    """
+
+    def __init__(self, node):
+        self.position = {}
+        self.factors = []   # the opens of the live prefix
+        self.products = []  # products[i] is the product of factors[:i + 1]
+        _open_positions(node, self.position)
+
+    def order(self, opens):
+        return sorted(opens, key=self.position.__getitem__, reverse=True)
+
+    def product(self, opens):
+        live = 0
+        for f, g in zip(self.factors, opens):
+            if f.vars != g.vars or f.terms != g.terms:
+                break
+            live += 1
+        del self.factors[live:], self.products[live:]
+        for g in opens[live:]:
+            self.products.append(self.products[-1] * g if self.products else g)
+            self.factors.append(g)
+        return self.products[-1]
+
+
+def _open_positions(node, out):
+    if isinstance(node, OpenLoc):
+        out.setdefault(node.g, len(out))
+    elif isinstance(node, (Inter, Union)):
+        _open_positions(node.left, out)
+        _open_positions(node.right, out)
 
 
 # ---------------------------------------------------------------------------
@@ -461,17 +515,20 @@ def class_of_sieve(s: Sieve) -> KClass:
     Each symbol is looked up in the ambient's memo under its literals first;
     the memo lives on the ambient, whose config is fixed. Conjunctions with
     image literals bypass the memo: equal maps may come from differently
-    named sources, and the block prints the name.
+    named sources, and the block prints the name. One `_ProductChain`
+    carries the partial products of the node's opens from one conjunction
+    to the next.
     """
     memo = s.ambient.memo
+    chain = _ProductChain(s.node)
     terms: dict = {}
     for coeff, lits in expand_node(s.node):
         if any(kind == "I" for kind, _ in lits):
-            sym = canonical_conjunction(s.ambient, lits)
+            sym = canonical_conjunction(s.ambient, lits, chain)
         elif lits in memo:
             sym = memo[lits]
         else:
-            sym = canonical_conjunction(s.ambient, lits)
+            sym = canonical_conjunction(s.ambient, lits, chain)
             if len(memo) >= MEMO_BOUND:
                 del memo[next(iter(memo))]
             memo[lits] = sym
@@ -811,7 +868,7 @@ def pushforward(s: Sieve, f: CoordMap) -> Sieve:
     vars = s.ambient.vars
     all_gens = list(s.ambient.ideal.gens) + gens
     if opens:
-        loc = _merge_opens(opens, field, vars)
+        loc = _merge_opens(opens)
         w = "w"
         k = 0
         while w in vars:

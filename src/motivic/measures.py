@@ -23,8 +23,7 @@ from .kring import (KClass, SClass, class_of_sieve, class_of_simplicial,
                     counting_simplicial, level_class, twist_by_rule)
 from .schemes import AffineScheme, weil_restrict
 from .sieves import (IndexedAmbient, LevelSieve, LimitSieve, Sieve,
-                     arc_plain_sieve, full_sieve, level_presentation,
-                     presented_levels)
+                     arc_plain_sieve, full_sieve, presented_levels)
 
 
 @dataclass
@@ -56,29 +55,20 @@ class MeasureReport:
     diagnostics: list = dc_field(default_factory=list)
 
 
-def _ambient_level_dims(member, top: int):
-    """Krull dimension of the ambient arc scheme at each level."""
-    dims = []
-    for n in range(top + 1):
-        pres = level_presentation(member, n)
-        if pres is None:
-            raise EvalError("no ambient level presentation for the correction")
-        dims.append(pres[0].ideal.krull_dimension())
-    return dims
-
-
 def _member_value(subject: LimitSieve, m: FatPoint, Q: Fraction, lax,
                   cfg: Config) -> SClass:
     member = subject.member_at(m)
     z = class_of_simplicial(member, cfg)
-    top = cfg.skeletal_level
-    dims = _ambient_level_dims(member, top)
+    # Krull dimension of the ambient arc scheme at each level the member
+    # presents: up to the skeletal level, or to the end of a shorter list
+    dims = [scheme.ideal.krull_dimension()
+            for scheme, _ in presented_levels(member, cfg.skeletal_level)]
     extra = lax(m) if lax is not None else 0
     if extra < 0:
         raise EvalError("lax rule must be nonnegative")
 
     def rule(n):
-        d = dims[min(n, top)]
+        d = dims[min(n, len(dims) - 1)]
         return -(ceil(Q * d) + extra)
 
     if Q == 0 and extra == 0:

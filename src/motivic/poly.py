@@ -29,16 +29,12 @@ def _sub_exps(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _add_exps(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def _lcm_exps(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
 class Poly:
-    __slots__ = ("vars", "field", "terms", "_key", "_hash", "_lead")
+    __slots__ = ("vars", "field", "terms", "_key", "_hash", "_lead", "_divisor")
 
     def __init__(self, vars: tuple, field: Field, terms: dict):
         self.vars = tuple(vars)
@@ -48,6 +44,7 @@ class Poly:
         self._key = None
         self._hash = None
         self._lead = None
+        self._divisor = None
 
     # -- construction ------------------------------------------------------
 
@@ -93,6 +90,18 @@ class Poly:
             e = max(self.terms, key=grevlex_key)
             self._lead = (e, self.terms[e])
         return self._lead
+
+    def divisor(self):
+        """(leading exponents, inverse leading coefficient, other terms).
+
+        What `reduce_full` reads of a nonzero divisor; taken once per
+        polynomial, since a basis divides many remainders.
+        """
+        if self._divisor is None:
+            le, lc = self.leading()
+            tail = [(e, c) for e, c in self.terms.items() if e != le]
+            self._divisor = (le, self.field.inv(lc), tail)
+        return self._divisor
 
     def support(self):
         """Indices of variables that actually occur."""
@@ -142,17 +151,17 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly.constant(other, self.vars, self.field)
         self._check(other)
-        f = self.field
+        p = self.field.char
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = _add_exps(e1, e2)
-                s = f.add(out.get(e, f.zero), f.mul(c1, c2))
-                if s:
-                    out[e] = s
+                e = tuple(map(add, e1, e2))
+                old = out.get(e)
+                if old is None:
+                    out[e] = c1 * c2 % p if p else c1 * c2
                 else:
-                    out.pop(e, None)
-        return Poly(self.vars, f, out)
+                    out[e] = (old + c1 * c2) % p if p else old + c1 * c2
+        return Poly(self.vars, self.field, out)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -181,7 +190,7 @@ class Poly:
         if self.is_zero():
             return self
         _, c = self.leading()
-        return self.scale(self.field.inv(c))
+        return self if c == 1 else self.scale(self.field.inv(c))
 
     # -- structural maps ----------------------------------------------------
 
@@ -301,16 +310,11 @@ def reduce_full(f: Poly, basis) -> Poly:
     whose leading term divides it, or else moved to the remainder. The work
     is one term dict, with its exponents waiting in a grevlex-descending
     heap; each divisor's leading exponent, inverse leading coefficient and
-    other terms are read once per call.
+    other terms are read from its `divisor` cache.
     """
     field = f.field
     p = field.char
-    divisors = []
-    for g in basis:
-        if g.terms:
-            le, lc = g.leading()
-            tail = [(e, c) for e, c in g.terms.items() if e != le]
-            divisors.append((le, field.inv(lc), tail))
+    divisors = [g.divisor() for g in basis if g.terms]
     work = dict(f.terms)
     heap = [_descending(e) for e in work]
     heapify(heap)

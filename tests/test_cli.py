@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import motivic
-from motivic import dsl
+from motivic import cli, dsl
 from motivic.cli import main, run_script
 from motivic.config import DEFAULT
 from motivic.fields import GF
@@ -197,6 +197,32 @@ class TestReports:
         assert blocks[3]["status"] == "error"
         assert blocks[4]["status"] == "ok"
         assert blocks[4]["value"] == "L"
+
+    def test_internal_errors_keep_the_rest_of_the_report(self, monkeypatch,
+                                                         capsys):
+        text = ("field Q\nscheme X = Spec k[x]\n"
+                "class c = [X]\n"
+                "count X at nope\n"
+                "class d = [X] + 1\n")
+        real = cli.Session.eval_class
+
+        def eval_class(self, st):
+            if st.name == "c":
+                raise TypeError("forced")
+            return real(self, st)
+
+        monkeypatch.setattr(cli.Session, "eval_class", eval_class)
+        rep, code = run_script(text)
+        assert code == 2
+        blocks = record_blocks(rep)
+        assert len(blocks) == 5
+        assert blocks[2]["status"] == "error"
+        assert blocks[2]["error"] == "internal: TypeError"
+        assert blocks[3]["status"] == "error"
+        assert blocks[3]["error"] != "internal: TypeError"
+        assert blocks[4]["status"] == "ok"
+        assert blocks[4]["value"] == "1 + L"
+        assert "TypeError: forced" in capsys.readouterr().err
 
     def test_parse_failure_sets_exit_three(self):
         rep, code = run_script("field Q\nsieve = broken\n")

@@ -1,6 +1,7 @@
 """Class ring: canonical forms, counting homomorphisms, simplicial classes."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -8,7 +9,8 @@ from motivic.config import Config
 from motivic.errors import AmbientMismatch, CapExceeded
 from motivic.fatpoints import base_point, make_fat_point
 from motivic.fields import GF, QQ
-from motivic.kring import (MEMO_BOUND, class_of_scheme, class_of_sieve,
+from motivic.kring import (MEMO_BOUND, KClass, canonical_conjunction,
+                           class_of_scheme, class_of_sieve,
                            class_of_simplicial, class_str, counting_hom,
                            counting_simplicial, discrete_hom_check,
                            expand_node, galois_check, is_strictly_schemic,
@@ -85,6 +87,50 @@ class TestPlainClasses:
         za = class_of_sieve(open_sieve(A, Poly.variable("a", A.vars, F3)))
         zb = class_of_sieve(open_sieve(B, Poly.variable("b", B.vars, F3)))
         assert za == zb
+
+
+def in_order(field, names, gens, opens=(), unions=()):
+    """A sieve in Spec field[names]/(gens) cut by principal opens.
+
+    Each polynomial is a function of a name -> variable dict, so the same
+    presentation can be written in any variable order. `opens` are
+    intersected; `unions` are opens joined to the result with `|`.
+    """
+    v = {n: Poly.variable(n, names, field) for n in names}
+    x = AffineScheme("X", Ideal(names, field, [g(v) for g in gens]))
+    s = full_sieve(x)
+    for g in opens:
+        s = sieve_inter(s, open_sieve(x, g(v)))
+    for g in unions:
+        s = sieve_union(s, open_sieve(x, g(v)))
+    return s
+
+
+RENAMED = {
+    "cusp-inverted": (QQ, ("x", "y", "z"),
+                      [lambda v: v["y"] ** 2 - v["x"] ** 3,
+                       lambda v: v["z"] * v["x"] - 1], [], []),
+    "circle-open": (QQ, ("x", "y", "w"),
+                    [lambda v: v["x"] ** 2 + v["y"] ** 2 - 1],
+                    [lambda v: v["x"] + v["y"]], []),
+    "cone": (QQ, ("a", "b", "c", "d"),
+             [lambda v: v["a"] * v["b"] - v["c"] * v["d"]],
+             [lambda v: v["a"] - v["d"]], []),
+    "union": (F3, ("x", "y", "z"), [lambda v: v["x"] * v["y"] - v["z"] ** 2],
+              [lambda v: v["x"] + v["z"]],
+              [lambda v: v["y"] - v["z"] + 1, lambda v: v["x"] - v["y"]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RENAMED))
+def test_renaming_coordinates_keeps_the_class(name):
+    """The canonical block is least over coordinate permutations, so the
+    order in which a presentation lists its variables cannot matter."""
+    field, names, gens, opens, unions = RENAMED[name]
+    want = class_of_sieve(in_order(field, names, gens, opens, unions))
+    for order in permutations(names):
+        got = class_of_sieve(in_order(field, order, gens, opens, unions))
+        assert got == want and class_str(got) == class_str(want), order
 
 
 class TestPickling:
@@ -167,6 +213,47 @@ class TestConjunctionMemo:
             again = class_of_sieve(Sieve(fresh, s.node))
             assert again == z and class_str(again) == class_str(z)
         assert len(ambient.memo) <= MEMO_BOUND
+
+
+def union_ladder(k):
+    """D(x + i*y - i^2) for i = 1..k, joined with `|` in Spec Q[x, y]."""
+    plane = AffineScheme("P", Ideal(("x", "y"), QQ, []))
+    x, y = (Poly.variable(v, plane.vars, QQ) for v in plane.vars)
+    s = open_sieve(plane, x + y - 1)
+    for i in range(2, k + 1):
+        s = sieve_union(s, open_sieve(plane, x + i * y - i * i))
+    return s
+
+
+class TestSharedProducts:
+    def test_the_union_ladder_shares_its_products(self, monkeypatch):
+        calls = []
+        real = Poly.__mul__
+
+        def counted(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(Poly, "__mul__", counted)
+        class_of_sieve(union_ladder(9))
+        # one product per conjunction of two or more opens: 2^9 - 1 - 9,
+        # where multiplying out each conjunction alone takes 9 * 2^8
+        assert len(calls) <= 2 ** 9
+
+    @pytest.mark.parametrize("field", [F3, QQ], ids=["F3", "Q"])
+    def test_shared_products_give_the_unshared_class(self, field):
+        sieves = [union_ladder(5)] if field == QQ else []
+        sieves += [rand_sieve(rng_for("chain", seed),
+                              affine_space(field, ("x", "y"), "X"), 3)
+                   for seed in range(8)]
+        for s in sieves:
+            want = kclass_zero(field)
+            for coeff, lits in expand_node(s.node):
+                sym = canonical_conjunction(s.ambient, lits)
+                if sym is not None:
+                    want = want + KClass(field, {sym: coeff})
+            got = class_of_sieve(s)
+            assert got == want and class_str(got) == class_str(want)
 
 
 class TestCounting:

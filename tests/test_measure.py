@@ -5,7 +5,8 @@ import pytest
 from motivic import measures
 from motivic.config import DEFAULT, Config
 from motivic.errors import CapExceeded, EvalError
-from motivic.fatpoints import PointSystem, base_point, jet_rule, make_fat_point
+from motivic.fatpoints import (PointSystem, SimplicialFatPoint, base_point,
+                               jet_rule, make_fat_point)
 from motivic.fields import GF, QQ
 from motivic.kring import (kclass_one, kclass_zero, lefschetz, level_class,
                            lift_const)
@@ -17,7 +18,7 @@ from motivic.poly import Ideal, Poly
 from motivic.schemes import AffineScheme, affine_space, weil_restrict
 from motivic.sieves import (Closed, ConstSieve, Full, ProductSieve,
                             closed_sieve, empty_sieve, full_sieve, lift_sieve,
-                            limit_sieve)
+                            limit_sieve, simplicial_arc)
 
 A1 = affine_space(QQ, ("x",), "A1")
 L = lefschetz(QQ)
@@ -121,6 +122,38 @@ class TestShapedMembers:
         assert rep.stabilized and rep.since == 0
         for n in range(3):
             assert level_class(rep.value, n) == kclass_one(QQ)
+
+
+def truncated_fiber_member(m):
+    """Arcs of A1 over F3 along a fiber shape cut at level 1, below the
+    default skeletal level."""
+    dual = fat(GF(3), 2)
+    A1f = affine_space(GF(3), ("x",), "A1f")
+    return simplicial_arc(full_sieve(weil_restrict(A1f, m)),
+                          SimplicialFatPoint("fiber", dual, truncation=1))
+
+
+class TestTruncatedMembers:
+    """A level-list member shorter than the skeletal level is measured up to
+    its own truncation."""
+
+    def family(self):
+        A1f = affine_space(GF(3), ("x",), "A1f")
+        return limit_sieve(A1f, jets(GF(3)), rule=truncated_fiber_member)
+
+    def test_measures_instead_of_raising(self):
+        assert DEFAULT.skeletal_level > 1
+        rep = limit_measure(MeasureQuery(self.family(), Q=1, horizon=4, window=2))
+        assert rep.stabilized and rep.since == 0
+        for n in range(2):
+            assert level_class(rep.value, n) == kclass_one(GF(3))
+
+    def test_indexed_breakdown_stops_at_the_truncation(self):
+        rep = indexed_mode(MeasureQuery(self.family(), Q=1, horizon=4, window=2))
+        assert rep.stabilized
+        assert [e["level"] for e in rep.per_level] == [0, 1]
+        assert rep.diagnostics == ["per-level breakdown stops at level 2: "
+                                   "level 2 beyond materialized tuple"]
 
 
 class TestLaxMeasure:

@@ -18,6 +18,8 @@ from motivic.topology import (HOMOTOPY_KEY_PROXY, FiniteSimplicialSet,
                               preservation_check, smith_normal_form,
                               standard_simplex)
 
+from battery import rng_for
+
 F2 = GF(2)
 F3 = GF(3)
 
@@ -40,6 +42,22 @@ class TestSmithNormalForm:
 
     def test_triangle_boundary(self):
         assert smith_normal_form([[-1, 1, 0], [-1, 0, 1], [0, -1, 1]]) == [1, 1]
+
+    def test_matches_sympy_invariant_factors(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+        rng = rng_for("smith")
+        for _ in range(60):
+            r, k, c = rng.randint(1, 5), rng.randint(1, 4), rng.randint(1, 5)
+            # a product through k columns has rank at most k, so singular
+            # matrices come up as often as regular ones
+            a = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(r)]
+            b = [[rng.randint(-4, 4) for _ in range(c)] for _ in range(k)]
+            rows = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(c)]
+                    for i in range(r)]
+            want = [abs(int(d)) for d in
+                    invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ) if d]
+            assert smith_normal_form(rows) == want, rows
 
 
 class TestStandardComplexes:
