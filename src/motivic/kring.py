@@ -151,7 +151,7 @@ def _eliminable(basis):
     return None
 
 
-def _node_of_parts(vars, field, gens, open_g, ims):
+def _node_of_parts(gens, open_g, ims):
     parts = []
     if gens:
         parts.append(Closed(tuple(gens)))
@@ -211,7 +211,7 @@ def _block_candidates(vars_sub, field, gens, open_g, ims, cfg):
             scheme_ideal = Ideal(zvars, field, list(basis), cfg)
             scheme_ideal._basis = list(basis)
             scheme = AffineScheme("blk", scheme_ideal)
-            best_payload = (scheme, _node_of_parts(zvars, field, basis, popen, pims))
+            best_payload = (scheme, _node_of_parts(basis, popen, pims))
     return Block(best_key, *best_payload)
 
 
@@ -801,7 +801,6 @@ def discrete_hom_check(y: AffineScheme, x: SimplicialSieve, m: FatPoint,
         total *= max(1, len(lv)) ** len(ypts)
         if total > y.ideal.cfg.max_candidates:
             raise CapExceeded("morphism enumeration too large")
-    amb = x.ambient
 
     def families():
         choices = [list(iproduct(range(len(lv)), repeat=len(ypts))) for lv in levels]
@@ -814,7 +813,7 @@ def discrete_hom_check(y: AffineScheme, x: SimplicialSieve, m: FatPoint,
         for n in range(1, top + 1):
             for j, p in enumerate(ypts):
                 for i in range(n + 1):
-                    if amb.face(m, n, i, maps[n][j]) != maps[n - 1][j]:
+                    if x.face(n, i, maps[n][j]) != maps[n - 1][j]:
                         ok = False
                         break
                 if not ok:
@@ -825,7 +824,7 @@ def discrete_hom_check(y: AffineScheme, x: SimplicialSieve, m: FatPoint,
             for n in range(0, top):
                 for j, p in enumerate(ypts):
                     for i in range(n + 1):
-                        if amb.degeneracy(m, n, i, maps[n][j]) != maps[n + 1][j]:
+                        if x.degeneracy(n, i, maps[n][j]) != maps[n + 1][j]:
                             ok = False
                             break
                     if not ok:

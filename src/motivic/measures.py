@@ -22,8 +22,8 @@ from .fatpoints import FatPoint, base_point, stabilize
 from .kring import (KClass, SClass, class_of_sieve, class_of_simplicial,
                     counting_simplicial, level_class, twist_by_rule)
 from .schemes import AffineScheme, weil_restrict
-from .sieves import (IndexedAmbient, LevelSieve, LimitSieve, Sieve,
-                     arc_plain_sieve, full_sieve, presented_levels)
+from .sieves import (LevelSieve, LimitSieve, Sieve, arc_plain_sieve, full_sieve,
+                     presented_levels)
 
 
 @dataclass
@@ -133,8 +133,7 @@ def forget_structure(s, cfg: Config = DEFAULT):
     if isinstance(s, LevelSieve):
         return s
     levels = presented_levels(s, cfg.skeletal_level)
-    return LevelSieve(IndexedAmbient([scheme for scheme, _ in levels]),
-                      [node for _, node in levels])
+    return LevelSieve([scheme for scheme, _ in levels], [node for _, node in levels])
 
 
 def indexed_mode(q: MeasureQuery, cfg: Config = DEFAULT) -> MeasureReport:

@@ -5,17 +5,19 @@ closed conditions (equations vanish), principal opens (the function is a unit
 of the local target algebra), images of morphisms (membership by preimage
 enumeration, finite fields only), or the trivial full/empty conditions.
 
-Simplicial sieves layer a level structure on top: constant levels, cartesian
-powers with coordinate deletion/duplication (orbit-counted in the symmetric
-shape), levelwise products and disjoint unions, and indexed families that
-carry no maps at all. `level_presentation` says which affine scheme and
-condition present level n.
+Simplicial sieves layer a level structure on top, one class per shape:
+constant levels, cartesian powers with coordinate deletion/duplication
+(multisets in the symmetric shape), levelwise products, disjoint unions,
+unions and intersections, and level lists that carry no maps at all. Each
+shape builds the points, faces and degeneracies of level n from its parts.
+`level_presentation` says which affine scheme and condition present level n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product as iproduct
+from math import comb
 
 from .errors import AmbientMismatch, CapExceeded, EvalError, WorkbenchError
 from .fatpoints import (FatPoint, SimplicialFatPoint, base_point,
@@ -356,193 +358,23 @@ def arc_plain_sieve(s: Sieve, m: FatPoint) -> Sieve:
 
 
 # ---------------------------------------------------------------------------
-# simplicial ambients
-
-
-class SimplicialAmbient:
-    has_maps = True
-
-    def level_points(self, m: FatPoint, n: int):
-        raise NotImplementedError
-
-    def face(self, m, n, i, p):
-        raise NotImplementedError
-
-    def degeneracy(self, m, n, i, p):
-        raise NotImplementedError
-
-    def key(self):
-        raise NotImplementedError
-
-    def __eq__(self, other):
-        return isinstance(other, SimplicialAmbient) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-
-class ConstAmbient(SimplicialAmbient):
-    def __init__(self, scheme: AffineScheme):
-        self.scheme = scheme
-
-    def level_points(self, m, n):
-        return tuple(points(self.scheme, m))
-
-    def face(self, m, n, i, p):
-        return p
-
-    def degeneracy(self, m, n, i, p):
-        return p
-
-    def key(self):
-        return ("const", self.scheme.presentation_key())
-
-
-class PowerAmbient(SimplicialAmbient):
-    """Level n is the (n+1)-fold power; symmetric mode keeps sorted orbit reps."""
-
-    def __init__(self, scheme: AffineScheme, symmetric: bool = False):
-        self.scheme = scheme
-        self.symmetric = symmetric
-
-    def base_points(self, m):
-        return tuple(points(self.scheme, m))
-
-    def level_points(self, m, n):
-        base = self.base_points(m)
-        if len(base) ** (n + 1) > self.scheme.ideal.cfg.max_candidates:
-            raise CapExceeded("power level too large to enumerate")
-        if self.symmetric:
-            return tuple(combinations_with_replacement(base, n + 1))
-        return tuple(iproduct(base, repeat=n + 1))
-
-    def face(self, m, n, i, p):
-        return p[:i] + p[i + 1:]
-
-    def degeneracy(self, m, n, i, p):
-        out = p[:i + 1] + (p[i],) + p[i + 1:]
-        return tuple(sorted(out)) if self.symmetric else out
-
-    def key(self):
-        return ("pow", self.scheme.presentation_key(), self.symmetric)
-
-
-class ProductAmbient(SimplicialAmbient):
-    def __init__(self, left: SimplicialAmbient, right: SimplicialAmbient):
-        self.left = left
-        self.right = right
-
-    @property
-    def has_maps(self):
-        return self.left.has_maps and self.right.has_maps
-
-    def level_points(self, m, n):
-        ls = self.left.level_points(m, n)
-        rs = self.right.level_points(m, n)
-        if len(ls) * len(rs) > _ambient_scheme(self.left).ideal.cfg.max_candidates:
-            raise CapExceeded("product level too large to enumerate")
-        return tuple((a, b) for a in ls for b in rs)
-
-    def face(self, m, n, i, p):
-        return (self.left.face(m, n, i, p[0]), self.right.face(m, n, i, p[1]))
-
-    def degeneracy(self, m, n, i, p):
-        return (self.left.degeneracy(m, n, i, p[0]),
-                self.right.degeneracy(m, n, i, p[1]))
-
-    def key(self):
-        return ("prod", self.left.key(), self.right.key())
-
-
-class DisjointAmbient(SimplicialAmbient):
-    def __init__(self, left: SimplicialAmbient, right: SimplicialAmbient):
-        self.left = left
-        self.right = right
-
-    @property
-    def has_maps(self):
-        return self.left.has_maps and self.right.has_maps
-
-    def level_points(self, m, n):
-        ls = self.left.level_points(m, n)
-        rs = self.right.level_points(m, n)
-        return tuple([("L", p) for p in ls] + [("R", p) for p in rs])
-
-    def face(self, m, n, i, p):
-        tag, q = p
-        side = self.left if tag == "L" else self.right
-        return (tag, side.face(m, n, i, q))
-
-    def degeneracy(self, m, n, i, p):
-        tag, q = p
-        side = self.left if tag == "L" else self.right
-        return (tag, side.degeneracy(m, n, i, q))
-
-    def key(self):
-        return ("disj", self.left.key(), self.right.key())
-
-
-class IndexedAmbient(SimplicialAmbient):
-    """A family of level schemes with the structure maps forgotten."""
-
-    has_maps = False
-
-    def __init__(self, levels):
-        self.levels = tuple(levels)
-
-    @property
-    def truncation(self):
-        return len(self.levels) - 1
-
-    def level_scheme(self, n):
-        if n > self.truncation:
-            raise CapExceeded("level %d beyond materialized truncation %d"
-                              % (n, self.truncation))
-        return self.levels[n]
-
-    def level_points(self, m, n):
-        return tuple(points(self.level_scheme(n), m))
-
-    def face(self, m, n, i, p):
-        raise WorkbenchError("indexed family carries no face maps")
-
-    def degeneracy(self, m, n, i, p):
-        raise WorkbenchError("indexed family carries no degeneracy maps")
-
-    def key(self):
-        return ("idx", tuple(s.presentation_key() for s in self.levels))
-
-
-def _ambient_scheme(amb: SimplicialAmbient) -> AffineScheme:
-    """A defining affine scheme of a simplicial ambient (leftmost base)."""
-    if isinstance(amb, (ConstAmbient, PowerAmbient)):
-        return amb.scheme
-    if isinstance(amb, (ProductAmbient, DisjointAmbient)):
-        return _ambient_scheme(amb.left)
-    if isinstance(amb, IndexedAmbient):
-        return amb.levels[0]
-    raise WorkbenchError("no defining scheme for %r" % (amb,))
-
-
-# ---------------------------------------------------------------------------
 # simplicial sieves
 
 
 class SimplicialSieve:
-    ambient: SimplicialAmbient
+    """A levelwise subfunctor, one class per shape.
 
-    def member(self, m, n, point) -> bool:
-        raise NotImplementedError
+    Each shape builds `level_points(m, n)` from its parts and returns the
+    points sorted. `member` tests one point, `face(n, i, p)` and
+    `degeneracy(n, i, p)` are the structure maps (absent when `has_maps` is
+    false), `key` names the sieve, and `ambient_key` names the levels it
+    cuts, which the two sides of a union or an intersection must share.
+    """
 
-    def level_points(self, m, n):
-        return tuple(p for p in self.ambient.level_points(m, n)
-                     if self.member(m, n, p))
+    has_maps = True
 
     def count(self, m, n) -> int:
         return len(self.level_points(m, n))
-
-    def key(self):
-        raise NotImplementedError
 
     def __eq__(self, other):
         return isinstance(other, SimplicialSieve) and self.key() == other.key()
@@ -552,27 +384,27 @@ class SimplicialSieve:
 
     def check_structure(self, m, top: int) -> bool:
         """Faces and degeneracies keep member points inside the sieve."""
-        amb = self.ambient
-        if not amb.has_maps:
+        if not self.has_maps:
             raise WorkbenchError("indexed family carries no structure maps")
         for n in range(0, top + 1):
             pts = self.level_points(m, n)
             for p in pts:
                 if n >= 1:
                     for i in range(n + 1):
-                        if not self.member(m, n - 1, amb.face(m, n, i, p)):
+                        if not self.member(m, n - 1, self.face(n, i, p)):
                             return False
                 for i in range(n + 1):
-                    if not self.member(m, n + 1, amb.degeneracy(m, n, i, p)):
+                    if not self.member(m, n + 1, self.degeneracy(n, i, p)):
                         return False
         return True
 
 
 class ConstSieve(SimplicialSieve):
+    """Every level is the plain sieve; faces and degeneracies are identities."""
+
     def __init__(self, scheme: AffineScheme, node):
         self.scheme = scheme
         self.node = node
-        self.ambient = ConstAmbient(scheme)
 
     @classmethod
     def of(cls, s: Sieve) -> "ConstSieve":
@@ -581,111 +413,226 @@ class ConstSieve(SimplicialSieve):
     def plain(self) -> Sieve:
         return Sieve(self.scheme, self.node)
 
+    def level_points(self, m, n):
+        return self.plain().points(m)
+
     def member(self, m, n, point):
         return node_member(self.node, m, point)
 
+    def face(self, n, i, p):
+        return p
+
+    def degeneracy(self, n, i, p):
+        return p
+
     def key(self):
         return ("const", self.scheme.presentation_key(), self.node)
+
+    def ambient_key(self):
+        return ("const", self.scheme.presentation_key())
 
     def __repr__(self):
         return "(%s)_const on %s" % (node_str(self.node), self.scheme.name)
 
 
 class PowerSieve(SimplicialSieve):
+    """Level n is the (n+1)-fold power of the plain sieve's points; the
+    symmetric shape keeps sorted orbit representatives (multisets)."""
+
     def __init__(self, scheme: AffineScheme, node, symmetric: bool = False):
         self.scheme = scheme
         self.node = node
         self.symmetric = symmetric
-        self.ambient = PowerAmbient(scheme, symmetric)
+
+    def level_points(self, m, n):
+        base = Sieve(self.scheme, self.node).points(m)
+        size = comb(len(base) + n, n + 1) if self.symmetric else len(base) ** (n + 1)
+        if size > self.scheme.ideal.cfg.max_candidates:
+            raise CapExceeded("power level too large to enumerate")
+        if self.symmetric:
+            return tuple(combinations_with_replacement(base, n + 1))
+        return tuple(iproduct(base, repeat=n + 1))
 
     def member(self, m, n, point):
         return all(node_member(self.node, m, p) for p in point)
 
+    def face(self, n, i, p):
+        return p[:i] + p[i + 1:]
+
+    def degeneracy(self, n, i, p):
+        out = p[:i + 1] + (p[i],) + p[i + 1:]
+        return tuple(sorted(out)) if self.symmetric else out
+
     def key(self):
         return ("pow", self.scheme.presentation_key(), self.node, self.symmetric)
+
+    def ambient_key(self):
+        return ("pow", self.scheme.presentation_key(), self.symmetric)
 
     def __repr__(self):
         tag = "sym" if self.symmetric else "fiber"
         return "(%s)_%s on %s" % (node_str(self.node), tag, self.scheme.name)
 
 
-class ProductSieve(SimplicialSieve):
+class _Pair(SimplicialSieve):
+    """A shape made of two sieves; `tag` names it in both keys."""
+
+    tag = ""
+
     def __init__(self, left: SimplicialSieve, right: SimplicialSieve):
         self.left = left
         self.right = right
-        self.ambient = ProductAmbient(left.ambient, right.ambient)
+
+    @property
+    def has_maps(self):
+        return self.left.has_maps and self.right.has_maps
+
+    def key(self):
+        return (self.tag, self.left.key(), self.right.key())
+
+    def ambient_key(self):
+        return (self.tag, self.left.ambient_key(), self.right.ambient_key())
+
+
+class ProductSieve(_Pair):
+    """Level n is the pairs of the two sides' level-n points."""
+
+    tag = "prod"
+
+    def level_points(self, m, n):
+        ls = self.left.level_points(m, n)
+        rs = self.right.level_points(m, n)
+        if len(ls) * len(rs) > base_scheme(self.left).ideal.cfg.max_candidates:
+            raise CapExceeded("product level too large to enumerate")
+        return tuple(iproduct(ls, rs))
 
     def member(self, m, n, point):
         return (self.left.member(m, n, point[0])
                 and self.right.member(m, n, point[1]))
 
-    def key(self):
-        return ("prod", self.left.key(), self.right.key())
+    def face(self, n, i, p):
+        return (self.left.face(n, i, p[0]), self.right.face(n, i, p[1]))
+
+    def degeneracy(self, n, i, p):
+        return (self.left.degeneracy(n, i, p[0]), self.right.degeneracy(n, i, p[1]))
 
 
-class DisjointSieve(SimplicialSieve):
-    def __init__(self, left: SimplicialSieve, right: SimplicialSieve):
-        self.left = left
-        self.right = right
-        self.ambient = DisjointAmbient(left.ambient, right.ambient)
+class DisjointSieve(_Pair):
+    """Level n is the left side's points tagged "L", then the right's tagged "R"."""
+
+    tag = "disj"
+
+    def _side(self, tag):
+        return self.left if tag == "L" else self.right
+
+    def level_points(self, m, n):
+        return tuple([("L", p) for p in self.left.level_points(m, n)]
+                     + [("R", p) for p in self.right.level_points(m, n)])
 
     def member(self, m, n, point):
         tag, q = point
-        side = self.left if tag == "L" else self.right
-        return side.member(m, n, q)
+        return self._side(tag).member(m, n, q)
 
-    def key(self):
-        return ("disj", self.left.key(), self.right.key())
+    def face(self, n, i, p):
+        tag, q = p
+        return (tag, self._side(tag).face(n, i, q))
+
+    def degeneracy(self, n, i, p):
+        tag, q = p
+        return (tag, self._side(tag).degeneracy(n, i, q))
+
+
+class _Lattice(_Pair):
+    """Union and intersection: two sieves cutting the same levels, whose
+    structure maps are the left side's."""
+
+    word = ""
+
+    def __init__(self, left: SimplicialSieve, right: SimplicialSieve):
+        if left.ambient_key() != right.ambient_key():
+            raise AmbientMismatch("simplicial %s across different ambients" % self.word)
+        super().__init__(left, right)
+
+    def face(self, n, i, p):
+        return self.left.face(n, i, p)
+
+    def degeneracy(self, n, i, p):
+        return self.left.degeneracy(n, i, p)
+
+    def ambient_key(self):
+        return self.left.ambient_key()
+
+
+class UnionSieve(_Lattice):
+    tag, word = "union", "union"
+
+    def level_points(self, m, n):
+        both = set(self.left.level_points(m, n))
+        both.update(self.right.level_points(m, n))
+        return tuple(sorted(both))
+
+    def member(self, m, n, point):
+        return self.left.member(m, n, point) or self.right.member(m, n, point)
+
+
+class InterSieve(_Lattice):
+    tag, word = "inter", "intersection"
+
+    def level_points(self, m, n):
+        return tuple(p for p in self.left.level_points(m, n)
+                     if self.right.member(m, n, p))
+
+    def member(self, m, n, point):
+        return self.left.member(m, n, point) and self.right.member(m, n, point)
 
 
 class LevelSieve(SimplicialSieve):
-    """Explicit per-level conditions over an indexed family of level schemes."""
+    """Explicit per-level conditions over a family of level schemes, with
+    the structure maps forgotten."""
 
-    def __init__(self, ambient: IndexedAmbient, nodes):
-        self.ambient = ambient
+    has_maps = False
+
+    def __init__(self, levels, nodes):
+        self.levels = tuple(levels)
         self.nodes = tuple(nodes)
 
     @property
     def truncation(self):
         return len(self.nodes) - 1
 
+    def level_scheme(self, n):
+        if n > self.truncation:
+            raise CapExceeded("level %d beyond materialized truncation %d"
+                              % (n, self.truncation))
+        return self.levels[n]
+
+    def level_points(self, m, n):
+        return tuple(p for p in points(self.level_scheme(n), m)
+                     if self.member(m, n, p))
+
     def member(self, m, n, point):
         if n > self.truncation:
             raise CapExceeded("level %d beyond materialized truncation" % n)
         return node_member(self.nodes[n], m, point)
 
-    def key(self):
-        return ("levels", self.ambient.key(), self.nodes)
+    def face(self, n, i, p):
+        raise WorkbenchError("indexed family carries no face maps")
 
-
-class UnionSieve(SimplicialSieve):
-    def __init__(self, left: SimplicialSieve, right: SimplicialSieve):
-        if left.ambient.key() != right.ambient.key():
-            raise AmbientMismatch("simplicial union across different ambients")
-        self.left = left
-        self.right = right
-        self.ambient = left.ambient
-
-    def member(self, m, n, point):
-        return self.left.member(m, n, point) or self.right.member(m, n, point)
+    def degeneracy(self, n, i, p):
+        raise WorkbenchError("indexed family carries no degeneracy maps")
 
     def key(self):
-        return ("union", self.left.key(), self.right.key())
+        return ("levels", self.ambient_key(), self.nodes)
+
+    def ambient_key(self):
+        return ("idx", tuple(s.presentation_key() for s in self.levels))
 
 
-class InterSieve(SimplicialSieve):
-    def __init__(self, left: SimplicialSieve, right: SimplicialSieve):
-        if left.ambient.key() != right.ambient.key():
-            raise AmbientMismatch("simplicial intersection across different ambients")
-        self.left = left
-        self.right = right
-        self.ambient = left.ambient
-
-    def member(self, m, n, point):
-        return self.left.member(m, n, point) and self.right.member(m, n, point)
-
-    def key(self):
-        return ("inter", self.left.key(), self.right.key())
+def base_scheme(s: SimplicialSieve) -> AffineScheme:
+    """A defining affine scheme of a simplicial sieve (its leftmost base)."""
+    while isinstance(s, _Pair):
+        s = s.left
+    return s.levels[0] if isinstance(s, LevelSieve) else s.scheme
 
 
 def simplicial_full(x: AffineScheme) -> ConstSieve:
@@ -740,7 +687,7 @@ def level_presentation(s, n: int):
             out = _level_product(out, (s.scheme, s.node))
         return out
     if isinstance(s, LevelSieve):
-        return s.ambient.level_scheme(n), s.nodes[n]
+        return s.level_scheme(n), s.nodes[n]
     if isinstance(s, DisjointSieve):
         return None
     if not isinstance(s, (ProductSieve, UnionSieve, InterSieve)):
@@ -817,7 +764,7 @@ def simplicial_arc(s, sfp: SimplicialFatPoint, top: int | None = None):
         mn = sfp.level(n)
         levels.append(weil_restrict(s.scheme, mn))
         nodes.append(arc_node(s.node, s.scheme, mn))
-    return LevelSieve(IndexedAmbient(levels), nodes)
+    return LevelSieve(levels, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -898,7 +845,7 @@ class LimitSieve:
         the rationals only the presentational checks run. A check that
         cannot run is listed under "skipped" with its error."""
         ms = self.system.materialize(horizon)
-        base0 = _ambient_scheme(self.base.ambient)
+        base0 = base_scheme(self.base)
         field = base0.field
         finite = field.finite
         k0 = base_point(field)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import combinations_with_replacement, product as iproduct
 
 from motivic.config import DEFAULT
 from motivic.errors import CapExceeded
@@ -21,9 +21,11 @@ from motivic.fields import Field
 from motivic.kring import KClass, class_of_sieve, kclass_int, lefschetz
 from motivic.poly import Poly, grevlex_key, s_poly
 from motivic.schemes import AffineScheme
-from motivic.sieves import (Closed, Empty, Full, Inter, OpenLoc, Sieve, Union,
-                            closed_sieve, empty_sieve, full_sieve, open_sieve,
-                            sieve_inter, sieve_union)
+from motivic.sieves import (Closed, ConstSieve, DisjointSieve, Empty, Full,
+                            Inter, InterSieve, LevelSieve, OpenLoc, PowerSieve,
+                            ProductSieve, Sieve, Union, UnionSieve, closed_sieve,
+                            empty_sieve, full_sieve, open_sieve, sieve_inter,
+                            sieve_union)
 
 
 def rng_for(label: str, seed: int = 0) -> random.Random:
@@ -166,6 +168,42 @@ def reference_sieve_points(s: Sieve, m, cfg=DEFAULT):
     """Sieve.points(m) from the reference enumerator and membership."""
     return tuple(p for p in reference_points(s.ambient, m, cfg)
                  if reference_member(s.node, s.ambient, m, p))
+
+
+def _reference_ambient_level(s, m, n, cfg):
+    """Every candidate point of level n of s's shape, members or not, in the
+    order the shape lists them; power and product levels keep the caps on
+    these unfiltered tuples."""
+    if isinstance(s, (UnionSieve, InterSieve)):
+        return _reference_ambient_level(s.left, m, n, cfg)
+    if isinstance(s, ConstSieve):
+        return reference_points(s.scheme, m, cfg)
+    if isinstance(s, LevelSieve):
+        return reference_points(s.level_scheme(n), m, cfg)
+    if isinstance(s, PowerSieve):
+        base = reference_points(s.scheme, m, cfg)
+        if len(base) ** (n + 1) > cfg.max_candidates:
+            raise CapExceeded("power level too large to enumerate")
+        if s.symmetric:
+            return list(combinations_with_replacement(base, n + 1))
+        return list(iproduct(base, repeat=n + 1))
+    ls = _reference_ambient_level(s.left, m, n, cfg)
+    rs = _reference_ambient_level(s.right, m, n, cfg)
+    if isinstance(s, DisjointSieve):
+        return [("L", p) for p in ls] + [("R", p) for p in rs]
+    if isinstance(s, ProductSieve):
+        if len(ls) * len(rs) > cfg.max_candidates:
+            raise CapExceeded("product level too large to enumerate")
+        return list(iproduct(ls, rs))
+    raise TypeError("no reference for %r" % (s,))
+
+
+def reference_level_points(s, m, n, cfg=DEFAULT):
+    """level_points(m, n) by enumerate-then-filter: every candidate of the
+    shape's level, from the reference enumerator, kept when `s.member`
+    admits it."""
+    return tuple(p for p in _reference_ambient_level(s, m, n, cfg)
+                 if s.member(m, n, p))
 
 
 # -- reference Groebner bases ------------------------------------------------

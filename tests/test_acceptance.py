@@ -253,14 +253,13 @@ def enumerate_discrete_families(y, x, m, top):
     from motivic.schemes import points
     ypts = list(points(y, m))
     levels = [list(x.level_points(m, n)) for n in range(top + 1)]
-    amb = x.ambient
     valid = []
     choice_sets = [list(iproduct(lv, repeat=len(ypts))) for lv in levels]
     for fam in iproduct(*choice_sets):
         ok = True
         for n in range(1, top + 1):
             for j in range(len(ypts)):
-                if not all(amb.face(m, n, i, fam[n][j]) == fam[n - 1][j]
+                if not all(x.face(n, i, fam[n][j]) == fam[n - 1][j]
                            for i in range(n + 1)):
                     ok = False
                     break
@@ -269,7 +268,7 @@ def enumerate_discrete_families(y, x, m, top):
         if ok:
             for n in range(top):
                 for j in range(len(ypts)):
-                    if not all(amb.degeneracy(m, n, i, fam[n][j]) == fam[n + 1][j]
+                    if not all(x.degeneracy(n, i, fam[n][j]) == fam[n + 1][j]
                                for i in range(n + 1)):
                         ok = False
                         break
@@ -282,10 +281,9 @@ def enumerate_discrete_families(y, x, m, top):
 
 def degeneracy_lift(x, m, bottom, top):
     """The family obtained by pushing a bottom layer up with degeneracies."""
-    amb = x.ambient
     fam = [tuple(bottom)]
     for n in range(top):
-        fam.append(tuple(amb.degeneracy(m, n, 0, pt) for pt in fam[-1]))
+        fam.append(tuple(x.degeneracy(n, 0, pt) for pt in fam[-1]))
     return tuple(fam)
 
 

@@ -2,15 +2,18 @@
 
 import pytest
 
-from motivic.errors import AmbientMismatch, WorkbenchError
+from battery import rand_sieve, reference_level_points, rng_for
+from motivic.config import Config
+from motivic.errors import AmbientMismatch, CapExceeded, WorkbenchError
 from motivic.fatpoints import (PointSystem, SimplicialFatPoint, base_point,
                                jet_rule, make_fat_point)
 from motivic.fields import GF, QQ
 from motivic.poly import Ideal, Poly, poly_str
 from motivic.schemes import (AffineScheme, CoordMap, affine_space,
                              identity_map, weil_restrict)
-from motivic.sieves import (Closed, ConstSieve, Full, LevelSieve, OpenLoc,
-                            ProductSieve, RelativeSieve, Sieve,
+from motivic.sieves import (Closed, ConstSieve, DisjointSieve, Full,
+                            InterSieve, LevelSieve, OpenLoc, ProductSieve,
+                            RelativeSieve, Sieve, UnionSieve,
                             admissible_open, arc_sieve,
                             closed_sieve, continuity_probe, empty_sieve,
                             fiber_product, full_sieve, image_sieve,
@@ -168,6 +171,55 @@ class TestSimplicialShapes:
         assert level_presentation(sym, 1) is None
 
 
+class TestLevelPoints:
+    @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+    def test_every_shape_matches_enumerate_then_filter(self, field):
+        # seeded const, fiber, sym, union, inter, product and disjoint sieves
+        # at k and k[t]/(t^2), levels 0-2, against the reference, order included
+        x, y = (Poly.variable(v, ("x", "y"), field) for v in ("x", "y"))
+        schemes = (affine_space(field, ("x",), "A1"),
+                   AffineScheme("cross", Ideal(("x", "y"), field, [x * y])))
+        fat = (base_point(field), dual_numbers(field))
+        rng = rng_for("level-points", field.char)
+        tags = ("trivial", "fiber", "sym")
+        # the reference lists every candidate before filtering; a small cap
+        # keeps it quick, and a case past the cap is skipped
+        cfg = Config(max_candidates=4000)
+        checked = {}
+        for _ in range(3):
+            scheme = rng.choice(schemes)
+            plain = [rand_sieve(rng, scheme, depth=1) for _ in range(2)]
+            for tag in tags:
+                a, b = (lift_sieve(p, tag) for p in plain)
+                other = lift_sieve(plain[1], rng.choice(tags))
+                for s in (a, UnionSieve(a, b), InterSieve(a, b),
+                          ProductSieve(a, other), DisjointSieve(a, other)):
+                    for m in fat:
+                        for n in range(3):
+                            try:
+                                want = reference_level_points(s, m, n, cfg)
+                            except CapExceeded:
+                                continue
+                            assert s.level_points(m, n) == want
+                            name = type(s).__name__
+                            checked[name] = checked.get(name, 0) + 1
+        assert len(checked) == 6 and min(checked.values()) >= 8
+
+    def test_power_and_product_caps_count_member_tuples(self):
+        small = Config(max_candidates=100)
+        line = affine_space(F3, ("x",), "A1", small)
+        vx = closed_sieve(line, [Poly.variable("x", line.vars, F3)])
+        fib = lift_sieve(vx, "fiber")
+        assert fib.count(K3, 4) == 1
+        assert ProductSieve(lift_sieve(vx, "trivial"), fib).count(K3, 3) == 1
+        F5 = GF(5)
+        line5 = affine_space(F5, ("x",), "A1", small)
+        with pytest.raises(CapExceeded, match="power level too large to enumerate"):
+            lift_sieve(full_sieve(line5), "fiber").count(base_point(F5), 3)
+        # the symmetric shape builds C(5 + 3, 4) multisets, not 5^4 tuples
+        assert lift_sieve(full_sieve(line5), "sym").count(base_point(F5), 3) == 70
+
+
 class TestSimplicialArcs:
     def test_fiber_shape_gives_an_indexed_family(self):
         AQ = affine_space(QQ, ("x",), "A1Q")
@@ -175,8 +227,8 @@ class TestSimplicialArcs:
         sfp = SimplicialFatPoint("fiber", dual_numbers(QQ), truncation=2)
         fam = simplicial_arc(closed_sieve(AQ, [xq * xq]), sfp)
         assert isinstance(fam, LevelSieve)
-        assert not fam.ambient.has_maps
-        assert [len(fam.ambient.level_scheme(n).vars) for n in range(3)] == [2, 4, 8]
+        assert not fam.has_maps
+        assert [len(fam.level_scheme(n).vars) for n in range(3)] == [2, 4, 8]
 
     def test_trivial_shape_keeps_structure(self):
         AQ = affine_space(QQ, ("x",), "A1Q")

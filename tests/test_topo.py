@@ -8,8 +8,8 @@ from motivic.fatpoints import (PointSystem, base_point, jet_rule,
 from motivic.fields import GF
 from motivic.poly import Poly
 from motivic.schemes import affine_space
-from motivic.sieves import (Closed, ConstSieve, InterSieve, OpenLoc,
-                            ProductSieve, UnionSieve, closed_sieve,
+from motivic.sieves import (Closed, ConstSieve, DisjointSieve, InterSieve,
+                            OpenLoc, ProductSieve, UnionSieve, closed_sieve,
                             full_sieve, lift_sieve, limit_sieve)
 from motivic.topology import (HOMOTOPY_KEY_PROXY, FiniteSimplicialSet,
                               boundary_simplex, discrete_sset,
@@ -135,6 +135,22 @@ class TestEvaluation:
 
         assert chi(UnionSieve(a, b)) + chi(InterSieve(a, b)) == chi(a) + chi(b)
         assert chi(ProductSieve(a, b)) == chi(a) * chi(b)
+
+    def test_products_and_disjoint_unions_realize(self):
+        fib = lift_sieve(full_sieve(self.B), "fiber")
+        triv = lift_sieve(full_sieve(self.B), "trivial")
+        prod, dis = ProductSieve(fib, triv), DisjointSieve(triv, fib)
+        assert prod.check_structure(self.k2, 2) and dis.check_structure(self.k2, 2)
+
+        def inv(s):
+            return invariants(evaluate_to_sset(s, self.k2, top=2))
+
+        a, b = inv(triv), inv(fib)
+        assert inv(prod).component_count == a.component_count * b.component_count == 2
+        # a disjoint union adds every homology group
+        assert inv(dis).homology == tuple(
+            (ra + rb, ()) for (ra, _), (rb, _) in zip(a.homology, b.homology))
+        assert inv(dis).component_count == 3
 
     def test_preservation_of_set_operations(self):
         a = ConstSieve(self.B, Closed((self.xb,)))
