@@ -91,17 +91,18 @@ class Block:
 
     Equality, hashing and repr come from the key alone, so blocks order and
     merge as their keys do; the payload is what printing and counting read.
-    The key's repr and hash are taken once, since canonical order sorts by
-    repr and every class sum hashes its symbols.
+    The key's repr is given, since choosing the block compares reprs
+    already, and its hash is taken once: canonical order sorts by repr and
+    every class sum hashes its symbols.
     """
 
     __slots__ = ("key", "scheme", "node", "_repr", "_hash")
 
-    def __init__(self, key, scheme: AffineScheme, node):
+    def __init__(self, key, key_repr: str, scheme: AffineScheme, node):
         self.key = key
         self.scheme = scheme
         self.node = node
-        self._repr = repr(key)
+        self._repr = key_repr
         self._hash = hash(key)
 
     def __eq__(self, other):
@@ -115,7 +116,7 @@ class Block:
 
     def __reduce__(self):
         # string hashes are salted per process: rebuild rather than copy _hash
-        return Block, (self.key, self.scheme, self.node)
+        return Block, (self.key, self._repr, self.scheme, self.node)
 
 
 def _permute_poly(p: Poly, perm, new_vars, field) -> Poly:
@@ -174,7 +175,7 @@ def _block_candidates(vars_sub, field, gens, open_g, ims, cfg):
     n = len(vars_sub)
     identity = tuple(range(n))
     perm_source = permutations(range(n)) if n <= 5 else [identity]
-    best_key = None
+    best_key = best_repr = None
     best_payload = None
     zvars = tuple("z%d" % j for j in range(n))
     for perm in perm_source:
@@ -206,13 +207,14 @@ def _block_candidates(vars_sub, field, gens, open_g, ims, cfg):
                tuple(sorted((g.key() for g in basis), key=repr)),
                None if popen is None else popen.key(),
                tuple(sorted((cm.key() for cm in pims), key=repr)))
-        if best_key is None or repr(key) < repr(best_key):
-            best_key = key
+        key_repr = repr(key)
+        if best_repr is None or key_repr < best_repr:
+            best_key, best_repr = key, key_repr
             scheme_ideal = Ideal(zvars, field, list(basis), cfg)
             scheme_ideal._basis = list(basis)
             scheme = AffineScheme("blk", scheme_ideal)
             best_payload = (scheme, _node_of_parts(basis, popen, pims))
-    return Block(best_key, *best_payload)
+    return Block(best_key, best_repr, *best_payload)
 
 
 def canonical_conjunction(ambient: AffineScheme, literals, chain=None):

@@ -1,15 +1,24 @@
 """Exact multivariate polynomial arithmetic and reduced bases.
 
-Terms are exponent tuples against a fixed variable tuple; coefficients live in
-a Field (Fraction or int mod p). The term order is graded reverse
-lexicographic throughout: higher total degree wins, ties broken by the
-reversed, negated exponent comparison.
+Terms are exponent tuples against a fixed variable tuple; a `Poly` holds
+coefficients of its Field (Fraction over Q, int mod p). The term order is
+graded reverse lexicographic throughout: higher total degree wins, ties
+broken by the reversed, negated exponent comparison.
+
+Products, division and Buchberger compute on int coefficients. Over F_p
+these are the residues, and a divisor is made monic. Over Q a polynomial is
+cleared of its denominators, and a divisor or basis element is made
+primitive: its content is divided out and its leading coefficient is
+positive. Fractions are made again only where a `Poly` leaves these
+kernels, and a reduced basis leaves them monic.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product as iproduct
+from math import gcd
 from operator import add, ge, sub
 
 from .config import DEFAULT, Config
@@ -92,15 +101,16 @@ class Poly:
         return self._lead
 
     def divisor(self):
-        """(leading exponents, inverse leading coefficient, other terms).
+        """The int form `reduce_full` reads of a nonzero divisor.
 
-        What `reduce_full` reads of a nonzero divisor; taken once per
-        polynomial, since a basis divides many remainders.
+        (leading exponents, leading coefficient, other terms) of the monic
+        multiple mod p, or over Q of the primitive multiple with a positive
+        leading coefficient. Taken once per polynomial, since a basis
+        divides many remainders.
         """
         if self._divisor is None:
-            le, lc = self.leading()
-            tail = [(e, c) for e, c in self.terms.items() if e != le]
-            self._divisor = (le, self.field.inv(lc), tail)
+            self._divisor = _normalized(_cleared(self)[0], self.leading()[0],
+                                        self.field.char)
         return self._divisor
 
     def support(self):
@@ -152,16 +162,17 @@ class Poly:
             other = Poly.constant(other, self.vars, self.field)
         self._check(other)
         p = self.field.char
+        a, da = _cleared(self)
+        b, db = _cleared(other)
+        b = list(b.items())
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b:
                 e = tuple(map(add, e1, e2))
-                old = out.get(e)
-                if old is None:
-                    out[e] = c1 * c2 % p if p else c1 * c2
-                else:
-                    out[e] = (old + c1 * c2) % p if p else old + c1 * c2
-        return Poly(self.vars, self.field, out)
+                out[e] = out.get(e, 0) + c1 * c2
+        if p:
+            return Poly(self.vars, self.field, {e: c % p for e, c in out.items()})
+        return Poly(self.vars, self.field, _over(out, da * db))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -295,7 +306,49 @@ def poly_str(p: Poly) -> str:
     return join_terms(bits)
 
 
-# -- division and bases ------------------------------------------------------
+# -- the int kernels -----------------------------------------------------------
+
+
+def _cleared(p: Poly):
+    """(int terms, denominator): p is terms / denominator.
+
+    Over Q the denominator is the least common one of the coefficients;
+    over F_p the terms are the residues and the denominator is 1.
+    """
+    if p.field.char:
+        return dict(p.terms), 1
+    den = 1
+    for c in p.terms.values():
+        d = c.denominator
+        if den % d:
+            den *= d // gcd(den, d)
+    return {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}, den
+
+
+def _over(terms, den):
+    """Fraction coefficients: the int terms divided by den."""
+    if den == 1:
+        return {e: Fraction(c) for e, c in terms.items()}
+    return {e: Fraction(c, den) for e, c in terms.items()}
+
+
+def _normalized(terms, le, p):
+    """(le, leading coefficient, other terms) of a nonzero int term dict
+    whose leading exponents are le: scaled to be monic mod p, or over Q
+    divided by its content, with the sign that makes the leading
+    coefficient positive."""
+    lc = terms[le]
+    if p:
+        inv = pow(lc, p - 2, p)
+        return le, 1, [(e, c * inv % p) for e, c in terms.items() if e != le]
+    g = 0
+    for c in terms.values():
+        g = gcd(g, c)
+        if g == 1:
+            break
+    if lc < 0:
+        g = -g
+    return le, lc // g, [(e, c // g) for e, c in terms.items() if e != le]
 
 
 def _descending(e):
@@ -303,34 +356,44 @@ def _descending(e):
     return (-sum(e), e[::-1], e)
 
 
-def reduce_full(f: Poly, basis) -> Poly:
-    """Remainder of f on full division by the list `basis` (every term reduced).
+def _reduce(work, divisors, p):
+    """Fraction-free full division of the int term dict `work` (consumed).
 
-    The largest remaining term is divided by the first element of `basis`
-    whose leading term divides it, or else moved to the remainder. The work
-    is one term dict, with its exponents waiting in a grevlex-descending
-    heap; each divisor's leading exponent, inverse leading coefficient and
-    other terms are read from its `divisor` cache.
+    `divisors` are `_normalized` forms. The work's exponents wait in a
+    grevlex-descending heap; the largest is divided by the first divisor
+    whose leading term divides it, or else moved to the remainder. A monic
+    divisor, as every one mod p is, divides with no gcd. Otherwise, when
+    its leading coefficient lc does not divide the term's coefficient c,
+    the work and the remainder are first multiplied by lc / gcd(c, lc).
+    Returns (remainder, multiplier): over the field, the input's remainder
+    is remainder / multiplier, and the multiplier is 1 mod p.
     """
-    field = f.field
-    p = field.char
-    divisors = [g.divisor() for g in basis if g.terms]
-    work = dict(f.terms)
     heap = [_descending(e) for e in work]
     heapify(heap)
     rem = {}
+    mult = 1
     while heap:
         e = heappop(heap)[2]
         c = work.pop(e, None)
         if c is None:  # cancelled after it was queued, or queued twice
             continue
-        for le, inv, tail in divisors:
+        for le, lc, tail in divisors:
             if all(map(ge, e, le)):
                 break
         else:
             rem[e] = c
             continue
-        q = c * inv % p if p else c * inv
+        q = c
+        if lc != 1:
+            g = gcd(c, lc)
+            q = c // g
+            if g != lc:
+                a = lc // g
+                mult *= a
+                for k in work:
+                    work[k] *= a
+                for k in rem:
+                    rem[k] *= a
         shift = tuple(map(sub, e, le))
         for te, tc in tail:
             ne = tuple(map(add, te, shift))
@@ -344,16 +407,46 @@ def reduce_full(f: Poly, basis) -> Poly:
                     work[ne] = v
                 else:
                     del work[ne]
-    return Poly(f.vars, field, rem)
+    return rem, mult
 
 
-def s_poly(f: Poly, g: Poly) -> Poly:
-    fe, fc = f.leading()
-    ge, gc = g.leading()
-    l = _lcm_exps(fe, ge)
-    mf = Poly.monomial(_sub_exps(l, fe), f.field.inv(fc), f.vars, f.field)
-    mg = Poly.monomial(_sub_exps(l, ge), g.field.inv(gc), g.vars, g.field)
-    return mf * f - mg * g
+def reduce_full(f: Poly, basis) -> Poly:
+    """Remainder of f on full division by the list `basis` (every term reduced).
+
+    The first element of `basis` whose leading term divides a term divides
+    it. The division runs on int forms: f cleared of its denominators, each
+    divisor read from its `divisor` cache. The remainder is exact.
+    """
+    p = f.field.char
+    work, den = _cleared(f)
+    rem, mult = _reduce(work, [g.divisor() for g in basis if g.terms], p)
+    return Poly(f.vars, f.field, rem if p else _over(rem, den * mult))
+
+
+def _s_terms(f, g, p):
+    """The S-polynomial of two `_normalized` forms, as int terms.
+
+    Each is multiplied up to the lcm of the leading terms, over Q by the
+    other's leading coefficient over their gcd, so the leading terms cancel
+    and only the other terms are formed.
+    """
+    fe, fc, ftail = f
+    ge, gc, gtail = g
+    lcm = _lcm_exps(fe, ge)
+    d = gcd(fc, gc)
+    a, b = gc // d, fc // d
+    fu, gu = _sub_exps(lcm, fe), _sub_exps(lcm, ge)
+    out = {tuple(map(add, e, fu)): a * c for e, c in ftail}
+    for e, c in gtail:
+        k = tuple(map(add, e, gu))
+        v = out.get(k, 0) - b * c
+        if p:
+            v %= p
+        if v:
+            out[k] = v
+        else:
+            out.pop(k, None)
+    return out
 
 
 def _coprime(a, b):
@@ -363,9 +456,12 @@ def _coprime(a, b):
 def buchberger(gens, cfg: Config = DEFAULT):
     """Reduced basis of the ideal the generators span.
 
-    S-pairs wait in a heap keyed by the grevlex key of the lcm of their
-    leading terms, and the least is reduced first (the normal strategy).
-    Each polynomial that joins the basis, input or nonzero remainder, goes
+    The run is on `_normalized` int forms: generators are read from their
+    `divisor` cache, S-polynomials and remainders are formed fraction-free,
+    and each remainder is normalized before it joins the basis. S-pairs
+    wait in a heap keyed by the grevlex key of the lcm of their leading
+    terms, and the least is reduced first (the normal strategy). Each
+    polynomial that joins the basis, input or nonzero remainder, goes
     through the Gebauer-Moller update (J. Symb. Comput. 6, 1988):
 
     - of its new pairs, one whose lcm is a multiple of another new pair's
@@ -376,8 +472,8 @@ def buchberger(gens, cfg: Config = DEFAULT):
     - an element whose leading term the new one divides leaves the set
       that remainders are reduced against; its pairs stay queued.
 
-    The surviving set is minimized, each element is reduced against the
-    others, and the result is monic, autoreduced, and sorted with
+    The surviving set is minimized and each element is reduced against the
+    others. The result is made monic, and is autoreduced and sorted with
     grevlex-increasing leading terms.
     """
     gens = [g for g in gens if not g.is_zero()]
@@ -390,8 +486,9 @@ def buchberger(gens, cfg: Config = DEFAULT):
         if g.total_degree() > cfg.max_degree:
             raise CapExceeded("generator degree %d exceeds cap %d"
                               % (g.total_degree(), cfg.max_degree))
-    one = Poly.constant(1, gens[0].vars, gens[0].field)
-    basis = []   # every polynomial added so far; pairs are index pairs
+    vars, field = gens[0].vars, gens[0].field
+    p = field.char
+    basis = []   # normalized forms of every polynomial added; pairs are index pairs
     lead = []    # leading exponents of basis
     active = []  # indices that remainders are reduced against
     pairs = []   # heap of (grevlex key of lcm, i, j, lcm)
@@ -399,10 +496,10 @@ def buchberger(gens, cfg: Config = DEFAULT):
     def update(h):
         """Add h to the basis and rearrange the pairs; False if h is a unit."""
         nonlocal active, pairs
-        if h.is_constant():
+        he = h[0]
+        if not any(he):
             return False
         k = len(basis)
-        he = h.leading()[0]
         basis.append(h)
         lead.append(he)
         new = [(i, _lcm_exps(lead[i], he)) for i in active]
@@ -425,24 +522,49 @@ def buchberger(gens, cfg: Config = DEFAULT):
         return True
 
     for g in gens:
-        if not update(g.monic()):
-            return [one]
+        if not update(g.divisor()):
+            return [Poly.constant(1, vars, field)]
     while pairs:
         _, i, j, _ = heappop(pairs)
-        r = reduce_full(s_poly(basis[i], basis[j]), [basis[a] for a in active])
-        if not r.is_zero() and not update(r.monic()):
-            return [one]
+        rem, _ = _reduce(_s_terms(basis[i], basis[j], p),
+                         [basis[a] for a in active], p)
+        # the heap pops the remainder grevlex-descending: its first term leads
+        if rem and not update(_normalized(rem, next(iter(rem)), p)):
+            return [Poly.constant(1, vars, field)]
     # minimize, then reduce each element against the others: leading terms
-    # stay put, so the elements stay monic and the order stays sorted
+    # stay put, so the order stays sorted
     minimal = []
-    for g in sorted((basis[i] for i in active), key=lambda g: grevlex_key(g.leading()[0])):
-        e = g.leading()[0]
-        if not any(_div_exps(e, m.leading()[0]) for m in minimal):
-            minimal.append(g)
+    for i in sorted(active, key=lambda i: grevlex_key(lead[i])):
+        if not any(_div_exps(lead[i], lead[m]) for m in minimal):
+            minimal.append(i)
     if len(minimal) == 1:
-        return minimal
-    return [reduce_full(g, minimal[:at] + minimal[at + 1:])
-            for at, g in enumerate(minimal)]
+        # basis[i] is the normalized gens[i] for i < len(gens). A lone input
+        # comes back as gens[i].monic(), the very object when it is monic
+        # already, so no copy of it and of its cached key is made
+        i = minimal[0]
+        return [gens[i].monic() if i < len(gens) else _monic(basis[i], vars, field)]
+    minimal = [basis[i] for i in minimal]
+    out = []
+    for at, h in enumerate(minimal):
+        rem, _ = _reduce(_terms_of(h), minimal[:at] + minimal[at + 1:], p)
+        out.append(_monic(_normalized(rem, h[0], p), vars, field))
+    return out
+
+
+def _terms_of(h):
+    """The int term dict of a `_normalized` form, leading term first."""
+    le, lc, tail = h
+    out = {le: lc}
+    out.update(tail)
+    return out
+
+
+def _monic(h, vars, field) -> Poly:
+    """The monic `Poly` of a `_normalized` form, which is its divisor cache."""
+    terms = _terms_of(h)
+    out = Poly(vars, field, terms if field.char else _over(terms, h[1]))
+    out._divisor = h
+    return out
 
 
 class Ideal:

@@ -4,9 +4,11 @@ Everything is driven by random.Random seeded from a string, which is stable
 across runs and platforms, so battery tests are reproducible bit for bit.
 The reference enumerators evaluate through `QuotientAlgebra.eval_poly`, one
 algebra vector per coordinate, independently of the counting kernel. The
-reference Buchberger run is the plain textbook loop on `Poly` arithmetic:
-every pair, re-sorted before each pop, with only the coprime-leading-term
-skip, independently of the Gröbner kernel in `motivic.poly`.
+reference Buchberger run is the plain textbook loop on `Poly` sums and
+monomial multiples formed term by term in the field's own arithmetic
+(Fractions over Q): every pair, re-sorted before each pop, with only the
+coprime-leading-term skip, independently of the int kernels of products,
+division and bases in `motivic.poly`.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from itertools import combinations_with_replacement, product as iproduct
 
 from motivic.config import DEFAULT
 from motivic.errors import CapExceeded
-from motivic.fields import Field
+from motivic.fields import QQ, Field
 from motivic.kring import KClass, class_of_sieve, kclass_int, lefschetz
-from motivic.poly import Poly, grevlex_key, s_poly
+from motivic.poly import Poly, grevlex_key
 from motivic.schemes import AffineScheme
 from motivic.sieves import (Closed, ConstSieve, DisjointSieve, Empty, Full,
                             Inter, InterSieve, LevelSieve, OpenLoc, PowerSieve,
@@ -213,6 +215,22 @@ def _lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def _monomial_times(shift, c, g: Poly) -> Poly:
+    """c * x^shift * g, term by term in the field's own arithmetic."""
+    field = g.field
+    return Poly(g.vars, field, {tuple(x + y for x, y in zip(e, shift)): field.mul(c, gc)
+                                for e, gc in g.terms.items()})
+
+
+def reference_s_poly(f: Poly, g: Poly) -> Poly:
+    fe, fc = f.leading()
+    ge, gc = g.leading()
+    lcm = _lcm(fe, ge)
+    field = f.field
+    return (_monomial_times(tuple(x - y for x, y in zip(lcm, fe)), field.inv(fc), f)
+            - _monomial_times(tuple(x - y for x, y in zip(lcm, ge)), field.inv(gc), g))
+
+
 def reference_reduce_full(f: Poly, basis) -> Poly:
     """Full division of f by the list `basis`, one `Poly` step at a time."""
     field = f.field
@@ -232,8 +250,7 @@ def reference_reduce_full(f: Poly, basis) -> Poly:
         else:
             ge, gc, g = hit
             shift = tuple(x - y for x, y in zip(e, ge))
-            factor = Poly.monomial(shift, field.div(c, gc), f.vars, field)
-            work = work - factor * g
+            work = work - _monomial_times(shift, field.div(c, gc), g)
     return Poly(f.vars, field, rem)
 
 
@@ -252,7 +269,7 @@ def reference_buchberger(gens):
         ge = basis[j].leading()[0]
         if _lcm(fe, ge) == tuple(x + y for x, y in zip(fe, ge)):
             continue  # coprime leads reduce to zero
-        r = reference_reduce_full(s_poly(basis[i], basis[j]), basis)
+        r = reference_reduce_full(reference_s_poly(basis[i], basis[j]), basis)
         if not r.is_zero():
             basis.append(r.monic())
             k = len(basis) - 1
@@ -280,3 +297,18 @@ def rand_ideal_gens(rng, field: Field, nvars: int):
     vars = tuple("xyzw"[:nvars])
     return [rand_poly(rng, vars, field, max_deg=2, max_terms=4)
             for _ in range(rng.randint(1, 4))]
+
+
+def rand_rational(rng) -> Fraction:
+    """A non-integral rational of either sign, with denominator 2..9."""
+    while True:
+        c = Fraction(rng.randint(1, 9), rng.randint(2, 9))
+        if c.denominator != 1:
+            return -c if rng.random() < 0.5 else c
+
+
+def rand_rational_gens(rng, nvars: int):
+    """`rand_ideal_gens` over Q with every coefficient scaled by its own
+    `rand_rational`, so generators mix denominators and leading signs."""
+    return [Poly(g.vars, g.field, {e: c * rand_rational(rng) for e, c in g.terms.items()})
+            for g in rand_ideal_gens(rng, QQ, nvars)]

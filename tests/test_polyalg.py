@@ -16,7 +16,7 @@ from motivic.errors import CapExceeded, FieldMismatch
 from motivic.fields import GF, QQ
 from motivic.poly import Ideal, Poly, buchberger, poly_str, reduce_full
 
-from battery import (rand_ideal_gens, reference_buchberger,
+from battery import (rand_ideal_gens, rand_rational_gens, reference_buchberger,
                      reference_reduce_full, rng_for)
 
 VARS = ("x", "y")
@@ -141,13 +141,18 @@ def _edge_cases():
 
 
 def _random_ideals(label, per_shape):
-    """Seeded generator lists over Q/F2/F3/F7 in 2-4 variables."""
+    """Seeded generator lists over Q/F2/F3/F7 in 2-4 variables, then lists
+    over Q whose coefficients have denominators and either sign."""
     out = []
     for field in (QQ, GF(2), GF(3), GF(7)):
         for nvars in (2, 3, 4):
             for seed in range(per_shape):
                 rng = rng_for("%s:%r:%d" % (label, field, nvars), seed)
                 out.append((field, rand_ideal_gens(rng, field, nvars)))
+    for nvars in (2, 3, 4):
+        for seed in range(per_shape):
+            rng = rng_for("%s:Q/rational:%d" % (label, nvars), seed)
+            out.append((QQ, rand_rational_gens(rng, nvars)))
     return out
 
 
@@ -166,6 +171,19 @@ def test_full_division_matches_the_reference_division():
     for _, gens in _random_ideals("division", 10):
         f = gens[0] * gens[-1] * gens[-1] + gens[0]
         assert reduce_full(f, gens) == reference_reduce_full(f, gens), gens
+
+
+def test_full_division_of_unrelated_rational_dividends():
+    # a dividend built from the divisors keeps its coefficients multiples of
+    # their leading ones; an unrelated one makes the fraction-free division
+    # scale its work and carry that multiplier into the remainder
+    for nvars in (2, 3, 4):
+        for seed in range(20):
+            rng = rng_for("scaled-division:%d" % nvars, seed)
+            gens = rand_rational_gens(rng, nvars)
+            other = rand_rational_gens(rng, nvars)
+            f = other[0] * other[-1] + gens[0]
+            assert reduce_full(f, gens) == reference_reduce_full(f, gens), gens
 
 
 def test_buchberger_matches_sympy():
