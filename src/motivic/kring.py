@@ -119,23 +119,33 @@ class Block:
         return Block, (self.key, self._repr, self.scheme, self.node)
 
 
-def _permute_poly(p: Poly, perm, new_vars, field) -> Poly:
+def _reindex(p: Poly, where, new_vars) -> Poly:
+    """p with variable i moved to position `where[i]` of `new_vars`.
+
+    Every variable that occurs in p must have a position.
+    """
+    n = len(new_vars)
     out = {}
     for e, c in p.terms.items():
-        ne = [0] * len(e)
+        ne = [0] * n
         for i, k in enumerate(e):
-            ne[perm[i]] = k
+            if k:
+                ne[where[i]] = k
         out[tuple(ne)] = c
-    return Poly(new_vars, field, out)
-
-
-def _drop_variable(p: Poly, idx: int, new_vars) -> Poly:
-    out = {}
-    for e, c in p.terms.items():
-        if e[idx]:
-            raise WorkbenchError("variable still occurs")
-        out[e[:idx] + e[idx + 1:]] = c
     return Poly(new_vars, p.field, out)
+
+
+def _reduced(vars, field, cfg, gens, opens):
+    """(reduced basis, opens in normal form that are not constants), or None
+    when the conjunction is empty: the ideal is the unit ideal, or an open
+    reduces to zero."""
+    ideal = Ideal(vars, field, gens, cfg)
+    if ideal.is_unit():
+        return None
+    opens = [ideal.normal_form(g) for g in opens]
+    if any(g.is_zero() for g in opens):
+        return None
+    return list(ideal.basis()), [g for g in opens if not g.is_constant()]
 
 
 def _eliminable(basis):
@@ -168,9 +178,11 @@ def _node_of_parts(gens, open_g, ims):
 
 
 def _block_candidates(vars_sub, field, gens, open_g, ims, cfg):
-    """The least presentation over coordinate permutations, or None when empty.
+    """The least presentation over coordinate permutations, or None when the
+    open reduces to zero.
 
-    `gens` is a reduced basis in the order of `vars_sub`.
+    `gens` is a reduced basis in the order of `vars_sub`, of an ideal that
+    is not the unit ideal, so no renaming of it is either.
     """
     n = len(vars_sub)
     identity = tuple(range(n))
@@ -179,17 +191,15 @@ def _block_candidates(vars_sub, field, gens, open_g, ims, cfg):
     best_payload = None
     zvars = tuple("z%d" % j for j in range(n))
     for perm in perm_source:
-        pgens = [_permute_poly(g, perm, zvars, field) for g in gens]
+        pgens = [_reindex(g, perm, zvars) for g in gens]
         ideal = Ideal(zvars, field, pgens, cfg)
         if perm == identity:
             # an in-order renaming keeps a reduced grevlex basis reduced
             ideal._basis = pgens
         basis = ideal.basis()
-        if ideal.is_unit():
-            return None
         popen = None
         if open_g is not None:
-            popen = ideal.normal_form(_permute_poly(open_g, perm, zvars, field))
+            popen = ideal.normal_form(_reindex(open_g, perm, zvars))
             if popen.is_zero():
                 return None
             if popen.is_constant():
@@ -199,7 +209,7 @@ def _block_candidates(vars_sub, field, gens, open_g, ims, cfg):
         pims = []
         if ims:
             mapping = {vars_sub[i]: zvars[perm[i]] for i in range(n)}
-            tgt = AffineScheme("blk", Ideal(zvars, field, pgens, cfg))
+            tgt = AffineScheme("blk", ideal)
             for cm in ims:
                 images = {mapping[v]: cm.images[v] for v in cm.target.vars}
                 pims.append(CoordMap(cm.source, tgt, images))
@@ -248,42 +258,28 @@ def canonical_conjunction(ambient: AffineScheme, literals, chain=None):
         opens = chain.order(opens)
 
     vars = ambient.vars
-    gens = list(ambient.ideal.gens) + closed
-    ideal = Ideal(vars, field, gens, cfg)
-    if ideal.is_unit():
+    reduced = _reduced(vars, field, cfg, list(ambient.ideal.gens) + closed, opens)
+    if reduced is None:
         return None
-    basis = list(ideal.basis())
-    opens = [ideal.normal_form(g) for g in opens]
-    if any(g.is_zero() for g in opens):
-        return None
-    opens = [g for g in opens if not g.is_constant()]
-
-    if not ims:
-        while True:
-            hit = _eliminable(basis)
-            if hit is None:
-                break
-            gi, vi, c = hit
-            f = basis[gi]
-            unit = {tuple(1 if j == vi else 0 for j in range(len(vars))): c}
-            r = f - Poly(vars, field, unit)
-            img = r.scale(field.neg(field.inv(c)))
-            images = {v: Poly.variable(v, vars, field) for v in vars}
-            images[vars[vi]] = img
-            new_vars = vars[:vi] + vars[vi + 1:]
-            basis = [_drop_variable(g.substitute(images), vi, new_vars)
-                     for j, g in enumerate(basis) if j != gi]
-            opens = [_drop_variable(g.substitute(images), vi, new_vars)
-                     for g in opens]
-            vars = new_vars
-            ideal = Ideal(vars, field, basis, cfg)
-            if ideal.is_unit():
-                return None
-            basis = list(ideal.basis())
-            opens = [ideal.normal_form(g) for g in opens]
-            if any(g.is_zero() for g in opens):
-                return None
-            opens = [g for g in opens if not g.is_constant()]
+    basis, opens = reduced
+    while not ims and (hit := _eliminable(basis)) is not None:
+        gi, vi, c = hit
+        f = basis[gi]
+        unit = {tuple(1 if j == vi else 0 for j in range(len(vars))): c}
+        r = f - Poly(vars, field, unit)
+        img = r.scale(field.neg(field.inv(c)))
+        images = {v: Poly.variable(v, vars, field) for v in vars}
+        images[vars[vi]] = img
+        new_vars = vars[:vi] + vars[vi + 1:]
+        where = list(range(vi)) + [None] + list(range(vi, len(new_vars)))
+        basis = [_reindex(g.substitute(images), where, new_vars)
+                 for j, g in enumerate(basis) if j != gi]
+        opens = [_reindex(g.substitute(images), where, new_vars) for g in opens]
+        vars = new_vars
+        reduced = _reduced(vars, field, cfg, basis, opens)
+        if reduced is None:
+            return None
+        basis, opens = reduced
 
     n = len(vars)
     if ims:
@@ -292,53 +288,28 @@ def canonical_conjunction(ambient: AffineScheme, literals, chain=None):
                                   _merge_opens(opens, chain), ims, cfg)
         return None if block is None else ((block,), 0)
 
-    used = set()
-    edges = []
-    for g in basis + opens:
-        sup = frozenset(g.support())
-        used |= sup
-        edges.append(sup)
-    lef = n - len(used)
-
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for sup in edges:
-        lst = sorted(sup)
-        for a, b in zip(lst, lst[1:]):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-    comps: dict = {}
-    for i in sorted(used):
-        comps.setdefault(find(i), []).append(i)
+    # variable-disjoint components: each support absorbs every one it meets
+    supports = [(g, g.support()) for g in basis + opens]
+    comps = []
+    for _, sup in supports:
+        met = [comp for comp in comps if not comp.isdisjoint(sup)]
+        comps = [comp for comp in comps if comp.isdisjoint(sup)] + [sup.union(*met)]
+    lef = n - sum(len(comp) for comp in comps)
 
     blocks = []
-    for root in comps:
-        idxs = comps[root]
+    nb = len(basis)
+    for comp in sorted(comps, key=min):
+        idxs = sorted(comp)
         sub_vars = tuple(vars[i] for i in idxs)
-        pos = {i: j for j, i in enumerate(idxs)}
-
-        def restrict(p):
-            out = {}
-            for e, c in p.terms.items():
-                ne = [0] * len(idxs)
-                for i, k in enumerate(e):
-                    if k:
-                        ne[pos[i]] = k
-                out[tuple(ne)] = c
-            return Poly(sub_vars, field, out)
-
-        bgens = [restrict(g) for g in basis if g.support() <= set(idxs)]
-        bopens = [restrict(g) for g in opens if g.support() <= set(idxs)]
-        merged = _merge_opens(bopens, chain)
-        block = _block_candidates(sub_vars, field, bgens, merged, [], cfg)
+        where = [None] * n
+        for j, i in enumerate(idxs):
+            where[i] = j
+        bgens = [_reindex(g, where, sub_vars)
+                 for g, sup in supports[:nb] if sup <= comp]
+        bopens = [_reindex(g, where, sub_vars)
+                  for g, sup in supports[nb:] if sup <= comp]
+        block = _block_candidates(sub_vars, field, bgens,
+                                  _merge_opens(bopens, chain), [], cfg)
         if block is None:
             return None
         blocks.append(block)

@@ -109,8 +109,7 @@ class Poly:
         divides many remainders.
         """
         if self._divisor is None:
-            self._divisor = _normalized(_cleared(self)[0], self.leading()[0],
-                                        self.field.char)
+            self._divisor = _int_form(self)
         return self._divisor
 
     def support(self):
@@ -351,6 +350,14 @@ def _normalized(terms, le, p):
     return le, lc // g, [(e, c // g) for e, c in terms.items() if e != le]
 
 
+def _int_form(p: Poly):
+    """The `_normalized` form of a nonzero polynomial: its divisor cache
+    when that is filled, else computed and not stored."""
+    if p._divisor is not None:
+        return p._divisor
+    return _normalized(_cleared(p)[0], p.leading()[0], p.field.char)
+
+
 def _descending(e):
     """Heap entry that pops exponents grevlex-largest first."""
     return (-sum(e), e[::-1], e)
@@ -456,13 +463,14 @@ def _coprime(a, b):
 def buchberger(gens, cfg: Config = DEFAULT):
     """Reduced basis of the ideal the generators span.
 
-    The run is on `_normalized` int forms: generators are read from their
-    `divisor` cache, S-polynomials and remainders are formed fraction-free,
-    and each remainder is normalized before it joins the basis. S-pairs
-    wait in a heap keyed by the grevlex key of the lcm of their leading
-    terms, and the least is reduced first (the normal strategy). Each
-    polynomial that joins the basis, input or nonzero remainder, goes
-    through the Gebauer-Moller update (J. Symb. Comput. 6, 1988):
+    The run is on `_normalized` int forms (`_int_form`): a generator's is
+    read from its `divisor` cache but not stored there, S-polynomials and
+    remainders are formed fraction-free, and each remainder is normalized
+    before it joins the basis. S-pairs wait in a heap keyed by the grevlex
+    key of the lcm of their leading terms, and the least is reduced first
+    (the normal strategy). Each polynomial that joins the basis, input or
+    nonzero remainder, goes through the Gebauer-Moller update (J. Symb.
+    Comput. 6, 1988):
 
     - of its new pairs, one whose lcm is a multiple of another new pair's
       lcm is not formed (one pair is kept per equal lcm), and pairs with
@@ -522,7 +530,7 @@ def buchberger(gens, cfg: Config = DEFAULT):
         return True
 
     for g in gens:
-        if not update(g.divisor()):
+        if not update(_int_form(g)):
             return [Poly.constant(1, vars, field)]
     while pairs:
         _, i, j, _ = heappop(pairs)
@@ -599,11 +607,6 @@ class Ideal:
         b = self.basis()
         return bool(b) and b[0].is_constant() and not b[0].is_zero()
 
-    def plus(self, other: "Ideal") -> "Ideal":
-        if self.vars != other.vars or self.field != other.field:
-            raise FieldMismatch("ideal sum needs a common ring")
-        return Ideal(self.vars, self.field, self.gens + other.gens, self.cfg)
-
     def leading_exponents(self):
         return [g.leading()[0] for g in self.basis()]
 
@@ -638,30 +641,19 @@ class Ideal:
         return [Poly.monomial(e, 1, self.vars, self.field) for e in out]
 
     def krull_dimension(self) -> int:
-        """Dimension of the quotient ring; -1 for the unit ideal (empty locus)."""
+        """Dimension of the quotient ring; -1 for the unit ideal (empty locus).
+
+        It is the number of variables less the fewest variables that meet
+        the support of every leading term of the reduced basis
+        (Kredel-Weispfenning, J. Symb. Comput. 6, 1988).
+        """
         if not self.gens:
             return len(self.vars)
         if self.is_unit():
             return -1
-        lts = self.leading_exponents()
-        n = len(self.vars)
-        supports = [frozenset(i for i, k in enumerate(e) if k) for e in lts]
-        best = 0
-        for mask in range(1 << n):
-            size = bin(mask).count("1")
-            if size <= best:
-                continue
-            chosen = {i for i in range(n) if mask >> i & 1}
-            if all(not s <= chosen for s in supports):
-                best = size
-        return best
-
-    def rename(self, mapping: dict) -> "Ideal":
-        new_vars = tuple(mapping.get(v, v) for v in self.vars)
-        out = Ideal(new_vars, self.field, [g.rename(mapping) for g in self.gens], self.cfg)
-        if self._basis is not None:
-            out._basis = [g.rename(mapping) for g in self._basis]
-        return out
+        supports = [frozenset(i for i, k in enumerate(e) if k)
+                    for e in self.leading_exponents()]
+        return len(self.vars) - _fewest_meeting(supports)
 
     def __eq__(self, other):
         return (isinstance(other, Ideal) and self.vars == other.vars
@@ -675,6 +667,18 @@ class Ideal:
     def __repr__(self):
         inside = ", ".join(poly_str(g) for g in self.gens) or "0"
         return "<%s | %s>" % (", ".join(self.vars), inside)
+
+
+def _fewest_meeting(sets) -> int:
+    """The size of a smallest set of elements that meets every one of `sets`.
+
+    One element of a smallest set not yet met must be taken: try each.
+    """
+    if not sets:
+        return 0
+    least = min(sets, key=len)
+    return 1 + min(_fewest_meeting([s for s in sets if i not in s])
+                   for i in least)
 
 
 def disjoint_vars(left, right):

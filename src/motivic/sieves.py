@@ -834,9 +834,6 @@ class LimitSieve:
             return arc_sieve(self.base, m)
         return self.rule(m)
 
-    def members(self, horizon: int):
-        return [(m, self.member_at(m)) for m in self.system.materialize(horizon)]
-
     def battery_validate(self, horizon: int, levels: int = 1) -> dict:
         """Finite-field checks on the family: each member sits inside the
         arcs of the base, and consecutive members are compatible with the

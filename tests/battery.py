@@ -8,7 +8,8 @@ reference Buchberger run is the plain textbook loop on `Poly` sums and
 monomial multiples formed term by term in the field's own arithmetic
 (Fractions over Q): every pair, re-sorted before each pop, with only the
 coprime-leading-term skip, independently of the int kernels of products,
-division and bases in `motivic.poly`.
+division and bases in `motivic.poly`. The reference Krull dimension tries
+every subset of the variables.
 """
 
 from __future__ import annotations
@@ -297,6 +298,40 @@ def rand_ideal_gens(rng, field: Field, nvars: int):
     vars = tuple("xyzw"[:nvars])
     return [rand_poly(rng, vars, field, max_deg=2, max_terms=4)
             for _ in range(rng.randint(1, 4))]
+
+
+def rand_monomial_gens(rng, field: Field, nvars: int):
+    """One to six monomials in x0.. x(nvars-1), each on one to three
+    variables with exponents of at most 2, with nonzero coefficients."""
+    vars = tuple("x%d" % i for i in range(nvars))
+    out = []
+    for _ in range(rng.randint(1, 6)):
+        e = [0] * nvars
+        for i in rng.sample(range(nvars), rng.randint(1, min(3, nvars))):
+            e[i] = rng.randint(1, 2)
+        out.append(Poly.monomial(e, rand_scalar(rng, field), vars, field))
+    return out
+
+
+def reference_krull_dimension(ideal) -> int:
+    """The dimension of the quotient as the largest set of variables that
+    holds the support of no leading term, found by trying every subset."""
+    if not ideal.gens:
+        return len(ideal.vars)
+    if ideal.is_unit():
+        return -1
+    n = len(ideal.vars)
+    supports = [frozenset(i for i, k in enumerate(e) if k)
+                for e in ideal.leading_exponents()]
+    best = 0
+    for mask in range(1 << n):
+        size = bin(mask).count("1")
+        if size <= best:
+            continue
+        chosen = {i for i in range(n) if mask >> i & 1}
+        if all(not s <= chosen for s in supports):
+            best = size
+    return best
 
 
 def rand_rational(rng) -> Fraction:

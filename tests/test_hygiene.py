@@ -1,16 +1,26 @@
-"""Source hygiene: every imported name in the package and the tests is used.
+"""Source hygiene, read from the syntax tree only (stdlib `ast`).
 
-The check reads the syntax tree only (stdlib `ast`): a name bound by an
-import must occur somewhere in the same file as a plain name, attribute
-bases included (`pytest` in `pytest.raises`). Names that appear only inside
-strings do not count.
+- Every imported name in the package and the tests is used: a name bound
+  by an import must occur somewhere in the same file as a plain name,
+  attribute bases included (`pytest` in `pytest.raises`).
+- Every function and method the package defines is referred to somewhere
+  in the package, the tests or the benchmark: a function as a plain name
+  or an attribute, a method as an attribute. Dunders are exempt, and so
+  are the `Session.eval_*` handlers, which `Session.evaluate` reaches
+  through `getattr`. The check goes by name alone, so a method that shares
+  its name with a used one passes.
+
+Names that appear only inside strings do not count.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(ROOT.glob("src/motivic/*.py")) + sorted(ROOT.glob("tests/*.py"))
+PACKAGE = sorted(ROOT.glob("src/motivic/*.py"))
+FILES = PACKAGE + sorted(ROOT.glob("tests/*.py"))
+READERS = FILES + sorted(ROOT.glob("perfbench/*.py"))
+REACHED_BY_NAME = ("cli.Session.eval_",)
 
 
 def unused_imports(source: str):
@@ -24,6 +34,40 @@ def unused_imports(source: str):
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(imported - used)
+
+
+def unreferenced_definitions(package: dict, readers):
+    """Functions and methods of `package` ({module: source}) that no source
+    in `readers` refers to, as "module.function" or "module.Class.method",
+    sorted."""
+    names, attrs = set(), set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    out = []
+    for module, source in package.items():
+        tree = ast.parse(source)
+        methods = {}
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                methods.update((id(d), cls.name) for d in cls.body
+                               if isinstance(d, functions))
+        for d in ast.walk(tree):
+            if not isinstance(d, functions) or d.name.startswith("__"):
+                continue
+            if id(d) in methods:
+                qual = "%s.%s.%s" % (module, methods[id(d)], d.name)
+                used = d.name in attrs
+            else:
+                qual = "%s.%s" % (module, d.name)
+                used = d.name in names or d.name in attrs
+            if not used and not qual.startswith(REACHED_BY_NAME):
+                out.append(qual)
+    return sorted(out)
 
 
 def test_the_check_finds_an_unused_import():
@@ -42,3 +86,26 @@ def test_every_imported_name_is_used():
         if names:
             unused[path.relative_to(ROOT).as_posix()] = names
     assert unused == {}
+
+
+def test_the_check_finds_an_unreferenced_definition():
+    package = {
+        "m": ("def used():\n    def inner():\n        pass\n    return inner\n"
+              "def unused():\n    pass\n"
+              "class C:\n    def __init__(self):\n        self.f()\n"
+              "    def f(self):\n        pass\n"
+              "    def called_by_name(self):\n        pass\n"
+              "    def idle(self):\n        pass\n"),
+        "cli": ("class Session:\n    def eval_x(self):\n        pass\n"
+                "    def eval(self):\n        pass\n"),
+    }
+    reader = "from m import used\nused()\ncalled_by_name()\n"
+    assert unreferenced_definitions(package, list(package.values()) + [reader]) \
+        == ["cli.Session.eval", "m.C.called_by_name", "m.C.idle", "m.unused"]
+
+
+def test_every_definition_is_referenced():
+    assert PACKAGE
+    package = {path.stem: path.read_text() for path in PACKAGE}
+    readers = [path.read_text() for path in READERS]
+    assert unreferenced_definitions(package, readers) == []

@@ -17,12 +17,12 @@ from motivic.kring import (MEMO_BOUND, KClass, canonical_conjunction,
                            kclass_int, kclass_one, kclass_zero, lefschetz,
                            level_class, lift_const, pushforward,
                            twist_by_rule)
-from motivic.poly import Ideal, Poly
+from motivic.poly import Ideal, Poly, buchberger
 from motivic.schemes import AffineScheme, CoordMap, affine_space
 from motivic.sieves import (Closed, ConstSieve, DisjointSieve, Inter,
                             InterSieve, OpenLoc, Sieve, UnionSieve,
-                            closed_sieve, full_sieve, lift_sieve, open_sieve,
-                            sieve_inter, sieve_union)
+                            closed_sieve, full_sieve, image_sieve, lift_sieve,
+                            open_sieve, sieve_inter, sieve_union)
 
 from battery import rand_class, rand_sieve, rng_for
 
@@ -89,12 +89,14 @@ class TestPlainClasses:
         assert za == zb
 
 
-def in_order(field, names, gens, opens=(), unions=()):
+def in_order(field, names, gens, opens=(), unions=(), images=None):
     """A sieve in Spec field[names]/(gens) cut by principal opens.
 
     Each polynomial is a function of a name -> variable dict, so the same
     presentation can be written in any variable order. `opens` are
-    intersected; `unions` are opens joined to the result with `|`.
+    intersected; `unions` are opens joined to the result with `|`. With
+    `images`, a name -> function of the (u, v) dict of the plane, the image
+    of that map from the plane is intersected last.
     """
     v = {n: Poly.variable(n, names, field) for n in names}
     x = AffineScheme("X", Ideal(names, field, [g(v) for g in gens]))
@@ -103,8 +105,18 @@ def in_order(field, names, gens, opens=(), unions=()):
         s = sieve_inter(s, open_sieve(x, g(v)))
     for g in unions:
         s = sieve_union(s, open_sieve(x, g(v)))
+    if images:
+        plane = affine_space(field, ("u", "v"), "A2")
+        w = {n: Poly.variable(n, plane.vars, field) for n in plane.vars}
+        f = CoordMap(plane, x, {n: g(w) for n, g in images.items()})
+        s = sieve_inter(s, image_sieve(f))
     return s
 
+
+# (u, v) -> (u^2, v^2, uv) maps the plane onto the cone xy = z^2
+CONE = [lambda v: v["x"] * v["y"] - v["z"] ** 2]
+SQUARES = {"x": lambda w: w["u"] ** 2, "y": lambda w: w["v"] ** 2,
+           "z": lambda w: w["u"] * w["v"]}
 
 RENAMED = {
     "cusp-inverted": (QQ, ("x", "y", "z"),
@@ -116,9 +128,12 @@ RENAMED = {
     "cone": (QQ, ("a", "b", "c", "d"),
              [lambda v: v["a"] * v["b"] - v["c"] * v["d"]],
              [lambda v: v["a"] - v["d"]], []),
-    "union": (F3, ("x", "y", "z"), [lambda v: v["x"] * v["y"] - v["z"] ** 2],
-              [lambda v: v["x"] + v["z"]],
+    "union": (F3, ("x", "y", "z"), CONE, [lambda v: v["x"] + v["z"]],
               [lambda v: v["y"] - v["z"] + 1, lambda v: v["x"] - v["y"]]),
+    "image-F3": (F3, ("x", "y", "z"), CONE, [lambda v: v["x"] + v["z"]], [],
+                 SQUARES),
+    "image-Q": (QQ, ("x", "y", "z"), CONE, [lambda v: v["x"] + v["z"]], [],
+                SQUARES),
 }
 
 
@@ -126,11 +141,28 @@ RENAMED = {
 def test_renaming_coordinates_keeps_the_class(name):
     """The canonical block is least over coordinate permutations, so the
     order in which a presentation lists its variables cannot matter."""
-    field, names, gens, opens, unions = RENAMED[name]
-    want = class_of_sieve(in_order(field, names, gens, opens, unions))
+    field, names, *parts = RENAMED[name]
+    want = class_of_sieve(in_order(field, names, *parts))
     for order in permutations(names):
-        got = class_of_sieve(in_order(field, order, gens, opens, unions))
+        got = class_of_sieve(in_order(field, order, *parts))
         assert got == want and class_str(got) == class_str(want), order
+
+
+def test_an_image_block_runs_buchberger_once_per_permutation(monkeypatch):
+    # the reduced basis of the conjunction, then one run for each of the
+    # five permutations of (x, y, z) other than the identity. Expanding the
+    # node hashes the map, which reduces its own presentations first
+    s = in_order(F3, ("x", "y", "z"), CONE, images=SQUARES)
+    expand_node(s.node)
+    calls = []
+
+    def counted(gens, cfg):
+        calls.append(1)
+        return buchberger(gens, cfg)
+
+    monkeypatch.setattr("motivic.poly.buchberger", counted)
+    assert class_str(class_of_sieve(s)) == "[(V(z0*z1 + 2*z2^2) & im(A2))]"
+    assert len(calls) <= 6
 
 
 class TestPickling:

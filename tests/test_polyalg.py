@@ -16,7 +16,8 @@ from motivic.errors import CapExceeded, FieldMismatch
 from motivic.fields import GF, QQ
 from motivic.poly import Ideal, Poly, buchberger, poly_str, reduce_full
 
-from battery import (rand_ideal_gens, rand_rational_gens, reference_buchberger,
+from battery import (rand_ideal_gens, rand_monomial_gens, rand_rational_gens,
+                     reference_buchberger, reference_krull_dimension,
                      reference_reduce_full, rng_for)
 
 VARS = ("x", "y")
@@ -90,6 +91,15 @@ def test_krull_dimension_oracles():
     assert Ideal(VARS, QQ, [X]).krull_dimension() == 1
     assert Ideal(VARS, QQ, [X, Y]).krull_dimension() == 0
     assert Ideal(VARS, QQ, [ONE]).krull_dimension() == -1
+
+
+@pytest.mark.parametrize("field", [GF(2), QQ], ids=["F2", "Q"])
+def test_krull_dimension_matches_the_subset_sweep(field):
+    for seed in range(150):
+        nvars = 1 + seed % 10
+        gens = rand_monomial_gens(rng_for("krull", seed), field, nvars)
+        ideal = Ideal(gens[0].vars, field, gens)
+        assert ideal.krull_dimension() == reference_krull_dimension(ideal), seed
 
 
 def test_finite_field_arithmetic_wraps():
