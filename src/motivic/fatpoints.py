@@ -30,8 +30,9 @@ class QuotientAlgebra:
         self.dim = len(basis)
         self._table = {}
         # derived data that depends on this algebra only, keyed by a tagged
-        # input: ("rows", poly) for coefficient rows, ("image", map) for the
-        # image sets of sieve leaves
+        # input: ("rows", poly) for coefficient rows, ("image", map, cap) for
+        # the image sets of sieve leaves, ("count", block, cap) for the point
+        # counts of canonical blocks
         self.memo = {}
 
     @property

@@ -548,17 +548,28 @@ def _terms_str(z) -> str:
 
 
 def counting_hom(z: KClass, m: FatPoint) -> Fraction:
-    """Point count of a class at a finite fat point; L goes to q**length."""
+    """Point count of a class at a finite fat point; L goes to q**length.
+
+    Each block is counted once per fat point: its count is kept in m's
+    algebra memo under the block and the candidate cap it was counted
+    under, so a tighter cap counts again (and raises) rather than reading
+    a count the cap would refuse.
+    """
     field = z.field
     if not field.finite:
         raise EnumerationUnavailable("counting needs a finite base field")
     q = field.order
     ell = m.length
+    memo = m.algebra.memo
     total = Fraction(0)
     for (blocks, lef), c in z.terms.items():
         val = Fraction(q) ** (ell * lef)
         for block in blocks:
-            val *= Sieve(block.scheme, block.node).count(m)
+            key = ("count", block, block.scheme.ideal.cfg.max_candidates)
+            got = memo.get(key)
+            if got is None:
+                got = memo[key] = Sieve(block.scheme, block.node).count(m)
+            val *= got
         total += c * val
     return total
 

@@ -2,8 +2,14 @@
 
 The arc construction is a Weil restriction: coordinates are expanded over the
 standard-monomial basis of the fat point, and one equation is read off per
-(generator, basis monomial) pair. Point enumeration searches the same
-coefficients one base-field coordinate at a time.
+(generator, basis monomial) pair. `search` is the one point search over a
+finite field: it sets the same coefficients one base-field coordinate at a
+time, and lists or counts the points that meet the generators and an
+optional condition, which is how sieves are listed and counted (the
+condition is a sieve's leaves, compiled by `sieves.node_condition`). The
+search lives here, beside the coefficient rows it reads, and takes the
+condition as plain rows and predicates, so this module needs nothing from
+`sieves`.
 """
 
 from __future__ import annotations
@@ -119,11 +125,76 @@ def identity_map(x: AffineScheme) -> CoordMap:
     return CoordMap(x, x, {v: Poly.variable(v, x.vars, x.field) for v in x.vars})
 
 
-# -- point enumeration --------------------------------------------------------
+# -- the point search ---------------------------------------------------------
 
 
-def points(x: AffineScheme, m: FatPoint):
-    """All algebra maps from x's coordinate ring into O_m, as image tuples.
+def _join(tag, conds):
+    """An "and" or "or" of compiled conditions, with decided ones folded in
+    and nested ones of the same tag flattened."""
+    absorb = tag == "or"    # True decides an "or", False an "and"
+    neutral = not absorb
+    kept = []
+    for c in conds:
+        if c is absorb:
+            return absorb
+        if c is not neutral:
+            kept.extend(c[1] if c[0] == tag else (c,))
+    if not kept:
+        return neutral
+    return kept[0] if len(kept) == 1 else (tag, tuple(kept))
+
+
+def _compiled(cond, p: int):
+    """A condition with each row as ("row", position, row, unit), where
+    position is the coordinate that completes the row; constant rows are
+    decided here, image tests never."""
+    if cond is True or cond is False or cond[0] == "image":
+        return cond
+    tag, body = cond
+    if tag in ("zero", "unit"):
+        unit = tag == "unit"
+        last = max((mono[-1][0] if mono else -1 for _, mono in body), default=-1)
+        if last < 0:
+            return bool(row_value(body, ()) % p) == unit
+        return ("row", last, body, unit)
+    return _join(tag, [_compiled(c, p) for c in body])
+
+
+def _decide(cond, s: int, vals, p: int):
+    """cond with the rows that coordinate s completes read at `vals`."""
+    tag = cond[0]
+    if tag == "row":
+        if cond[1] != s:
+            return cond
+        return bool(row_value(cond[2], vals) % p) == cond[3]
+    if tag == "image":
+        return cond
+    return _join(tag, [_decide(c, s, vals, p) for c in cond[1]])
+
+
+def _positions(cond, out):
+    """Mark in `out` every coordinate that completes a row of cond."""
+    if cond is True or cond[0] == "image":
+        return
+    if cond[0] == "row":
+        out[cond[1]] = True
+        return
+    for c in cond[1]:
+        _positions(c, out)
+
+
+def _settled(cond, point) -> bool:
+    """An undecided condition at a whole point: only image tests are left,
+    read left to right and only as far as the answer needs."""
+    if cond[0] == "image":
+        return cond[1](point)
+    if cond[0] == "and":
+        return all(_settled(c, point) for c in cond[1])
+    return any(_settled(c, point) for c in cond[1])
+
+
+def search(x: AffineScheme, m: FatPoint, condition=None, count: bool = False):
+    """The one point search: the points of x at m that meet a condition.
 
     A point is a tuple of base-field coordinates, the coefficients of each
     variable's image over m's standard basis (the restriction adjunction).
@@ -132,60 +203,106 @@ def points(x: AffineScheme, m: FatPoint):
     sets the n*len coordinates one at a time in basis order x_0, y_0, x_1,
     y_1, ..., and tests each row, mod p, as soon as its last coordinate is
     set, so a partial jet is dropped at the first equation it breaks.
+
+    `condition`, when given, is called once the search is known to run
+    (finite field, same field, candidates within x's cap) and returns a
+    condition: True, False, ("zero", row) or ("unit", row) for a row that
+    vanishes or does not, ("image", test) for a predicate on the whole
+    point, or ("and", conditions) / ("or", conditions). The rows of its
+    top-level conjunction join the generators' rows; every other part is
+    read three-valued on the partial assignment, as each row is completed.
+    A branch decided false is dropped; once the condition holds and no row
+    is left, the remaining coordinates are free. Image tests are read only
+    at a whole point that the rows leave undecided.
+
     Returns the points sorted, each a tuple of coefficient vectors, one per
-    variable. Finite fields only; the candidate cap is x's own.
+    variable, or with count=True their number, without building them.
     """
     if not x.field.finite:
         raise EnumerationUnavailable("point enumeration needs a finite field")
     if x.field != m.field:
         raise FieldMismatch("scheme and fat point over different fields")
     alg = m.algebra
-    n, length = len(x.vars), m.length
-    size = n * length
-    total = (x.field.order ** size) if n else 1
+    n = len(x.vars)
+    size = n * m.length
+    total = x.field.order ** size
     cap = x.ideal.cfg.max_candidates
     if total > cap:
         raise CapExceeded("enumeration of %d candidates exceeds cap %d"
                           % (total, cap))
     p = x.field.char
-    due = [[] for _ in range(size)]      # rows by the position that completes them
-    for g in x.ideal.gens:
-        for row in alg.coefficient_rows(g):
-            if not row:
-                continue
-            last = max(mono[-1][0] if mono else -1 for _, mono in row)
-            if last < 0:                 # a nonzero constant vetoes everything
-                return []
-            due[last].append(row)
-    # coordinates past the last one that completes a row are unconstrained
+    eqs = tuple(("zero", row) for g in x.ideal.gens
+                for row in alg.coefficient_rows(g))
+    extra = True if condition is None else condition()
+    cond = _compiled(("and", eqs + (extra,)), p)
+    if cond is False:                    # a nonzero constant vetoes everything
+        return 0 if count else []
+    due = [[] for _ in range(size)]      # rows by the coordinate that completes them
+    seen = set()
+    rest = []
+    for c in (cond[1] if cond is not True and cond[0] == "and" else (cond,)):
+        if c is not True and c[0] == "row" and not c[3]:
+            if c[2] not in seen:
+                seen.add(c[2])
+                due[c[1]].append(c[2])
+        else:
+            rest.append(c)
+    cond = _join("and", rest)
+    pending = [False] * size
+    _positions(cond, pending)
+    # past the last row of the top-level conjunction, a decided branch is free
     free = max((s for s in range(size) if due[s]), default=-1) + 1
     vals = [0] * size
     found = []
+    tally = 0
 
-    def assign(s):
-        if s == free:
-            head = vals[:free]
-            for tail in iproduct(range(p), repeat=size - free):
-                found.append(point_of(head + list(tail), n))
+    def assign(s, cond):
+        nonlocal tally
+        if cond is True and s >= free:
+            if count:
+                tally += p ** (size - s)
+            else:
+                head = vals[:s]
+                for tail in iproduct(range(p), repeat=size - s):
+                    found.append(point_of(head + list(tail), n))
+            return
+        if s == size:
+            if _settled(cond, point_of(vals, n)):
+                if count:
+                    tally += 1
+                else:
+                    found.append(point_of(vals, n))
             return
         rows = due[s]
+        check = pending[s] and cond is not True
         for v in range(p):
             vals[s] = v
             for row in rows:
                 if row_value(row, vals) % p:
                     break
             else:
-                assign(s + 1)
+                now = _decide(cond, s, vals, p) if check else cond
+                if now is not False:
+                    assign(s + 1, now)
 
-    assign(0)
+    assign(0, cond)
+    if count:
+        return tally
     found.sort()
     return found
+
+
+def points(x: AffineScheme, m: FatPoint):
+    """All algebra maps from x's coordinate ring into O_m, as image tuples,
+    sorted (`search` in list mode). Finite fields only; the candidate cap is
+    x's own."""
+    return search(x, m)
 
 
 def count_points(x: AffineScheme, m: FatPoint) -> int:
     if not x.ideal.gens:
         return x.field.order ** (len(x.vars) * m.length)
-    return len(points(x, m))
+    return search(x, m, count=True)
 
 
 def validate_point(x: AffineScheme, m: FatPoint, point) -> bool:

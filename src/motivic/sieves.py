@@ -4,6 +4,11 @@ A plain sieve is an ambient scheme plus an expression tree whose leaves are
 closed conditions (equations vanish), principal opens (the function is a unit
 of the local target algebra), images of morphisms (membership by preimage
 enumeration, finite fields only), or the trivial full/empty conditions.
+A sieve is listed and counted inside the point search of its ambient
+(`schemes.search`): `node_condition` turns the tree into the search's
+condition, so a branch is dropped or its free coordinates counted as soon as
+the coordinates set so far decide it, and a count builds no point.
+`node_member` tests one point already in hand.
 
 Simplicial sieves layer a level structure on top, one class per shape:
 constant levels, cartesian powers with coordinate deletion/duplication
@@ -24,7 +29,8 @@ from .fatpoints import (FatPoint, SimplicialFatPoint, base_point,
                         flat_coordinates, row_value)
 from .poly import Ideal, Poly, poly_str
 from .schemes import (AffineScheme, CoordMap, arc_coefficients, arc_of_map,
-                      points, product_scheme, truncation_map, weil_restrict)
+                      points, product_scheme, search, truncation_map,
+                      weil_restrict)
 
 # ---------------------------------------------------------------------------
 # expression nodes
@@ -86,9 +92,10 @@ def node_str(node) -> str:
 
 
 def _image_points(cmap: CoordMap, m: FatPoint):
-    """The image of cmap's points at m, cached on m's algebra."""
+    """The image of cmap's points at m, cached on m's algebra under the
+    source's candidate cap, so a tighter cap enumerates again (and raises)."""
     memo = m.algebra.memo
-    key = ("image", cmap)
+    key = ("image", cmap, cmap.source.ideal.cfg.max_candidates)
     got = memo.get(key)
     if got is None:
         alg = m.algebra
@@ -98,13 +105,47 @@ def _image_points(cmap: CoordMap, m: FatPoint):
     return got
 
 
-def node_member(node, m: FatPoint, point) -> bool:
-    """Does the point satisfy the condition tree?
+def node_condition(node, m: FatPoint):
+    """The condition tree as a condition of `schemes.search` at m.
 
-    Closed and open leaves are read through the coefficient rows of m's
-    algebra, on the point flattened into the coordinates that `points`
-    searches: V(g) holds when every row of g vanishes, D(g) when the row of
-    the basis monomial 1 does not.
+    V(g) is the conjunction of g's coefficient rows vanishing; D(g) is its
+    residue row (the basis monomial 1) not vanishing, which the search
+    decides once the residue coordinates are set; im(f) is membership in
+    f's image at m, looked up only when the search reaches a whole point
+    the other leaves leave undecided.
+    """
+    alg = m.algebra
+
+    def walk(nd):
+        if isinstance(nd, Full):
+            return True
+        if isinstance(nd, Empty):
+            return False
+        if isinstance(nd, Closed):
+            return ("and", tuple(("zero", row) for g in nd.gens
+                                 for row in alg.coefficient_rows(g)))
+        if isinstance(nd, OpenLoc):
+            return ("unit", alg.residue(alg.coefficient_rows(nd.g)))
+        if isinstance(nd, Im):
+            return ("image", lambda point, cmap=nd.cmap: point in _image_points(cmap, m))
+        if isinstance(nd, Union):
+            return ("or", (walk(nd.left), walk(nd.right)))
+        if isinstance(nd, Inter):
+            return ("and", (walk(nd.left), walk(nd.right)))
+        raise WorkbenchError("unknown node %r" % (nd,))
+
+    return walk(node)
+
+
+def node_member(node, m: FatPoint, point) -> bool:
+    """Does one given point satisfy the condition tree?
+
+    This tests a point already in hand, as faces, degeneracies and pulled
+    points are; listing and counting never come here, they read the tree
+    through `node_condition` inside `schemes.search`. The leaves mean what
+    `node_condition` says, read here directly on the point flattened into
+    the coordinates that the search sets: V(g) holds when every row of g
+    vanishes, D(g) when the row of the basis monomial 1 does not.
     """
     alg = m.algebra
     p = alg.field.char
@@ -185,10 +226,11 @@ class Sieve:
         return node_member(self.node, m, point)
 
     def points(self, m: FatPoint):
-        return tuple(p for p in points(self.ambient, m) if self.member(m, p))
+        return tuple(search(self.ambient, m, lambda: node_condition(self.node, m)))
 
     def count(self, m: FatPoint) -> int:
-        return len(self.points(m))
+        return search(self.ambient, m, lambda: node_condition(self.node, m),
+                      count=True)
 
     def pullback(self, f: CoordMap) -> "Sieve":
         if f.target.presentation_key() != self.ambient.presentation_key():
@@ -416,6 +458,9 @@ class ConstSieve(SimplicialSieve):
     def level_points(self, m, n):
         return self.plain().points(m)
 
+    def count(self, m, n) -> int:
+        return self.plain().count(m)
+
     def member(self, m, n, point):
         return node_member(self.node, m, point)
 
@@ -607,8 +652,10 @@ class LevelSieve(SimplicialSieve):
         return self.levels[n]
 
     def level_points(self, m, n):
-        return tuple(p for p in points(self.level_scheme(n), m)
-                     if self.member(m, n, p))
+        return Sieve(self.level_scheme(n), self.nodes[n]).points(m)
+
+    def count(self, m, n) -> int:
+        return Sieve(self.level_scheme(n), self.nodes[n]).count(m)
 
     def member(self, m, n, point):
         if n > self.truncation:

@@ -3,32 +3,35 @@
 Everything is driven by random.Random seeded from a string, which is stable
 across runs and platforms, so battery tests are reproducible bit for bit.
 The reference enumerators evaluate through `QuotientAlgebra.eval_poly`, one
-algebra vector per coordinate, independently of the counting kernel. The
-reference Buchberger run is the plain textbook loop on `Poly` sums and
-monomial multiples formed term by term in the field's own arithmetic
-(Fractions over Q): every pair, re-sorted before each pop, with only the
-coprime-leading-term skip, independently of the int kernels of products,
-division and bases in `motivic.poly`. The reference Krull dimension tries
-every subset of the variables.
+algebra vector per coordinate, independently of the point search; an image
+leaf holds at the points that the source's reference points reach through
+`eval_poly` of the map. The reference Buchberger run is the plain textbook
+loop on `Poly` sums and monomial multiples formed term by term in the field's
+own arithmetic (Fractions over Q): every pair, re-sorted before each pop, with
+only the coprime-leading-term skip, independently of the int kernels of
+products, division and bases in `motivic.poly`. The reference Krull dimension
+tries every subset of the variables.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, product as iproduct
 
 from motivic.config import DEFAULT
 from motivic.errors import CapExceeded
+from motivic.fatpoints import base_point, make_fat_point
 from motivic.fields import QQ, Field
 from motivic.kring import KClass, class_of_sieve, kclass_int, lefschetz
 from motivic.poly import Poly, grevlex_key
-from motivic.schemes import AffineScheme
-from motivic.sieves import (Closed, ConstSieve, DisjointSieve, Empty, Full,
+from motivic.schemes import AffineScheme, CoordMap
+from motivic.sieves import (Closed, ConstSieve, DisjointSieve, Empty, Full, Im,
                             Inter, InterSieve, LevelSieve, OpenLoc, PowerSieve,
                             ProductSieve, Sieve, Union, UnionSieve, closed_sieve,
-                            empty_sieve, full_sieve, open_sieve, sieve_inter,
-                            sieve_union)
+                            empty_sieve, full_sieve, image_sieve, open_sieve,
+                            sieve_inter, sieve_union)
 
 
 def rng_for(label: str, seed: int = 0) -> random.Random:
@@ -62,9 +65,19 @@ def rand_poly(rng, vars, field: Field, max_deg: int = 2,
     return Poly(tuple(vars), field, terms)
 
 
-def rand_sieve(rng, scheme: AffineScheme, depth: int = 2) -> Sieve:
-    """A random union/intersection tree of V, D, full, empty leaves."""
+def rand_map(rng, source: AffineScheme, target: AffineScheme) -> CoordMap:
+    """A morphism whose coordinate images are small random polynomials."""
+    return CoordMap(source, target, {
+        v: rand_poly(rng, source.vars, source.field, max_deg=2, max_terms=2)
+        for v in target.vars})
+
+
+def rand_sieve(rng, scheme: AffineScheme, depth: int = 2, maps=()) -> Sieve:
+    """A random union/intersection tree of V, D, full, empty leaves, and
+    images of the given maps into the scheme when there are any."""
     if depth <= 0 or rng.random() < 0.4:
+        if maps and rng.random() < 0.2:
+            return image_sieve(maps[rng.randrange(len(maps))])
         roll = rng.random()
         if roll < 0.45:
             gens = [rand_poly(rng, scheme.vars, scheme.field, max_deg=2,
@@ -78,8 +91,8 @@ def rand_sieve(rng, scheme: AffineScheme, depth: int = 2) -> Sieve:
         if roll < 0.95:
             return full_sieve(scheme)
         return empty_sieve(scheme)
-    left = rand_sieve(rng, scheme, depth - 1)
-    right = rand_sieve(rng, scheme, depth - 1)
+    left = rand_sieve(rng, scheme, depth - 1, maps)
+    right = rand_sieve(rng, scheme, depth - 1, maps)
     op = sieve_union if rng.random() < 0.5 else sieve_inter
     return op(left, right)
 
@@ -102,6 +115,23 @@ def rand_class(rng, field: Field, schemes) -> KClass:
         else:
             out = out - term
     return out
+
+
+def jet_point(field: Field, k: int):
+    t = Poly.variable("t", ("t",), field)
+    return make_fat_point(("t",), field, [t ** k], "t%d" % k)
+
+
+def kernel_points(field: Field):
+    """Fat points for the differential tests of the point search: jets of
+    length 1 to 4, and two points in two variables, monomial and not."""
+    vs = ("x", "y")
+    x = Poly.variable("x", vs, field)
+    y = Poly.variable("y", vs, field)
+    return [base_point(field), jet_point(field, 2), jet_point(field, 3),
+            jet_point(field, 4),
+            make_fat_point(vs, field, [x * x, y * y], "sq"),
+            make_fat_point(vs, field, [x * x - y ** 3, x * y], "cusp")]
 
 
 # -- reference enumerators ---------------------------------------------------
@@ -146,8 +176,22 @@ def reference_points(x: AffineScheme, m, cfg=DEFAULT):
     return out
 
 
+@lru_cache(maxsize=256)
+def reference_image(cmap, m, cfg=DEFAULT):
+    """The image of cmap at m: each reference point of the source, pushed
+    through the map's coordinate images by `eval_poly`. Kept per map and
+    point, since membership asks for it once per candidate."""
+    alg = m.algebra
+    out = set()
+    for q in reference_points(cmap.source, m, cfg):
+        src = dict(zip(cmap.source.vars, q))
+        out.add(tuple(alg.eval_poly(cmap.images[v], src)
+                      for v in cmap.target.vars))
+    return frozenset(out)
+
+
 def reference_member(node, ambient: AffineScheme, m, point) -> bool:
-    """Membership in a tree of full/empty/V/D leaves through `eval_poly`."""
+    """Membership in a tree of full/empty/V/D/im leaves through `eval_poly`."""
     alg = m.algebra
     images = dict(zip(ambient.vars, point))
     if isinstance(node, Full):
@@ -158,6 +202,8 @@ def reference_member(node, ambient: AffineScheme, m, point) -> bool:
         return all(alg.is_zero_vec(alg.eval_poly(g, images)) for g in node.gens)
     if isinstance(node, OpenLoc):
         return alg.is_unit(alg.eval_poly(node.g, images))
+    if isinstance(node, Im):
+        return tuple(point) in reference_image(node.cmap, m)
     if isinstance(node, Union):
         return (reference_member(node.left, ambient, m, point)
                 or reference_member(node.right, ambient, m, point))

@@ -345,6 +345,49 @@ class TestCounting:
             assert a * kclass_one(F3) == a
 
 
+class TestBlockCountMemo:
+    """counting_hom keeps each block's count in the fat point's memo."""
+
+    @staticmethod
+    def block_counts(m):
+        return [key for key in m.algebra.memo if key[0] == "count"]
+
+    def test_a_tighter_cap_raises_as_an_uncached_count_does(self):
+        def hyperbola(cfg):
+            h = AffineScheme("H", Ideal(("x", "y"), F3, [], cfg))
+            x, y = (Poly.variable(v, h.vars, F3) for v in h.vars)
+            return class_of_sieve(closed_sieve(h, [x * y - 1]))
+
+        loose = hyperbola(Config())
+        tight = hyperbola(Config(max_candidates=80))
+        assert loose == tight
+        m = fat2(F3)
+        assert counting_hom(loose, m) == 6
+        assert len(self.block_counts(m)) == 1
+        # 3^4 candidates at k[t]/(t^2): the memo holds the count, but not
+        # under this cap, so the count is made again and refused
+        with pytest.raises(CapExceeded) as cached:
+            counting_hom(tight, m)
+        with pytest.raises(CapExceeded) as fresh:
+            counting_hom(tight, fat2(F3))
+        assert str(cached.value) == str(fresh.value)
+        assert str(cached.value) == "enumeration of 81 candidates exceeds cap 80"
+        assert counting_hom(loose, m) == 6
+
+    @pytest.mark.parametrize("name", ["union", "image-F3"])
+    def test_renamed_presentations_share_their_block_counts(self, name):
+        field, names, *parts = RENAMED[name]
+        m = fat2(field)
+        want = in_order(field, names, *parts).count(m)
+        blocks = None
+        for order in permutations(names):
+            z = class_of_sieve(in_order(field, order, *parts))
+            blocks = blocks or {b for (bs, _) in z.terms for b in bs}
+            assert counting_hom(z, m) == want, order
+            assert counting_hom(z, fat2(field)) == want, order
+        assert len(self.block_counts(m)) == len(blocks)
+
+
 class TestSimplicialClasses:
     def setup_method(self):
         self.B = affine_space(F2, ("x",), "B")

@@ -1,0 +1,89 @@
+"""Laws of the class ring as `hypothesis` properties, over F2 and F3.
+
+A class is a small integer combination of Lefschetz twists of sieve
+classes, on the line and on the plane, so products meet blocks from both
+ambients. Sums and products must commute, associate and distribute, and
+the counting homomorphism must be additive and multiplicative at the
+ground point and at the dual numbers k[t]/(t^2). The fat points are made
+once per field, so later examples count through the block-count memo that
+earlier ones filled.
+"""
+
+import pytest
+
+from battery import jet_point
+from motivic.fatpoints import base_point
+from motivic.fields import GF
+from motivic.kring import class_of_sieve, counting_hom, kclass_int, lefschetz
+from motivic.poly import Poly
+from motivic.schemes import affine_space
+from motivic.sieves import Closed, Empty, Full, Inter, OpenLoc, Sieve, Union
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+SETTINGS = hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+FIELDS = [GF(2), GF(3)]
+POINTS = {field: (base_point(field), jet_point(field, 2)) for field in FIELDS}
+
+
+def sieves(field):
+    """A sieve on the line or the plane: a tree of at most four leaves."""
+    def on(ambient):
+        n = len(ambient.vars)
+        polys = st.dictionaries(
+            st.tuples(*(st.integers(0, 2) for _ in range(n))),
+            st.integers(1, field.char - 1), min_size=1, max_size=3,
+        ).map(lambda terms: Poly(ambient.vars, field, terms))
+        leaves = (polys.map(lambda g: Closed((g,))) | polys.map(OpenLoc)
+                  | st.just(Full()) | st.just(Empty()))
+        trees = st.recursive(
+            leaves, lambda kids: st.builds(Union, kids, kids) | st.builds(Inter, kids, kids),
+            max_leaves=4)
+        return trees.map(lambda node: Sieve(ambient, node))
+
+    return (on(affine_space(field, ("u",), "A1"))
+            | on(affine_space(field, ("x", "y"), "A2")))
+
+
+def classes(field):
+    """Sums of one or two terms c * L^e * [sieve], c nonzero."""
+    terms = st.tuples(st.sampled_from([1, -1, 2, -2]), st.integers(-1, 1),
+                      sieves(field)).map(
+        lambda t: class_of_sieve(t[2]).twist(t[1]) * kclass_int(field, t[0]))
+    return st.lists(terms, min_size=1, max_size=2).map(
+        lambda ts: sum(ts, kclass_int(field, 0)))
+
+
+def triples():
+    return st.sampled_from(FIELDS).flatmap(
+        lambda f: st.tuples(classes(f), classes(f), classes(f)))
+
+
+@SETTINGS
+@hypothesis.given(triples())
+def test_sums_and_products_commute_and_associate(abc):
+    a, b, c = abc
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+
+
+@SETTINGS
+@hypothesis.given(triples())
+def test_products_distribute_over_sums(abc):
+    a, b, c = abc
+    assert a * (b + c) == a * b + a * c
+    assert (b + c) * a == b * a + c * a
+
+
+@SETTINGS
+@hypothesis.given(triples())
+def test_counting_is_additive_and_multiplicative(abc):
+    a, b, _ = abc
+    for m in POINTS[a.field]:
+        ca, cb = counting_hom(a, m), counting_hom(b, m)
+        assert counting_hom(a + b, m) == ca + cb
+        assert counting_hom(a * b, m) == ca * cb
+        assert counting_hom(a * lefschetz(a.field), m) == ca * a.field.order ** m.length

@@ -7,7 +7,7 @@ the relations (x_0^2, 2 x_0 x_1) at the dual numbers.
 
 import pytest
 
-from battery import (rand_poly, rand_sieve, reference_points,
+from battery import (kernel_points, rand_poly, rand_sieve, reference_points,
                      reference_sieve_points, rng_for)
 from motivic.config import DEFAULT
 from motivic.errors import CapExceeded
@@ -93,16 +93,6 @@ def test_parabola_arc_presentation():
     assert arc.vars == ("x_0", "x_1", "y_0", "y_1")
     gens = [poly_str(g) for g in arc.ideal.gens]
     assert gens == ["-x_0^2 + y_0", "-2*x_0*x_1 + y_1"]
-
-
-def kernel_points(field):
-    """Fat points for the differential test, monomial and not."""
-    vs = ("x", "y")
-    x = Poly.variable("x", vs, field)
-    y = Poly.variable("y", vs, field)
-    return [base_point(field), fat(field, 2), fat(field, 3), fat(field, 4),
-            make_fat_point(vs, field, [x * x, y * y], "sq"),
-            make_fat_point(vs, field, [x * x - y ** 3, x * y], "cusp")]
 
 
 def test_points_match_the_reference_enumerator():
