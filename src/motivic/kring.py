@@ -26,7 +26,7 @@ level tuples up to the configured skeletal level.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product as iproduct
+from itertools import permutations
 from math import comb
 
 from .config import DEFAULT, Config
@@ -772,51 +772,31 @@ def discrete_hom_check(y: AffineScheme, x: SimplicialSieve, m: FatPoint,
                        top: int = 2) -> dict:
     """Morphisms from the discrete object on y into x, counted two ways.
 
-    A morphism is a compatible family of maps from y(m) into the levels of
-    x(m); the discrete side has identity faces and degeneracies, so the
-    family is pinned by its bottom layer. The check enumerates all families,
-    up to y's candidate cap, and compares with the one-level count.
+    A morphism is a compatible family of maps from y(m) into levels 0..top
+    of x(m). The discrete side has identity faces and degeneracies, so the
+    points of y(m) are independent, and at each one the family is a chain of
+    one point per level: every degeneracy of a point gives the next, whose
+    every face gives the point back. A degeneracy fixes the next level, so
+    the check walks each vertex's chain once and reports chains^|y(m)|
+    against |level 0|^|y(m)|, the maps from y(m) into the vertices.
     """
-    ypts = list(points(y, m))
-    levels = [list(x.level_points(m, n)) for n in range(top + 1)]
-    expected = len(levels[0]) ** len(ypts)
-    total = 1
-    for lv in levels:
-        total *= max(1, len(lv)) ** len(ypts)
-        if total > y.ideal.cfg.max_candidates:
-            raise CapExceeded("morphism enumeration too large")
-
-    def families():
-        choices = [list(iproduct(range(len(lv)), repeat=len(ypts))) for lv in levels]
-        return iproduct(*choices)
-
-    got = 0
-    for fam in families():
-        maps = [[levels[n][i] for i in fam[n]] for n in range(top + 1)]
-        ok = True
-        for n in range(1, top + 1):
-            for j, p in enumerate(ypts):
-                for i in range(n + 1):
-                    if x.face(n, i, maps[n][j]) != maps[n - 1][j]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
+    k = len(points(y, m))
+    vertices = x.level_points(m, 0)
+    # a chain step needs the structure maps, unless nothing is mapped
+    if top and k and vertices and not x.has_maps:
+        raise WorkbenchError("indexed family carries no face maps")
+    chains = 0
+    for p in vertices:
+        for n in range(top):
+            q = x.degeneracy(n, 0, p)
+            if not (all(x.degeneracy(n, i, p) == q for i in range(1, n + 1))
+                    and all(x.face(n + 1, i, q) == p for i in range(n + 2))
+                    and x.member(m, n + 1, q)):
                 break
-        if ok:
-            for n in range(0, top):
-                for j, p in enumerate(ypts):
-                    for i in range(n + 1):
-                        if x.degeneracy(n, i, maps[n][j]) != maps[n + 1][j]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-        if ok:
-            got += 1
+            p = q
+        else:
+            chains += 1
+    got, expected = chains ** k, len(vertices) ** k
     return {"morphisms": got, "expected": expected, "ok": got == expected}
 
 

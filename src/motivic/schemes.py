@@ -7,9 +7,10 @@ finite field: it sets the same coefficients one base-field coordinate at a
 time, and lists or counts the points that meet the generators and an
 optional condition, which is how sieves are listed and counted (the
 condition is a sieve's leaves, compiled by `sieves.node_condition`). The
-search lives here, beside the coefficient rows it reads, and takes the
-condition as plain rows and predicates, so this module needs nothing from
-`sieves`.
+same compiled condition, read at one whole point by `_settled`, is how
+`sieves.node_member` tests a point in hand. The search lives here, beside
+the coefficient rows it reads, and takes the condition as plain rows and
+predicates, so this module needs nothing from `sieves`.
 """
 
 from __future__ import annotations
@@ -154,9 +155,8 @@ def _compiled(cond, p: int):
     if tag in ("zero", "unit"):
         unit = tag == "unit"
         last = max((mono[-1][0] if mono else -1 for _, mono in body), default=-1)
-        if last < 0:
-            return bool(row_value(body, ()) % p) == unit
-        return ("row", last, body, unit)
+        row = ("row", last, body, unit)
+        return _settled(row, (), p, None) if last < 0 else row
     return _join(tag, [_compiled(c, p) for c in body])
 
 
@@ -164,9 +164,7 @@ def _decide(cond, s: int, vals, p: int):
     """cond with the rows that coordinate s completes read at `vals`."""
     tag = cond[0]
     if tag == "row":
-        if cond[1] != s:
-            return cond
-        return bool(row_value(cond[2], vals) % p) == cond[3]
+        return _settled(cond, vals, p, None) if cond[1] == s else cond
     if tag == "image":
         return cond
     return _join(tag, [_decide(c, s, vals, p) for c in cond[1]])
@@ -183,14 +181,21 @@ def _positions(cond, out):
         _positions(c, out)
 
 
-def _settled(cond, point) -> bool:
-    """An undecided condition at a whole point: only image tests are left,
-    read left to right and only as far as the answer needs."""
-    if cond[0] == "image":
+def _settled(cond, vals, p: int, point) -> bool:
+    """A compiled condition read left to right and only as far as the answer
+    needs: rows at the flat coordinates `vals`, as far as they are set, mod
+    p (exactly over Q, where p is 0), and image tests at the whole `point`."""
+    if cond is True or cond is False:
+        return cond
+    tag = cond[0]
+    if tag == "row":
+        v = row_value(cond[2], vals)
+        return bool(v % p if p else v) == cond[3]
+    if tag == "image":
         return cond[1](point)
-    if cond[0] == "and":
-        return all(_settled(c, point) for c in cond[1])
-    return any(_settled(c, point) for c in cond[1])
+    if tag == "and":
+        return all(_settled(c, vals, p, point) for c in cond[1])
+    return any(_settled(c, vals, p, point) for c in cond[1])
 
 
 def search(x: AffineScheme, m: FatPoint, condition=None, count: bool = False):
@@ -267,7 +272,7 @@ def search(x: AffineScheme, m: FatPoint, condition=None, count: bool = False):
                     found.append(point_of(head + list(tail), n))
             return
         if s == size:
-            if _settled(cond, point_of(vals, n)):
+            if _settled(cond, vals, p, point_of(vals, n)):
                 if count:
                     tally += 1
                 else:

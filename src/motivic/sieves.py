@@ -8,7 +8,9 @@ A sieve is listed and counted inside the point search of its ambient
 (`schemes.search`): `node_condition` turns the tree into the search's
 condition, so a branch is dropped or its free coordinates counted as soon as
 the coordinates set so far decide it, and a count builds no point.
-`node_member` tests one point already in hand.
+`node_member` tests one point already in hand against the same compiled
+condition, through the search's whole-point reader, so the tree has one
+reading.
 
 Simplicial sieves layer a level structure on top, one class per shape:
 constant levels, cartesian powers with coordinate deletion/duplication
@@ -26,11 +28,11 @@ from math import comb
 
 from .errors import AmbientMismatch, CapExceeded, EvalError, WorkbenchError
 from .fatpoints import (FatPoint, SimplicialFatPoint, base_point,
-                        flat_coordinates, row_value)
+                        flat_coordinates)
 from .poly import Ideal, Poly, poly_str
-from .schemes import (AffineScheme, CoordMap, arc_coefficients, arc_of_map,
-                      points, product_scheme, search, truncation_map,
-                      weil_restrict)
+from .schemes import (AffineScheme, CoordMap, _compiled, _settled,
+                      arc_coefficients, arc_of_map, points, product_scheme,
+                      search, truncation_map, weil_restrict)
 
 # ---------------------------------------------------------------------------
 # expression nodes
@@ -138,41 +140,18 @@ def node_condition(node, m: FatPoint):
 
 
 def node_member(node, m: FatPoint, point) -> bool:
-    """Does one given point satisfy the condition tree?
-
-    This tests a point already in hand, as faces, degeneracies and pulled
-    points are; listing and counting never come here, they read the tree
-    through `node_condition` inside `schemes.search`. The leaves mean what
-    `node_condition` says, read here directly on the point flattened into
-    the coordinates that the search sets: V(g) holds when every row of g
-    vanishes, D(g) when the row of the basis monomial 1 does not.
-    """
+    """Does one given point (of a face, a degeneracy, a pullback) satisfy
+    the condition tree? It is read as `schemes.search` reads it: the
+    condition `node_condition` compiles, at the whole point. The compiled
+    condition is kept on m's algebra per tree object, not per equal tree:
+    equal image leaves may read sources under different candidate caps."""
     alg = m.algebra
     p = alg.field.char
-    vals = flat_coordinates(point, alg.dim)
-
-    def zero(row) -> bool:
-        v = row_value(row, vals)
-        return not (v % p if p else v)
-
-    def walk(nd) -> bool:
-        if isinstance(nd, Full):
-            return True
-        if isinstance(nd, Empty):
-            return False
-        if isinstance(nd, Closed):
-            return all(zero(row) for g in nd.gens for row in alg.coefficient_rows(g))
-        if isinstance(nd, OpenLoc):
-            return not zero(alg.residue(alg.coefficient_rows(nd.g)))
-        if isinstance(nd, Im):
-            return tuple(point) in _image_points(nd.cmap, m)
-        if isinstance(nd, Union):
-            return walk(nd.left) or walk(nd.right)
-        if isinstance(nd, Inter):
-            return walk(nd.left) and walk(nd.right)
-        raise WorkbenchError("unknown node %r" % (nd,))
-
-    return walk(node)
+    key = ("member", id(node))
+    got = alg.memo.get(key)
+    if got is None:    # the entry holds the tree, so its id stays its own
+        got = alg.memo[key] = (node, _compiled(node_condition(node, m), p))
+    return _settled(got[1], flat_coordinates(point, alg.dim), p, tuple(point))
 
 
 def node_pullback(node, f: CoordMap):
@@ -289,19 +268,16 @@ def sieve_inter(a: Sieve, b: Sieve) -> Sieve:
 # admissible opens and the continuity probe
 
 
-def _open_part(node) -> bool:
-    """Union trees of principal opens only."""
-    if isinstance(node, OpenLoc):
-        return True
-    if isinstance(node, Union):
-        return _open_part(node.left) and _open_part(node.right)
-    return False
-
-
 def _open_leaves(node):
+    """The functions of a union tree of principal opens, or None when the
+    tree holds any other node."""
     if isinstance(node, OpenLoc):
         return [node.g]
-    return _open_leaves(node.left) + _open_leaves(node.right)
+    if isinstance(node, Union):
+        left, right = _open_leaves(node.left), _open_leaves(node.right)
+        if left is not None and right is not None:
+            return left + right
+    return None
 
 
 def is_admissible_open(s: Sieve, host: Sieve) -> bool:
@@ -315,13 +291,11 @@ def is_admissible_open(s: Sieve, host: Sieve) -> bool:
     nd = s.node
     if not isinstance(nd, Inter):
         return False
-    if nd.left == host.node and _open_part(nd.right):
-        opens = _open_leaves(nd.right)
-    elif nd.right == host.node and _open_part(nd.left):
-        opens = _open_leaves(nd.left)
-    else:
-        return False
-    return all(not s.ambient.ideal.contains(g) for g in opens)
+    for side, rest in ((nd.left, nd.right), (nd.right, nd.left)):
+        opens = _open_leaves(rest) if side == host.node else None
+        if opens is not None:
+            return all(not s.ambient.ideal.contains(g) for g in opens)
+    return False
 
 
 def admissible_open(host: Sieve, opens) -> Sieve:

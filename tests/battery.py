@@ -5,7 +5,9 @@ across runs and platforms, so battery tests are reproducible bit for bit.
 The reference enumerators evaluate through `QuotientAlgebra.eval_poly`, one
 algebra vector per coordinate, independently of the point search; an image
 leaf holds at the points that the source's reference points reach through
-`eval_poly` of the map. The reference Buchberger run is the plain textbook
+`eval_poly` of the map. The discrete-family enumerator tries every choice
+of level points for every point of y, where `discrete_hom_check` walks one
+degeneracy chain per vertex. The reference Buchberger run is the plain textbook
 loop on `Poly` sums and monomial multiples formed term by term in the field's
 own arithmetic (Fractions over Q): every pair, re-sorted before each pop, with
 only the coprime-leading-term skip, independently of the int kernels of
@@ -25,7 +27,7 @@ from motivic.errors import CapExceeded
 from motivic.fatpoints import base_point, make_fat_point
 from motivic.fields import QQ, Field
 from motivic.kring import KClass, class_of_sieve, kclass_int, lefschetz
-from motivic.poly import Poly, grevlex_key
+from motivic.poly import Ideal, Poly, grevlex_key
 from motivic.schemes import AffineScheme, CoordMap
 from motivic.sieves import (Closed, ConstSieve, DisjointSieve, Empty, Full, Im,
                             Inter, InterSieve, LevelSieve, OpenLoc, PowerSieve,
@@ -132,6 +134,38 @@ def kernel_points(field: Field):
             jet_point(field, 4),
             make_fat_point(vs, field, [x * x, y * y], "sq"),
             make_fat_point(vs, field, [x * x - y ** 3, x * y], "cusp")]
+
+
+# candidates of the reference enumerator per scheme in `mixed_cases`
+BUDGET = 729
+
+
+def small(field, m, names):
+    """As many of `names` as keep the candidates within the budget."""
+    while names and field.order ** (len(names) * m.length) > BUDGET:
+        names = names[:-1]
+    return names
+
+
+def rand_scheme(rng, field, names, label="X"):
+    gens = [rand_poly(rng, names, field, max_deg=3)
+            for _ in range(rng.randint(0, 2))]
+    return AffineScheme(label, Ideal(names, field, gens))
+
+
+def mixed_cases(field, m, rng, count):
+    """(ambient, sieve) pairs whose sieves mix V, D, im, full and empty."""
+    out = []
+    while len(out) < count:
+        vs = small(field, m, ("x", "y")[:rng.randint(1, 2)])
+        us = small(field, m, ("u", "v")[:rng.randint(1, 2)])
+        if not vs or not us:
+            return out
+        x = rand_scheme(rng, field, vs)
+        maps = [rand_map(rng, rand_scheme(rng, field, us, "S"), x)
+                for _ in range(2)]
+        out.append((x, rand_sieve(rng, x, maps=maps)))
+    return out
 
 
 # -- reference enumerators ---------------------------------------------------
@@ -253,6 +287,27 @@ def reference_level_points(s, m, n, cfg=DEFAULT):
     admits it."""
     return tuple(p for p in _reference_ambient_level(s, m, n, cfg)
                  if s.member(m, n, p))
+
+
+def enumerate_discrete_families(y, x, m, top):
+    """All simplicial maps from the discrete object on y(m) into x at m, by
+    brute force: every choice of a level-n point of x for each reference
+    point of y and each n up to top, kept when every face of the level-n
+    choice is the level-(n-1) choice and every degeneracy of the level-n
+    choice is the level-(n+1) choice. Returns (families, levels, y points)."""
+    ypts = reference_points(y, m)
+    levels = [list(x.level_points(m, n)) for n in range(top + 1)]
+
+    def compatible(fam):
+        return all(
+            all(x.face(n, i, fam[n][j]) == fam[n - 1][j] for i in range(n + 1))
+            for n in range(1, top + 1) for j in range(len(ypts))) and all(
+            all(x.degeneracy(n, i, fam[n][j]) == fam[n + 1][j] for i in range(n + 1))
+            for n in range(top) for j in range(len(ypts)))
+
+    choice_sets = [list(iproduct(lv, repeat=len(ypts))) for lv in levels]
+    valid = [fam for fam in iproduct(*choice_sets) if compatible(fam)]
+    return valid, levels, ypts
 
 
 # -- reference Groebner bases ------------------------------------------------

@@ -11,7 +11,8 @@ import time
 from fractions import Fraction
 from itertools import product as iproduct
 
-from battery import rand_class, rand_sieve, reference_points, rng_for
+from battery import (enumerate_discrete_families, rand_class, rand_sieve,
+                     reference_points, rng_for)
 from motivic import dsl
 from motivic.cli import run_script
 from motivic.config import DEFAULT
@@ -246,37 +247,6 @@ def test_criterion_05_truncation_identities():
 
 
 # -- criterion 6: discrete-shape and image adjunctions -----------------------
-
-
-def enumerate_discrete_families(y, x, m, top):
-    """All simplicial maps from the discrete object on y(m) into x at m."""
-    from motivic.schemes import points
-    ypts = list(points(y, m))
-    levels = [list(x.level_points(m, n)) for n in range(top + 1)]
-    valid = []
-    choice_sets = [list(iproduct(lv, repeat=len(ypts))) for lv in levels]
-    for fam in iproduct(*choice_sets):
-        ok = True
-        for n in range(1, top + 1):
-            for j in range(len(ypts)):
-                if not all(x.face(n, i, fam[n][j]) == fam[n - 1][j]
-                           for i in range(n + 1)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            for n in range(top):
-                for j in range(len(ypts)):
-                    if not all(x.degeneracy(n, i, fam[n][j]) == fam[n + 1][j]
-                               for i in range(n + 1)):
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
-            valid.append(fam)
-    return valid, levels, ypts
 
 
 def degeneracy_lift(x, m, bottom, top):

@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 
 from motivic.config import Config
-from motivic.errors import AmbientMismatch, CapExceeded
+from motivic.errors import AmbientMismatch, CapExceeded, WorkbenchError
 from motivic.fatpoints import base_point, make_fat_point
 from motivic.fields import GF, QQ
 from motivic.kring import (MEMO_BOUND, KClass, canonical_conjunction,
@@ -19,12 +19,13 @@ from motivic.kring import (MEMO_BOUND, KClass, canonical_conjunction,
                            twist_by_rule)
 from motivic.poly import Ideal, Poly, buchberger
 from motivic.schemes import AffineScheme, CoordMap, affine_space
-from motivic.sieves import (Closed, ConstSieve, DisjointSieve, Inter,
-                            InterSieve, OpenLoc, Sieve, UnionSieve,
+from motivic.sieves import (Closed, ConstSieve, DisjointSieve, Full, Inter,
+                            InterSieve, LevelSieve, OpenLoc, Sieve, UnionSieve,
                             closed_sieve, full_sieve, image_sieve, lift_sieve,
                             open_sieve, sieve_inter, sieve_union)
 
-from battery import rand_class, rand_sieve, rng_for
+from battery import (enumerate_discrete_families, rand_class, rand_sieve,
+                     rng_for)
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
@@ -451,6 +452,30 @@ class TestSimplicialClasses:
                 assert level_class(zs, n) == z
 
 
+class BrokenAwayFromTheOrigin(ConstSieve):
+    """A constant shape over F3 with one part broken at every point but the
+    origin: "s0" negates the first degeneracy, so its faces miss; "s1"
+    negates the second, so two degeneracies disagree; "level" keeps only
+    the origin above level 0, so a degeneracy leaves the sieve."""
+
+    def __init__(self, s, broken):
+        super().__init__(s.ambient, s.node)
+        self.broken = broken
+
+    def level_points(self, m, n):
+        return tuple(p for p in super().level_points(m, n) if self.member(m, n, p))
+
+    def member(self, m, n, point):
+        origin = not any(any(vec) for vec in point)
+        return super().member(m, n, point) and (
+            origin or n == 0 or self.broken != "level")
+
+    def degeneracy(self, n, i, p):
+        if self.broken != "s%d" % i:
+            return p
+        return tuple(tuple(-c % 3 for c in vec) for vec in p)
+
+
 class TestAdjunctions:
     def test_discrete_hom_counts(self):
         B = affine_space(F2, ("x",), "B")
@@ -462,6 +487,51 @@ class TestAdjunctions:
         for target in (fib, triv):
             rep = discrete_hom_check(Y, target, k2, top=2)
             assert rep["ok"] and rep["expected"] == 4
+
+    def test_discrete_hom_check_matches_the_family_enumeration(self):
+        k3 = base_point(F3)
+        A1 = affine_space(F3, ("x",), "A1")
+        dx = open_sieve(A1, Poly.variable("x", A1.vars, F3))
+        u = Poly.variable("u", ("u",), F3)
+        two = AffineScheme("two", Ideal(("u",), F3, [u * u - u]))
+        none = AffineScheme("none", Ideal(("u",), F3, [u, u - 1]))
+        shapes = [lift_sieve(dx, tag) for tag in ("trivial", "fiber", "sym")]
+        shapes += [BrokenAwayFromTheOrigin(full_sieve(A1), broken)
+                   for broken in ("s0", "s1", "level")]
+        verdicts = set()
+        for y in (two, none):
+            for x in shapes:
+                for top in (0, 1, 2):
+                    rep = discrete_hom_check(y, x, k3, top)
+                    valid, levels, ypts = enumerate_discrete_families(y, x, k3, top)
+                    assert rep["morphisms"] == len(valid), (y, x, top)
+                    assert rep["expected"] == len(levels[0]) ** len(ypts)
+                    assert rep["ok"] == (len(valid) == rep["expected"])
+                    verdicts.add((y.name, rep["ok"]))
+        # the broken shapes fail against two points; nothing maps from none
+        assert verdicts == {("two", True), ("two", False), ("none", True)}
+
+    def test_the_tau_check_counts_a_power_shape_at_a_jet(self):
+        # the F3 instance with 6**9 morphisms; one point of y enumerates the
+        # chains by brute force, and the points of y are independent
+        t2 = fat2(F3)
+        A1 = affine_space(F3, ("x",), "A1")
+        x = lift_sieve(open_sieve(A1, Poly.variable("x", A1.vars, F3)), "fiber")
+        U = affine_space(F3, ("u",), "U")
+        u = Poly.variable("u", ("u",), F3)
+        origin = AffineScheme("O", Ideal(("u",), F3, [u]))
+        valid, levels, _ = enumerate_discrete_families(origin, x, t2, 2)
+        assert len(valid) == len(levels[0]) == 6
+        rep = discrete_hom_check(U, x, t2, top=2)
+        assert rep == {"morphisms": 6 ** 9, "expected": 10077696, "ok": True}
+
+    def test_a_shape_without_maps_has_no_tau_check(self):
+        k2 = base_point(F2)
+        B = affine_space(F2, ("x",), "B")
+        family = LevelSieve([B, B], [Full(), Full()])
+        for check in (discrete_hom_check, enumerate_discrete_families):
+            with pytest.raises(WorkbenchError, match="indexed family carries no face maps"):
+                check(B, family, k2, 1)
 
     def test_pushforward_image_points(self):
         A2 = affine_space(F3, ("x", "y"), "A2f")

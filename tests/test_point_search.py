@@ -9,9 +9,8 @@ the ambient's points vector by vector and tests each leaf through
 
 import pytest
 
-from battery import (jet_point, kernel_points, rand_map, rand_poly,
-                     rand_sieve, reference_points, reference_sieve_points,
-                     rng_for)
+from battery import (jet_point, kernel_points, mixed_cases, reference_points,
+                     reference_sieve_points, rng_for)
 from motivic.config import DEFAULT
 from motivic.errors import CapExceeded
 from motivic.fatpoints import base_point
@@ -23,35 +22,6 @@ from motivic.sieves import (Closed, ConstSieve, Full, Im, Inter, LevelSieve,
                             image_sieve, open_sieve, sieve_union)
 
 FIELDS = (GF(2), GF(3), GF(5))
-BUDGET = 729    # candidates of the reference enumerator per scheme
-
-
-def small(field, m, names):
-    """As many of `names` as keep the candidates within the budget."""
-    while names and field.order ** (len(names) * m.length) > BUDGET:
-        names = names[:-1]
-    return names
-
-
-def rand_scheme(rng, field, names, label="X"):
-    gens = [rand_poly(rng, names, field, max_deg=3)
-            for _ in range(rng.randint(0, 2))]
-    return AffineScheme(label, Ideal(names, field, gens))
-
-
-def mixed_cases(field, m, rng, count):
-    """(ambient, sieve) pairs whose sieves mix V, D, im, full and empty."""
-    out = []
-    while len(out) < count:
-        vs = small(field, m, ("x", "y")[:rng.randint(1, 2)])
-        us = small(field, m, ("u", "v")[:rng.randint(1, 2)])
-        if not vs or not us:
-            return out
-        x = rand_scheme(rng, field, vs)
-        maps = [rand_map(rng, rand_scheme(rng, field, us, "S"), x)
-                for _ in range(2)]
-        out.append((x, rand_sieve(rng, x, maps=maps)))
-    return out
 
 
 def test_sieves_list_and_count_like_the_reference():
@@ -217,7 +187,9 @@ def test_image_leaves_combine_at_whole_points():
 
 def test_an_image_read_under_a_looser_cap_does_not_answer_for_a_tighter_one():
     # equal maps whose sources differ only in their cap share a memo key
-    # but for the cap: the tight one enumerates its source again and raises
+    # but for the cap: the tight one enumerates its source again and raises,
+    # whether its image is counted or one point of it is tested (a member
+    # memo keyed by the equal trees alone would answer from the loose one)
     F3 = GF(3)
     A1 = affine_space(F3, ("x",), "A1")
     m = jet_point(F3, 2)
@@ -226,7 +198,10 @@ def test_an_image_read_under_a_looser_cap_does_not_answer_for_a_tighter_one():
         src = AffineScheme("S", Ideal(("u", "v"), F3, [], cfg))
         return image_sieve(CoordMap(src, A1, {"x": Poly.variable("u", src.vars, F3)}))
 
-    assert image(DEFAULT).count(m) == 9
-    with pytest.raises(CapExceeded) as err:
-        image(DEFAULT.with_overrides(max_candidates=8)).count(m)
-    assert str(err.value) == "enumeration of 81 candidates exceeds cap 8"
+    loose, tight = image(DEFAULT), image(DEFAULT.with_overrides(max_candidates=8))
+    assert loose.node == tight.node
+    assert loose.count(m) == 9 and loose.member(m, ((1, 2),))
+    for read in (tight.count, lambda m: tight.member(m, ((1, 2),))):
+        with pytest.raises(CapExceeded) as err:
+            read(m)
+        assert str(err.value) == "enumeration of 81 candidates exceeds cap 8"

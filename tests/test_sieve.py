@@ -1,8 +1,12 @@
 """Sieves: lattice operations, images, admissible opens, arcs, shapes."""
 
+from fractions import Fraction
+
 import pytest
 
-from battery import rand_sieve, reference_level_points, rng_for
+from battery import (jet_point, kernel_points, mixed_cases, rand_sieve,
+                     reference_level_points, reference_member,
+                     reference_points, rng_for)
 from motivic.config import Config
 from motivic.errors import AmbientMismatch, CapExceeded, WorkbenchError
 from motivic.fatpoints import (PointSystem, SimplicialFatPoint, base_point,
@@ -56,6 +60,45 @@ class TestPlainLattice:
         vx, dx = closed_sieve(A1, [X]), open_sieve(A1, X)
         both = sieve_union(vx, dx)
         assert both.count(t2) < full_sieve(A1).count(t2)
+
+
+class TestMembership:
+    def test_member_reads_like_the_eval_poly_reference(self):
+        checked = images = 0
+        for field in (F2, F3, GF(5)):
+            rng = rng_for("member", field.char)
+            for m in kernel_points(field):
+                if m.length > 4:
+                    continue
+                for x, s in mixed_cases(field, m, rng, 4):
+                    for p in reference_points(x, m):
+                        want = reference_member(s.node, x, m, p)
+                        assert s.member(m, p) == want, (s, m, p)
+                        checked += 1
+                    images += "im(" in repr(s)
+        assert checked >= 1000
+        assert images >= 10
+
+    def test_member_over_the_rationals(self):
+        # x = 1 + 2t and y = t/2 at the dual numbers: x is a unit, y is
+        # neither zero nor a unit, and xy = y
+        A2 = affine_space(QQ, ("x", "y"), "A2")
+        x, y = (Poly.variable(v, A2.vars, QQ) for v in A2.vars)
+        m = jet_point(QQ, 2)
+        point = ((Fraction(1), Fraction(2)), (Fraction(0), Fraction(1, 2)))
+        cases = [(closed_sieve(A2, [x * y - y]), True),
+                 (closed_sieve(A2, [y]), False),
+                 (open_sieve(A2, x), True),
+                 (open_sieve(A2, y), False),
+                 (sieve_union(open_sieve(A2, y), closed_sieve(A2, [x * y - y])), True),
+                 (sieve_inter(open_sieve(A2, x), closed_sieve(A2, [y])), False),
+                 (full_sieve(A2), True), (empty_sieve(A2), False)]
+        rng = rng_for("member-q")
+        cases += [(s, reference_member(s.node, A2, m, point))
+                  for s in (rand_sieve(rng, A2) for _ in range(20))]
+        for s, want in cases:
+            assert reference_member(s.node, A2, m, point) == want, s
+            assert s.member(m, point) == want, s
 
 
 class TestImages:
