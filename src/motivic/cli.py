@@ -237,7 +237,7 @@ class Session:
             if kind == "sieve":
                 return class_of_sieve(value)
             if kind == "simplicial":
-                return class_of_simplicial(value[0], self.cfg)
+                return class_of_simplicial(value[0])
             return value
         left = self._class_from_expr(expr[1])
         right = self._class_from_expr(expr[2])
@@ -324,7 +324,7 @@ class Session:
             subject=family, Q=qval, lax_rule=rule,
             horizon=self.cfg.horizon if horizon is None else horizon,
             window=self.cfg.window if window is None else window)
-        rep = limit_measure(query, self.cfg)
+        rep = limit_measure(query)
         out = {"subject": subject, "chain": chain, "q": str(qval)}
         if lax is not None:
             out["lax"] = dsl.lax_str(lax)

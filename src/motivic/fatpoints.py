@@ -340,22 +340,6 @@ class PointSystem:
             return list(self.explicit)
         return [self.rule(i) for i in range(1, horizon + 1)]
 
-    def chain_check(self, horizon: int):
-        """Consecutive members must present decreasing ideals (I_{n+1} <= I_n).
-
-        Returns (ok, failing index, message).
-        """
-        ms = self.materialize(horizon)
-        for i in range(len(ms) - 1):
-            small, big = ms[i], ms[i + 1]
-            if small.ideal.vars != big.ideal.vars or small.field != big.field:
-                return False, i, "ambient presentation mismatch at %d" % i
-            for g in big.ideal.gens:
-                if not small.ideal.contains(g):
-                    return False, i, ("generator %s of member %d escapes member %d"
-                                      % (poly_str(g), i + 1, i))
-        return True, None, "chain of length %d" % len(ms)
-
 
 def stabilize(values, window: int, finite_system: bool):
     """(stabilized, value, since) of a sequence of values along a point system.

@@ -37,9 +37,9 @@ from .fields import Field
 from .poly import Ideal, Poly, join_terms
 from .schemes import AffineScheme, CoordMap, points
 from .sieves import (Closed, ConstSieve, DisjointSieve, Empty, Full, Im,
-                     Inter, InterSieve, LevelSieve, OpenLoc, PowerSieve,
-                     ProductSieve, Sieve, SimplicialSieve, Union, UnionSieve,
-                     image_sieve, node_str, presented_levels)
+                     Inter, InterSieve, OpenLoc, PowerSieve, ProductSieve,
+                     Sieve, SimplicialSieve, Union, UnionSieve, image_sieve,
+                     node_str, presented_levels)
 
 # ---------------------------------------------------------------------------
 # inclusion-exclusion expansion into conjunctions of literals
@@ -657,24 +657,24 @@ def _sym_mul(field, s1, s2, cfg: Config) -> SClass:
     return SClass(field, {("levels", levels): 1})
 
 
-def class_of_simplicial(s, cfg: Config = DEFAULT) -> SClass:
-    if isinstance(s, Sieve):
-        return lift_const(class_of_sieve(s))
+def class_of_simplicial(s: SimplicialSieve) -> SClass:
+    """The class of a shape; a shape with no closed form of its own is
+    classed level by level, up to the skeletal level of its scheme's config."""
     if isinstance(s, ConstSieve):
         return lift_const(class_of_sieve(s.plain()))
     if isinstance(s, PowerSieve):
         base = class_of_sieve(Sieve(s.scheme, s.node))
         return lift_power(base, s.symmetric)
     if isinstance(s, ProductSieve):
-        a = class_of_simplicial(s.left, cfg)
-        b = class_of_simplicial(s.right, cfg)
-        return a.mul(b, cfg)
+        a = class_of_simplicial(s.left)
+        b = class_of_simplicial(s.right)
+        return a.mul(b, s.scheme.ideal.cfg)
     if isinstance(s, DisjointSieve):
-        return class_of_simplicial(s.left, cfg) + class_of_simplicial(s.right, cfg)
+        return class_of_simplicial(s.left) + class_of_simplicial(s.right)
     if isinstance(s, UnionSieve):
         inter = InterSieve(s.left, s.right)
-        return (class_of_simplicial(s.left, cfg) + class_of_simplicial(s.right, cfg)
-                - class_of_simplicial(inter, cfg))
+        return (class_of_simplicial(s.left) + class_of_simplicial(s.right)
+                - class_of_simplicial(inter))
     if isinstance(s, InterSieve):
         a, b = s.left, s.right
         if isinstance(a, ConstSieve) and isinstance(b, ConstSieve):
@@ -685,15 +685,8 @@ def class_of_simplicial(s, cfg: Config = DEFAULT) -> SClass:
                 and a.scheme.presentation_key() == b.scheme.presentation_key()):
             base = class_of_sieve(Sieve(a.scheme, Inter(a.node, b.node)))
             return lift_power(base, a.symmetric)
-        return _levels_class(s, cfg)
-    if isinstance(s, LevelSieve):
-        return _levels_class(s, cfg)
-    raise WorkbenchError("no class for %r" % (s,))
-
-
-def _levels_class(s: SimplicialSieve, cfg: Config) -> SClass:
-    out = [class_of_sieve(Sieve(scheme, node))
-           for scheme, node in presented_levels(s, cfg.skeletal_level)]
+    out = [class_of_sieve(Sieve(scheme, node)) for scheme, node
+           in presented_levels(s, s.scheme.ideal.cfg.skeletal_level)]
     return SClass(out[0].field, {("levels", tuple(z.frozen() for z in out)): 1})
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from math import ceil
 
-from .config import DEFAULT, Config
 from .errors import EvalError, WorkbenchError
 from .fatpoints import FatPoint, base_point, stabilize
 from .kring import (KClass, SClass, class_of_sieve, class_of_simplicial,
@@ -55,10 +54,10 @@ class MeasureReport:
     diagnostics: list = dc_field(default_factory=list)
 
 
-def _member_value(subject: LimitSieve, m: FatPoint, Q: Fraction, lax,
-                  cfg: Config) -> SClass:
+def _member_value(subject: LimitSieve, m: FatPoint, Q: Fraction, lax) -> SClass:
     member = subject.member_at(m)
-    z = class_of_simplicial(member, cfg)
+    cfg = member.scheme.ideal.cfg
+    z = class_of_simplicial(member)
     # Krull dimension of the ambient arc scheme at each level the member
     # presents: up to the skeletal level, or to the end of a shorter list
     dims = [scheme.ideal.krull_dimension()
@@ -97,11 +96,11 @@ def integral_form(s, x: AffineScheme, m: FatPoint) -> KClass:
     return f1 * f2
 
 
-def limit_measure(q: MeasureQuery, cfg: Config = DEFAULT) -> MeasureReport:
+def limit_measure(q: MeasureQuery) -> MeasureReport:
     subject = q.subject
     system = subject.system
     mode = "lax" if q.lax_rule is not None else "limit"
-    seq = [(repr(m), _member_value(subject, m, q.Q, q.lax_rule, cfg))
+    seq = [(repr(m), _member_value(subject, m, q.Q, q.lax_rule))
            for m in system.materialize(q.horizon)]
     values = [v for _, v in seq]
     stabilized, value, since = stabilize(values, q.window, system.finite)
@@ -109,34 +108,35 @@ def limit_measure(q: MeasureQuery, cfg: Config = DEFAULT) -> MeasureReport:
                          value=value, since=since)
 
 
-def lax_measure(q: MeasureQuery, cfg: Config = DEFAULT) -> MeasureReport:
+def lax_measure(q: MeasureQuery) -> MeasureReport:
     if q.lax_rule is None:
         q = replace(q, lax_rule=lambda m: 0)
-    return limit_measure(q, cfg)
+    return limit_measure(q)
 
 
-def stable_set_measure(family: LimitSieve, horizon: int = 8, window: int = 3,
-                       cfg: Config = DEFAULT) -> MeasureReport:
+def stable_set_measure(family: LimitSieve, horizon: int = 8,
+                       window: int = 3) -> MeasureReport:
     """Measure a truncation-compatible family at Q = 1, validating first."""
     check = family.battery_validate(min(horizon, 4))
     if not check["ok"]:
         raise EvalError("incompatible family: %s" % "; ".join(check["issues"]))
     q = MeasureQuery(family, Q=Fraction(1), horizon=horizon, window=window)
-    report = limit_measure(q, cfg)
+    report = limit_measure(q)
     report.diagnostics.append("family validated to horizon %d" % min(horizon, 4))
     report.diagnostics.extend("validation skipped %s" % s for s in check["skipped"])
     return report
 
 
-def forget_structure(s, cfg: Config = DEFAULT):
-    """Re-present a simplicial sieve as an indexed family of levels."""
+def forget_structure(s):
+    """Re-present a simplicial sieve as an indexed family of levels, up to
+    the skeletal level of its scheme's config."""
     if isinstance(s, LevelSieve):
         return s
-    levels = presented_levels(s, cfg.skeletal_level)
+    levels = presented_levels(s, s.scheme.ideal.cfg.skeletal_level)
     return LevelSieve([scheme for scheme, _ in levels], [node for _, node in levels])
 
 
-def indexed_mode(q: MeasureQuery, cfg: Config = DEFAULT) -> MeasureReport:
+def indexed_mode(q: MeasureQuery) -> MeasureReport:
     """The same pipeline run on the structure-forgotten members.
 
     No measure step consults face or degeneracy maps, so the verdict must
@@ -145,14 +145,14 @@ def indexed_mode(q: MeasureQuery, cfg: Config = DEFAULT) -> MeasureReport:
     subject = q.subject
 
     def rule(m):
-        return forget_structure(subject.member_at(m), cfg)
+        return forget_structure(subject.member_at(m))
 
     forgotten = LimitSieve(subject.base, subject.system, rule=rule,
                            label=subject.label)
-    report = limit_measure(replace(q, subject=forgotten), cfg)
+    report = limit_measure(replace(q, subject=forgotten))
     report.mode = "indexed"
     values = [v for _, v in report.sequence]
-    top = cfg.skeletal_level
+    top = subject.base.scheme.ideal.cfg.skeletal_level
     per_level = []
     for n in range(top + 1):
         try:

@@ -16,8 +16,10 @@ Simplicial sieves layer a level structure on top, one class per shape:
 constant levels, cartesian powers with coordinate deletion/duplication
 (multisets in the symmetric shape), levelwise products, disjoint unions,
 unions and intersections, and level lists that carry no maps at all. Each
-shape builds the points, faces and degeneracies of level n from its parts.
-`level_presentation` says which affine scheme and condition present level n.
+shape answers for itself: it builds the points, faces and degeneracies of
+level n from its parts, says which affine scheme and condition present
+level n (`level_presentation`), restricts itself along a fat point (`arc`),
+and names the scheme whose config caps its work (`scheme`).
 """
 
 from __future__ import annotations
@@ -385,6 +387,10 @@ class SimplicialSieve:
     `degeneracy(n, i, p)` are the structure maps (absent when `has_maps` is
     false), `key` names the sieve, and `ambient_key` names the levels it
     cuts, which the two sides of a union or an intersection must share.
+    `level_presentation(n)` is the (scheme, node) presenting level n, or
+    None when the level has no single affine presentation; `arc(m)` is the
+    same shape restricted along m; `scheme` is the defining affine scheme,
+    whose config caps the work on the sieve.
     """
 
     has_maps = True
@@ -397,22 +403,6 @@ class SimplicialSieve:
 
     def __hash__(self):
         return hash(self.key())
-
-    def check_structure(self, m, top: int) -> bool:
-        """Faces and degeneracies keep member points inside the sieve."""
-        if not self.has_maps:
-            raise WorkbenchError("indexed family carries no structure maps")
-        for n in range(0, top + 1):
-            pts = self.level_points(m, n)
-            for p in pts:
-                if n >= 1:
-                    for i in range(n + 1):
-                        if not self.member(m, n - 1, self.face(n, i, p)):
-                            return False
-                for i in range(n + 1):
-                    if not self.member(m, n + 1, self.degeneracy(n, i, p)):
-                        return False
-        return True
 
 
 class ConstSieve(SimplicialSieve):
@@ -428,6 +418,13 @@ class ConstSieve(SimplicialSieve):
 
     def plain(self) -> Sieve:
         return Sieve(self.scheme, self.node)
+
+    def level_presentation(self, n):
+        return self.scheme, self.node
+
+    def arc(self, m):
+        return ConstSieve(weil_restrict(self.scheme, m),
+                          arc_node(self.node, self.scheme, m))
 
     def level_points(self, m, n):
         return self.plain().points(m)
@@ -482,6 +479,19 @@ class PowerSieve(SimplicialSieve):
         out = p[:i + 1] + (p[i],) + p[i + 1:]
         return tuple(sorted(out)) if self.symmetric else out
 
+    def level_presentation(self, n):
+        """The (n+1)-fold product of the base; multisets have none."""
+        if self.symmetric:
+            return None
+        out = self.scheme, self.node
+        for _ in range(n):
+            out = _level_product(out, (self.scheme, self.node))
+        return out
+
+    def arc(self, m):
+        return PowerSieve(weil_restrict(self.scheme, m),
+                          arc_node(self.node, self.scheme, m), self.symmetric)
+
     def key(self):
         return ("pow", self.scheme.presentation_key(), self.node, self.symmetric)
 
@@ -506,6 +516,20 @@ class _Pair(SimplicialSieve):
     def has_maps(self):
         return self.left.has_maps and self.right.has_maps
 
+    @property
+    def scheme(self):
+        return self.left.scheme
+
+    def level_presentation(self, n):
+        lp = self.left.level_presentation(n)
+        rp = self.right.level_presentation(n)
+        if lp is None or rp is None:
+            return None
+        return self.join_levels(lp, rp)
+
+    def arc(self, m):
+        return type(self)(self.left.arc(m), self.right.arc(m))
+
     def key(self):
         return (self.tag, self.left.key(), self.right.key())
 
@@ -521,7 +545,7 @@ class ProductSieve(_Pair):
     def level_points(self, m, n):
         ls = self.left.level_points(m, n)
         rs = self.right.level_points(m, n)
-        if len(ls) * len(rs) > base_scheme(self.left).ideal.cfg.max_candidates:
+        if len(ls) * len(rs) > self.scheme.ideal.cfg.max_candidates:
             raise CapExceeded("product level too large to enumerate")
         return tuple(iproduct(ls, rs))
 
@@ -534,6 +558,9 @@ class ProductSieve(_Pair):
 
     def degeneracy(self, n, i, p):
         return (self.left.degeneracy(n, i, p[0]), self.right.degeneracy(n, i, p[1]))
+
+    def join_levels(self, lp, rp):
+        return _level_product(lp, rp)
 
 
 class DisjointSieve(_Pair):
@@ -560,17 +587,25 @@ class DisjointSieve(_Pair):
         tag, q = p
         return (tag, self._side(tag).degeneracy(n, i, q))
 
+    def level_presentation(self, n):
+        """Tagged points of two schemes have no single presentation."""
+        return None
+
 
 class _Lattice(_Pair):
     """Union and intersection: two sieves cutting the same levels, whose
     structure maps are the left side's."""
 
     word = ""
+    join = None    # the node joining the two sides' conditions
 
     def __init__(self, left: SimplicialSieve, right: SimplicialSieve):
         if left.ambient_key() != right.ambient_key():
             raise AmbientMismatch("simplicial %s across different ambients" % self.word)
         super().__init__(left, right)
+
+    def join_levels(self, lp, rp):
+        return lp[0], self.join(lp[1], rp[1])
 
     def face(self, n, i, p):
         return self.left.face(n, i, p)
@@ -583,7 +618,7 @@ class _Lattice(_Pair):
 
 
 class UnionSieve(_Lattice):
-    tag, word = "union", "union"
+    tag, word, join = "union", "union", Union
 
     def level_points(self, m, n):
         both = set(self.left.level_points(m, n))
@@ -595,7 +630,7 @@ class UnionSieve(_Lattice):
 
 
 class InterSieve(_Lattice):
-    tag, word = "inter", "intersection"
+    tag, word, join = "inter", "intersection", Inter
 
     def level_points(self, m, n):
         return tuple(p for p in self.left.level_points(m, n)
@@ -618,6 +653,10 @@ class LevelSieve(SimplicialSieve):
     @property
     def truncation(self):
         return len(self.nodes) - 1
+
+    @property
+    def scheme(self):
+        return self.levels[0]
 
     def level_scheme(self, n):
         if n > self.truncation:
@@ -642,6 +681,12 @@ class LevelSieve(SimplicialSieve):
     def degeneracy(self, n, i, p):
         raise WorkbenchError("indexed family carries no degeneracy maps")
 
+    def level_presentation(self, n):
+        return self.level_scheme(n), self.nodes[n]
+
+    def arc(self, m):
+        raise WorkbenchError("no arc transform for %r" % (self,))
+
     def key(self):
         return ("levels", self.ambient_key(), self.nodes)
 
@@ -649,15 +694,18 @@ class LevelSieve(SimplicialSieve):
         return ("idx", tuple(s.presentation_key() for s in self.levels))
 
 
-def base_scheme(s: SimplicialSieve) -> AffineScheme:
-    """A defining affine scheme of a simplicial sieve (its leftmost base)."""
-    while isinstance(s, _Pair):
-        s = s.left
-    return s.levels[0] if isinstance(s, LevelSieve) else s.scheme
-
-
 def simplicial_full(x: AffineScheme) -> ConstSieve:
     return ConstSieve(x, Full())
+
+
+def as_simplicial(s) -> SimplicialSieve:
+    """A scheme as its full constant shape, a plain sieve as its constant
+    shape; a simplicial sieve as it is."""
+    if isinstance(s, AffineScheme):
+        return simplicial_full(s)
+    if isinstance(s, Sieve):
+        return ConstSieve.of(s)
+    return s
 
 
 def lift_sieve(s: Sieve, tag: str) -> SimplicialSieve:
@@ -689,47 +737,13 @@ def _level_product(a, b):
                        node_pullback(nb, projection(sb, rmap)))
 
 
-def level_presentation(s, n: int):
-    """(scheme, node) presenting level n of a simplicial sieve, or None.
-
-    Every caller that needs the scheme of a level asks here. A power or
-    product level is the product of its factors' levels. Symmetric shapes
-    and disjoint unions have no single affine presentation.
-    """
-    if isinstance(s, Sieve):
-        return s.ambient, s.node
-    if isinstance(s, ConstSieve):
-        return s.scheme, s.node
-    if isinstance(s, PowerSieve):
-        if s.symmetric:
-            return None
-        out = s.scheme, s.node
-        for _ in range(n):
-            out = _level_product(out, (s.scheme, s.node))
-        return out
-    if isinstance(s, LevelSieve):
-        return s.level_scheme(n), s.nodes[n]
-    if isinstance(s, DisjointSieve):
-        return None
-    if not isinstance(s, (ProductSieve, UnionSieve, InterSieve)):
-        raise WorkbenchError("no level presentation for %r" % (s,))
-    lp = level_presentation(s.left, n)
-    rp = level_presentation(s.right, n)
-    if lp is None or rp is None:
-        return None
-    if isinstance(s, ProductSieve):
-        return _level_product(lp, rp)
-    join = Union if isinstance(s, UnionSieve) else Inter
-    return lp[0], join(lp[1], rp[1])
-
-
 def presented_levels(s, top: int):
     """[(scheme, node)] for levels 0..top, or up to a level list's end."""
     if isinstance(s, LevelSieve):
         top = min(top, s.truncation)
     out = []
     for n in range(top + 1):
-        pres = level_presentation(s, n)
+        pres = s.level_presentation(n)
         if pres is None:
             raise EvalError("no affine presentation at level %d" % n)
         out.append(pres)
@@ -740,27 +754,6 @@ def presented_levels(s, top: int):
 # arcs of simplicial sieves
 
 
-def arc_sieve(s, m: FatPoint):
-    """Restriction applied leafwise, preserving the level shape."""
-    if isinstance(s, Sieve):
-        return arc_plain_sieve(s, m)
-    if isinstance(s, ConstSieve):
-        arc = weil_restrict(s.scheme, m)
-        return ConstSieve(arc, arc_node(s.node, s.scheme, m))
-    if isinstance(s, PowerSieve):
-        arc = weil_restrict(s.scheme, m)
-        return PowerSieve(arc, arc_node(s.node, s.scheme, m), s.symmetric)
-    if isinstance(s, ProductSieve):
-        return ProductSieve(arc_sieve(s.left, m), arc_sieve(s.right, m))
-    if isinstance(s, DisjointSieve):
-        return DisjointSieve(arc_sieve(s.left, m), arc_sieve(s.right, m))
-    if isinstance(s, UnionSieve):
-        return UnionSieve(arc_sieve(s.left, m), arc_sieve(s.right, m))
-    if isinstance(s, InterSieve):
-        return InterSieve(arc_sieve(s.left, m), arc_sieve(s.right, m))
-    raise WorkbenchError("no arc transform for %r" % (s,))
-
-
 def simplicial_arc(s, sfp: SimplicialFatPoint, top: int | None = None):
     """Levelwise restriction along a simplicial fat point.
 
@@ -768,12 +761,9 @@ def simplicial_arc(s, sfp: SimplicialFatPoint, top: int | None = None):
     (varying fat point per level) yields an indexed family: the level schemes
     are materialized but the structure maps are forgotten.
     """
-    if isinstance(s, AffineScheme):
-        s = simplicial_full(s)
-    if isinstance(s, Sieve):
-        s = ConstSieve(s.ambient, s.node)
+    s = as_simplicial(s)
     if sfp.tag == "trivial":
-        return arc_sieve(s, sfp.base)
+        return s.arc(sfp.base)
     if sfp.tag == "sym":
         raise WorkbenchError("symmetric shape carries no ambient algebra for arcs")
     if not isinstance(s, ConstSieve):
@@ -841,19 +831,15 @@ class LimitSieve:
     """A family of sieves living inside the arcs of a base, one per member."""
 
     def __init__(self, base, system, rule=None, label: str = ""):
-        if isinstance(base, AffineScheme):
-            base = simplicial_full(base)
-        if isinstance(base, Sieve):
-            base = ConstSieve(base.ambient, base.node)
-        self.base = base
+        self.base = as_simplicial(base)
         self.system = system
-        self.rule = rule  # FatPoint -> SimplicialSieve over the arc ambient
+        self.rule = rule  # FatPoint -> sieve over the arc ambient
         self.label = label
 
     def member_at(self, m: FatPoint) -> SimplicialSieve:
         if self.rule is None:
-            return arc_sieve(self.base, m)
-        return self.rule(m)
+            return self.base.arc(m)
+        return as_simplicial(self.rule(m))
 
     def battery_validate(self, horizon: int, levels: int = 1) -> dict:
         """Finite-field checks on the family: each member sits inside the
@@ -863,7 +849,7 @@ class LimitSieve:
         the rationals only the presentational checks run. A check that
         cannot run is listed under "skipped" with its error."""
         ms = self.system.materialize(horizon)
-        base0 = base_scheme(self.base)
+        base0 = self.base.scheme
         field = base0.field
         finite = field.finite
         k0 = base_point(field)
@@ -871,9 +857,9 @@ class LimitSieve:
         skipped = []
         for idx, m in enumerate(ms):
             inside = self.member_at(m)
-            hull = arc_sieve(self.base, m)
-            p_in = level_presentation(inside, 0)
-            p_hull = level_presentation(hull, 0)
+            hull = self.base.arc(m)
+            p_in = inside.level_presentation(0)
+            p_hull = hull.level_presentation(0)
             if (p_in is not None and p_hull is not None
                     and p_in[0].presentation_key() != p_hull[0].presentation_key()):
                 issues.append("member %d lives off the arc ambient" % idx)

@@ -19,8 +19,7 @@ from itertools import combinations_with_replacement, product as iproduct
 from .config import DEFAULT, Config
 from .errors import CapExceeded, EvalError, WorkbenchError
 from .fatpoints import FatPoint, base_point, stabilize
-from .sieves import (InterSieve, ProductSieve, SimplicialSieve, UnionSieve,
-                     base_scheme)
+from .sieves import InterSieve, ProductSieve, SimplicialSieve, UnionSieve
 
 HOMOTOPY_KEY_PROXY = "necessary-only"
 
@@ -228,12 +227,14 @@ def homotopy_class_key(A: FiniteSimplicialSet):
     return invariants(A).key()
 
 
-def evaluate_to_sset(s: SimplicialSieve, m: FatPoint, top: int = 4,
-                     cfg: Config = DEFAULT) -> FiniteSimplicialSet:
+def evaluate_to_sset(s: SimplicialSieve, m: FatPoint,
+                     top: int = 4) -> FiniteSimplicialSet:
+    """Levels 0..top of s at m, under the cell cap of its scheme's config;
+    a face or degeneracy that leaves the sieve raises EvalError."""
     if not s.has_maps:
         raise EvalError("indexed family carries no structure maps")
     levels = [s.level_points(m, n) for n in range(top + 1)]
-    return FiniteSimplicialSet(levels, s.face, s.degeneracy, cfg)
+    return FiniteSimplicialSet(levels, s.face, s.degeneracy, s.scheme.ideal.cfg)
 
 
 def _simplex(n: int, top: int, cfg: Config, boundary: bool) -> FiniteSimplicialSet:
@@ -307,20 +308,20 @@ def preservation_check(a: SimplicialSieve, b: SimplicialSieve, m: FatPoint,
 
 
 def homotopy_stabilization(family, horizon: int, window: int = 3,
-                           top: int = 2, cfg: Config = DEFAULT) -> dict:
+                           top: int = 2) -> dict:
     """Measure-style stabilization with key equality instead of normal forms.
 
     The key is a necessary invariant only, so the verdict is evidence, not a
     decision; the proxy flag travels with the report.
     """
-    field = base_scheme(family.base).field
+    field = family.base.scheme.field
     if not field.finite:
         raise EvalError("homotopy keys need a finite base field")
     k0 = base_point(field)
     keys = []
     for m in family.system.materialize(horizon):
         member = family.member_at(m)
-        A = evaluate_to_sset(member, k0, top, cfg)
+        A = evaluate_to_sset(member, k0, top)
         keys.append(homotopy_class_key(A))
     stab, val, since = stabilize(keys, window, family.system.finite)
     return {"stabilized": stab, "key": val, "since": since,

@@ -363,7 +363,7 @@ def test_criterion_07_measure_specialization():
         cfg = DEFAULT.with_overrides(max_variables=8 * d)
         space = affine_space(QQ, tuple("xyz"[:d]), "A%d" % d, cfg)
         fam = limit_sieve(space, jets(QQ, cfg))
-        rep = limit_measure(MeasureQuery(fam, Q=1, horizon=8, window=3), cfg)
+        rep = limit_measure(MeasureQuery(fam, Q=1, horizon=8, window=3))
         assert rep.stabilized and rep.since == 0
         assert rep.value == lift_const(kclass_one(QQ))
 
@@ -388,18 +388,17 @@ def test_criterion_07_measure_specialization():
 def test_criterion_08_lax_consistency():
     queries = []
     for fam, m, s in singleton_battery():
-        queries.append((MeasureQuery(fam, Q=0), DEFAULT))
+        queries.append(MeasureQuery(fam, Q=0))
     line = affine_space(QQ, ("x",), "line")
     for d in (1, 2, 3):
         cfg = DEFAULT.with_overrides(max_variables=8 * d)
         space = affine_space(QQ, tuple("xyz"[:d]), "A%d" % d, cfg)
         fam = limit_sieve(space, jets(QQ, cfg))
-        queries.append((MeasureQuery(fam, Q=1, horizon=8, window=3), cfg))
-    for q, cfg in queries:
-        plain = limit_measure(q, cfg)
+        queries.append(MeasureQuery(fam, Q=1, horizon=8, window=3))
+    for q in queries:
+        plain = limit_measure(q)
         zero = lax_measure(MeasureQuery(q.subject, q.Q, lambda m: 0,
-                                        horizon=q.horizon, window=q.window),
-                           cfg)
+                                        horizon=q.horizon, window=q.window))
         assert [v for _, v in zero.sequence] == [v for _, v in plain.sequence]
         assert zero.stabilized == plain.stabilized
         assert zero.value == plain.value

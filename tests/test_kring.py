@@ -6,7 +6,8 @@ from itertools import permutations
 import pytest
 
 from motivic.config import Config
-from motivic.errors import AmbientMismatch, CapExceeded, WorkbenchError
+from motivic.errors import (AmbientMismatch, CapExceeded, EvalError,
+                            WorkbenchError)
 from motivic.fatpoints import base_point, make_fat_point
 from motivic.fields import GF, QQ
 from motivic.kring import (MEMO_BOUND, KClass, canonical_conjunction,
@@ -23,6 +24,7 @@ from motivic.sieves import (Closed, ConstSieve, DisjointSieve, Full, Inter,
                             InterSieve, LevelSieve, OpenLoc, Sieve, UnionSieve,
                             closed_sieve, full_sieve, image_sieve, lift_sieve,
                             open_sieve, sieve_inter, sieve_union)
+from motivic.topology import evaluate_to_sset
 
 from battery import (enumerate_discrete_families, rand_class, rand_sieve,
                      rng_for)
@@ -524,6 +526,14 @@ class TestAdjunctions:
         assert len(valid) == len(levels[0]) == 6
         rep = discrete_hom_check(U, x, t2, top=2)
         assert rep == {"morphisms": 6 ** 9, "expected": 10077696, "ok": True}
+
+    def test_a_degeneracy_leaving_the_sieve_is_refused_on_evaluation(self):
+        k3 = base_point(F3)
+        A1 = affine_space(F3, ("x",), "A1")
+        evaluate_to_sset(ConstSieve.of(full_sieve(A1)), k3, top=2)
+        broken = BrokenAwayFromTheOrigin(full_sieve(A1), "level")
+        with pytest.raises(EvalError, match="degeneracy leaves the level set"):
+            evaluate_to_sset(broken, k3, top=2)
 
     def test_a_shape_without_maps_has_no_tau_check(self):
         k2 = base_point(F2)

@@ -8,8 +8,8 @@ from motivic.errors import CapExceeded, EvalError
 from motivic.fatpoints import (PointSystem, SimplicialFatPoint, base_point,
                                jet_rule, make_fat_point)
 from motivic.fields import GF, QQ
-from motivic.kring import (kclass_one, kclass_zero, lefschetz, level_class,
-                           lift_const)
+from motivic.kring import (class_of_simplicial, kclass_one, kclass_zero,
+                           lefschetz, level_class, lift_const)
 from motivic.measures import (MeasureQuery, counting_consistency,
                               finite_measure, forget_structure, indexed_mode,
                               integral_form, lax_measure, limit_measure,
@@ -89,7 +89,7 @@ class TestLimitMeasure:
     def test_horizon_extension_keeps_the_verdict(self):
         wide = DEFAULT.with_overrides(max_degree=10)
         fam = limit_sieve(A1, jets(QQ, cfg=wide))
-        rep = limit_measure(MeasureQuery(fam, Q=1, horizon=10), wide)
+        rep = limit_measure(MeasureQuery(fam, Q=1, horizon=10))
         assert rep.stabilized and rep.value == lift_const(kclass_one(QQ))
 
     def test_query_validation(self):
@@ -101,13 +101,27 @@ class TestLimitMeasure:
         with pytest.raises(EvalError):
             MeasureQuery(fam, Q=1, horizon=2, window=3)
 
+    def test_a_plain_sieve_rule_measures_as_its_constant_shape(self):
+        # the arcs at the origin, given as a plain sieve
+        def origin_rule(m):
+            arc = weil_restrict(A1, m)
+            return closed_sieve(arc, [Poly.variable("x_0", arc.vars, QQ)])
+
+        rep = limit_measure(MeasureQuery(limit_sieve(A1, jets(QQ), rule=origin_rule),
+                                         Q=1))
+        assert rep.stabilized and rep.value == lift_const(lefschetz(QQ, -1))
+
+
+# the line under skeletal level 2: its arcs and their shapes carry that config
+LINE2 = affine_space(QQ, ("x",), "A1", Config(skeletal_level=2))
+
 
 def fiber_member(m):
-    return lift_sieve(full_sieve(weil_restrict(A1, m)), "fiber")
+    return lift_sieve(full_sieve(weil_restrict(LINE2, m)), "fiber")
 
 
 def product_member(m):
-    arc = weil_restrict(A1, m)
+    arc = weil_restrict(LINE2, m)
     return ProductSieve(ConstSieve(arc, Full()), ConstSieve(arc, Full()))
 
 
@@ -117,11 +131,20 @@ class TestShapedMembers:
     @pytest.mark.parametrize("rule", [fiber_member, product_member],
                              ids=["fiber", "product"])
     def test_full_arcs_normalize_to_one_at_every_level(self, rule):
-        fam = limit_sieve(A1, jets(QQ), rule=rule)
-        rep = limit_measure(MeasureQuery(fam, Q=1), Config(skeletal_level=2))
+        fam = limit_sieve(LINE2, jets(QQ), rule=rule)
+        rep = limit_measure(MeasureQuery(fam, Q=1))
         assert rep.stabilized and rep.since == 0
         for n in range(3):
             assert level_class(rep.value, n) == kclass_one(QQ)
+
+    def test_a_product_is_classed_to_the_skeletal_level_of_its_scheme(self):
+        # a fiber shape times a constant one leaves the closed shapes, so
+        # its levels are materialized: 3 of them, as `[a] * [b]` has under
+        # --skeletal-level 2
+        line = full_sieve(LINE2)
+        z = class_of_simplicial(ProductSieve(lift_sieve(line, "fiber"),
+                                             lift_sieve(line, "trivial")))
+        assert [len(sym[1]) for sym in z.terms if sym[0] == "levels"] == [3]
 
 
 def truncated_fiber_member(m):

@@ -18,12 +18,13 @@ from motivic.schemes import (AffineScheme, CoordMap, affine_space,
 from motivic.sieves import (Closed, ConstSieve, DisjointSieve, Full,
                             InterSieve, LevelSieve, OpenLoc, ProductSieve,
                             RelativeSieve, Sieve, UnionSieve,
-                            admissible_open, arc_sieve,
+                            admissible_open, arc_plain_sieve,
                             closed_sieve, continuity_probe, empty_sieve,
                             fiber_product, full_sieve, image_sieve,
-                            is_admissible_open, level_presentation,
-                            lift_sieve, limit_sieve, open_sieve, sieve_inter,
-                            sieve_union, simplicial_arc)
+                            is_admissible_open, lift_sieve, limit_sieve,
+                            open_sieve, sieve_inter, sieve_union,
+                            simplicial_arc)
+from motivic.topology import evaluate_to_sset
 
 F3 = GF(3)
 F2 = GF(2)
@@ -153,21 +154,21 @@ class TestArcsOfSieves:
     def test_closed_condition_expands_to_coefficient_rows(self):
         AQ = affine_space(QQ, ("x",), "A1Q")
         xq = Poly.variable("x", AQ.vars, QQ)
-        arc = arc_sieve(closed_sieve(AQ, [xq * xq]), dual_numbers(QQ))
+        arc = arc_plain_sieve(closed_sieve(AQ, [xq * xq]), dual_numbers(QQ))
         assert isinstance(arc.node, Closed)
         assert len(arc.node.gens) == 2
 
     def test_open_condition_keeps_the_residue(self):
         AQ = affine_space(QQ, ("x",), "A1Q")
         xq = Poly.variable("x", AQ.vars, QQ)
-        arc = arc_sieve(open_sieve(AQ, xq), dual_numbers(QQ))
+        arc = arc_plain_sieve(open_sieve(AQ, xq), dual_numbers(QQ))
         assert isinstance(arc.node, OpenLoc)
         assert poly_str(arc.node.g) == "x_0"
 
     def test_arc_counts_match_membership(self):
         t2 = dual_numbers(F3)
         dx = open_sieve(A1, X)
-        arc = arc_sieve(dx, t2)
+        arc = arc_plain_sieve(dx, t2)
         assert arc.count(K3) == dx.count(t2)
 
 
@@ -189,13 +190,15 @@ class TestSimplicialShapes:
         for s in (lift_sieve(open_sieve(B, xb), "fiber"),
                   lift_sieve(full_sieve(B), "fiber"),
                   lift_sieve(full_sieve(B), "sym")):
-            assert s.check_structure(k2, 2)
+            # top 3 checks the degeneracies of level 2 as well; a face or
+            # degeneracy that leaves the sieve raises EvalError
+            evaluate_to_sset(s, k2, top=3)
 
     def test_level_presentation_of_a_power(self):
         B = affine_space(F2, ("x",), "B")
         xb = Poly.variable("x", B.vars, F2)
         db = lift_sieve(open_sieve(B, xb), "fiber")
-        scheme, node = level_presentation(db, 1)
+        scheme, node = db.level_presentation(1)
         assert len(scheme.vars) == 2
 
     def test_image_leaves_carry_into_power_and_product_levels(self):
@@ -205,13 +208,58 @@ class TestSimplicialShapes:
         fib = lift_sieve(squares, "fiber")
         prod = ProductSieve(ConstSieve.of(squares), ConstSieve.of(full_sieve(A1)))
         for s, n, want in ((fib, 1, 4), (fib, 2, 8), (prod, 0, 6)):
-            scheme, node = level_presentation(s, n)
+            scheme, node = s.level_presentation(n)
             assert s.count(K3, n) == Sieve(scheme, node).count(K3) == want
 
     def test_symmetric_shape_has_no_level_presentation(self):
         B = affine_space(F2, ("x",), "B")
         sym = lift_sieve(full_sieve(B), "sym")
-        assert level_presentation(sym, 1) is None
+        assert sym.level_presentation(1) is None
+
+
+def every_shape(field):
+    """One shape of each class over the line, by name: the three lifts, the
+    four two-sided shapes and a level list."""
+    line = affine_space(field, ("x",), "A1")
+    x = Poly.variable("x", line.vars, field)
+    a, b = closed_sieve(line, [x * x]), open_sieve(line, x - 1)
+    fa, fb = lift_sieve(a, "fiber"), lift_sieve(b, "fiber")
+    return {"trivial": lift_sieve(b, "trivial"), "fiber": fb,
+            "sym": lift_sieve(b, "sym"),
+            "product": ProductSieve(lift_sieve(a, "trivial"), fb),
+            "disjoint": DisjointSieve(fa, lift_sieve(b, "trivial")),
+            "union": UnionSieve(fa, fb), "intersection": InterSieve(fa, fb),
+            "levels": LevelSieve([line] * 3, [a.node, b.node, Full()])}
+
+
+class TestShapesAnswerForThemselves:
+    """Each shape presents its levels and restricts itself along a fat
+    point, at the points of `kernel_points` of length at most 3."""
+
+    @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+    def test_level_presentations_and_arcs(self, field):
+        k = base_point(field)
+        points = [m for m in kernel_points(field) if m.length <= 3]
+        assert len(points) == 3
+        shapes = every_shape(field)
+        line = shapes["trivial"].scheme
+        for name, s in shapes.items():
+            assert s.scheme is line, name
+            for m in points:
+                for n in range(3):
+                    pres = s.level_presentation(n)
+                    assert (pres is None) == (name in ("sym", "disjoint")), name
+                    if pres is not None:
+                        assert Sieve(*pres).count(m) == s.count(m, n), (name, m, n)
+                if name == "levels":
+                    with pytest.raises(WorkbenchError, match="no arc transform"):
+                        s.arc(m)
+                    continue
+                arc = s.arc(m)
+                assert type(arc) is type(s)
+                # restriction along m is right adjoint to the product with m
+                for n in range(3):
+                    assert arc.count(k, n) == s.count(m, n), (name, m, n)
 
 
 class TestLevelPoints:

@@ -140,7 +140,9 @@ class TestEvaluation:
         fib = lift_sieve(full_sieve(self.B), "fiber")
         triv = lift_sieve(full_sieve(self.B), "trivial")
         prod, dis = ProductSieve(fib, triv), DisjointSieve(triv, fib)
-        assert prod.check_structure(self.k2, 2) and dis.check_structure(self.k2, 2)
+        for s in (prod, dis):
+            # raises EvalError when a face or degeneracy leaves the sieve
+            evaluate_to_sset(s, self.k2, top=3)
 
         def inv(s):
             return invariants(evaluate_to_sset(s, self.k2, top=2))
