@@ -33,9 +33,9 @@ from .measures import MeasureQuery, limit_measure
 from .poly import Ideal, Poly
 from .schemes import (AffineScheme, CoordMap, adjunction_check, affine_space,
                       count_points, weil_restrict)
-from .sieves import (Sieve, arc_plain_sieve, closed_sieve, continuity_probe,
-                     empty_sieve, full_sieve, image_sieve, lift_sieve,
-                     limit_sieve, node_str, open_sieve, sieve_inter,
+from .sieves import (LimitSieve, Sieve, arc_plain_sieve, closed_sieve,
+                     continuity_probe, empty_sieve, full_sieve, image_sieve,
+                     lift_sieve, node_str, open_sieve, sieve_inter,
                      sieve_union)
 from .topology import preservation_check
 
@@ -315,7 +315,7 @@ class Session:
     def eval_measure(self, st):
         subject, chain, qval, lax, horizon, window = st.payload
         system = self.lookup(chain, ("chain",))[1]
-        family = limit_sieve(self.as_sieve(subject), system, label=subject)
+        family = LimitSieve(self.as_sieve(subject), system, label=subject)
         rule = None
         if lax is not None:
             a, b = lax

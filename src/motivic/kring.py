@@ -10,8 +10,8 @@ exponent, and minimizes over coordinate permutations of small blocks, so the
 usual textbook identifications (a graph is an affine space, distinct reduced
 points add up) fall out. Identification is presentational, not up to
 arbitrary isomorphism; counting at finite fat points is the semantic anchor.
-Each block carries the scheme and sieve node that realize it, so a class
-prints and counts without any state outside itself.
+Each block carries the plain sieve that realizes it, so a class prints and
+counts without any state outside itself.
 
 Union classes are expanded by inclusion-exclusion, which makes the
 cut-and-paste identity hold by construction; the battery helpers re-verify
@@ -39,7 +39,7 @@ from .schemes import AffineScheme, CoordMap, points
 from .sieves import (Closed, ConstSieve, DisjointSieve, Empty, Full, Im,
                      Inter, InterSieve, OpenLoc, PowerSieve, ProductSieve,
                      Sieve, SimplicialSieve, Union, UnionSieve, image_sieve,
-                     node_str, presented_levels)
+                     node_str, presented_levels, sieve_inter)
 
 # ---------------------------------------------------------------------------
 # inclusion-exclusion expansion into conjunctions of literals
@@ -87,7 +87,7 @@ def expand_node(node):
 
 
 class Block:
-    """A canonical block: its key and the (scheme, node) that realizes it.
+    """A canonical block: its key and the plain sieve that realizes it.
 
     Equality, hashing and repr come from the key alone, so blocks order and
     merge as their keys do; the payload is what printing and counting read.
@@ -96,12 +96,11 @@ class Block:
     every class sum hashes its symbols.
     """
 
-    __slots__ = ("key", "scheme", "node", "_repr", "_hash")
+    __slots__ = ("key", "sieve", "_repr", "_hash")
 
-    def __init__(self, key, key_repr: str, scheme: AffineScheme, node):
+    def __init__(self, key, key_repr: str, sieve: Sieve):
         self.key = key
-        self.scheme = scheme
-        self.node = node
+        self.sieve = sieve
         self._repr = key_repr
         self._hash = hash(key)
 
@@ -116,7 +115,7 @@ class Block:
 
     def __reduce__(self):
         # string hashes are salted per process: rebuild rather than copy _hash
-        return Block, (self.key, self._repr, self.scheme, self.node)
+        return Block, (self.key, self._repr, self.sieve)
 
 
 def _reindex(p: Poly, where, new_vars) -> Poly:
@@ -188,7 +187,7 @@ def _block_candidates(vars_sub, field, gens, open_g, ims, cfg):
     identity = tuple(range(n))
     perm_source = permutations(range(n)) if n <= 5 else [identity]
     best_key = best_repr = None
-    best_payload = None
+    best_sieve = None
     zvars = tuple("z%d" % j for j in range(n))
     for perm in perm_source:
         pgens = [_reindex(g, perm, zvars) for g in gens]
@@ -223,8 +222,8 @@ def _block_candidates(vars_sub, field, gens, open_g, ims, cfg):
             scheme_ideal = Ideal(zvars, field, list(basis), cfg)
             scheme_ideal._basis = list(basis)
             scheme = AffineScheme("blk", scheme_ideal)
-            best_payload = (scheme, _node_of_parts(basis, popen, pims))
-    return Block(best_key, best_repr, *best_payload)
+            best_sieve = Sieve(scheme, _node_of_parts(basis, popen, pims))
+    return Block(best_key, best_repr, best_sieve)
 
 
 def canonical_conjunction(ambient: AffineScheme, literals, chain=None):
@@ -517,8 +516,8 @@ def class_of_scheme(x: AffineScheme) -> KClass:
 
 def symbol_str(sym) -> str:
     blocks, lef = sym
-    bits = ["[pt]" if isinstance(b.node, Full) else "[%s]" % node_str(b.node)
-            for b in blocks]
+    nodes = [b.sieve.node for b in blocks]
+    bits = ["[pt]" if isinstance(nd, Full) else "[%s]" % node_str(nd) for nd in nodes]
     if lef:
         bits.append("L" if lef == 1 else "L^%d" % lef)
     return "*".join(bits) if bits else "1"
@@ -565,10 +564,10 @@ def counting_hom(z: KClass, m: FatPoint) -> Fraction:
     for (blocks, lef), c in z.terms.items():
         val = Fraction(q) ** (ell * lef)
         for block in blocks:
-            key = ("count", block, block.scheme.ideal.cfg.max_candidates)
+            key = ("count", block, block.sieve.ambient.ideal.cfg.max_candidates)
             got = memo.get(key)
             if got is None:
-                got = memo[key] = Sieve(block.scheme, block.node).count(m)
+                got = memo[key] = block.sieve.count(m)
             val *= got
         total += c * val
     return total
@@ -661,10 +660,9 @@ def class_of_simplicial(s: SimplicialSieve) -> SClass:
     """The class of a shape; a shape with no closed form of its own is
     classed level by level, up to the skeletal level of its scheme's config."""
     if isinstance(s, ConstSieve):
-        return lift_const(class_of_sieve(s.plain()))
+        return lift_const(class_of_sieve(s.base))
     if isinstance(s, PowerSieve):
-        base = class_of_sieve(Sieve(s.scheme, s.node))
-        return lift_power(base, s.symmetric)
+        return lift_power(class_of_sieve(s.base), s.symmetric)
     if isinstance(s, ProductSieve):
         a = class_of_simplicial(s.left)
         b = class_of_simplicial(s.right)
@@ -676,16 +674,15 @@ def class_of_simplicial(s: SimplicialSieve) -> SClass:
         return (class_of_simplicial(s.left) + class_of_simplicial(s.right)
                 - class_of_simplicial(inter))
     if isinstance(s, InterSieve):
+        # equal ambient keys: two constant shapes, or two powers of one
+        # scheme with one symmetry, meet in the shape of their bases' meet
         a, b = s.left, s.right
         if isinstance(a, ConstSieve) and isinstance(b, ConstSieve):
-            return lift_const(class_of_sieve(
-                Sieve(a.scheme, Inter(a.node, b.node))))
-        if (isinstance(a, PowerSieve) and isinstance(b, PowerSieve)
-                and a.symmetric == b.symmetric
-                and a.scheme.presentation_key() == b.scheme.presentation_key()):
-            base = class_of_sieve(Sieve(a.scheme, Inter(a.node, b.node)))
-            return lift_power(base, a.symmetric)
-    out = [class_of_sieve(Sieve(scheme, node)) for scheme, node
+            return lift_const(class_of_sieve(sieve_inter(a.base, b.base)))
+        if isinstance(a, PowerSieve) and isinstance(b, PowerSieve):
+            return lift_power(class_of_sieve(sieve_inter(a.base, b.base)),
+                              a.symmetric)
+    out = [class_of_sieve(level) for level
            in presented_levels(s, s.scheme.ideal.cfg.skeletal_level)]
     return SClass(out[0].field, {("levels", tuple(z.frozen() for z in out)): 1})
 

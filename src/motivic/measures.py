@@ -56,22 +56,22 @@ class MeasureReport:
 
 def _member_value(subject: LimitSieve, m: FatPoint, Q: Fraction, lax) -> SClass:
     member = subject.member_at(m)
-    cfg = member.scheme.ideal.cfg
     z = class_of_simplicial(member)
-    # Krull dimension of the ambient arc scheme at each level the member
-    # presents: up to the skeletal level, or to the end of a shorter list
-    dims = [scheme.ideal.krull_dimension()
-            for scheme, _ in presented_levels(member, cfg.skeletal_level)]
     extra = lax(m) if lax is not None else 0
     if extra < 0:
         raise EvalError("lax rule must be nonnegative")
+    if Q == 0 and extra == 0:
+        return z
+    cfg = member.scheme.ideal.cfg
+    # Krull dimension of the ambient arc scheme at each level the member
+    # presents: up to the skeletal level, or to the end of a shorter list
+    dims = [level.ambient.ideal.krull_dimension()
+            for level in presented_levels(member, cfg.skeletal_level)]
 
     def rule(n):
         d = dims[min(n, len(dims) - 1)]
         return -(ceil(Q * d) + extra)
 
-    if Q == 0 and extra == 0:
-        return z
     return twist_by_rule(z, rule, cfg)
 
 
@@ -132,8 +132,7 @@ def forget_structure(s):
     the skeletal level of its scheme's config."""
     if isinstance(s, LevelSieve):
         return s
-    levels = presented_levels(s, s.scheme.ideal.cfg.skeletal_level)
-    return LevelSieve([scheme for scheme, _ in levels], [node for _, node in levels])
+    return LevelSieve(presented_levels(s, s.scheme.ideal.cfg.skeletal_level))
 
 
 def indexed_mode(q: MeasureQuery) -> MeasureReport:

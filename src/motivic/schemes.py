@@ -65,10 +65,16 @@ def affine_space(field: Field, names, name: str = "", cfg: Config = DEFAULT) -> 
                         Ideal(tuple(names), field, [], cfg))
 
 
-def product_scheme(a: AffineScheme, b: AffineScheme, name: str = "") -> tuple:
-    """(product, left var map, right var map); right names dodge collisions."""
+def product_scheme(a: AffineScheme, b: AffineScheme) -> tuple:
+    """(product, projection to a, projection to b); b's names dodge a's."""
     ideal, lmap, rmap = tensor_product(a.ideal, b.ideal)
-    return AffineScheme(name or a.name + "*" + b.name, ideal), lmap, rmap
+    prod = AffineScheme(a.name + "*" + b.name, ideal)
+
+    def projection(x, names):
+        return CoordMap(prod, x, {v: Poly.variable(names[v], prod.vars, prod.field)
+                                  for v in x.vars})
+
+    return prod, projection(a, lmap), projection(b, rmap)
 
 
 class CoordMap:

@@ -15,11 +15,14 @@ reading.
 Simplicial sieves layer a level structure on top, one class per shape:
 constant levels, cartesian powers with coordinate deletion/duplication
 (multisets in the symmetric shape), levelwise products, disjoint unions,
-unions and intersections, and level lists that carry no maps at all. Each
-shape answers for itself: it builds the points, faces and degeneracies of
-level n from its parts, says which affine scheme and condition present
-level n (`level_presentation`), restricts itself along a fat point (`arc`),
-and names the scheme whose config caps its work (`scheme`).
+unions and intersections, and level lists that carry no maps at all. A shape
+holds plain `Sieve`s, never a separate scheme and condition. Each shape
+answers for itself: it builds the points, faces and degeneracies of level n
+from its parts, gives the plain `Sieve` presenting level n
+(`level_presentation`; a product level is the two sides pulled back along
+the projections of `schemes.product_scheme` and intersected), restricts
+itself along a fat point (`arc`), and names the scheme whose config caps its
+work (`scheme`).
 """
 
 from __future__ import annotations
@@ -178,20 +181,14 @@ def fiber_product_schemes(f: CoordMap, g: CoordMap):
     """W x_X Z for f: W -> X, g: Z -> X; returns (scheme, to W, to Z)."""
     if f.target.presentation_key() != g.target.presentation_key():
         raise AmbientMismatch("fiber product needs a common target")
-    prod, lmap, rmap = product_scheme(f.source, g.source)
-    field = f.source.field
+    prod, to_w, to_z = product_scheme(f.source, g.source)
+    fw, gz = f.compose(to_w), g.compose(to_z)
     gens = list(prod.ideal.gens)
-    for v in f.target.vars:
-        a = f.images[v].rename(lmap).embed(prod.vars)
-        b = g.images[v].rename(rmap).embed(prod.vars)
-        gens.append(a - b)
+    gens += [fw.images[v] - gz.images[v] for v in f.target.vars]
     total = AffineScheme(f.source.name + "x" + g.source.name,
-                         Ideal(prod.vars, field, gens, prod.ideal.cfg))
-    to_w = CoordMap(total, f.source,
-                    {v: Poly.variable(lmap[v], total.vars, field) for v in f.source.vars})
-    to_z = CoordMap(total, g.source,
-                    {v: Poly.variable(rmap[v], total.vars, field) for v in g.source.vars})
-    return total, to_w, to_z
+                         Ideal(prod.vars, prod.field, gens, prod.ideal.cfg))
+    return (total, CoordMap(total, f.source, to_w.images),
+            CoordMap(total, g.source, to_z.images))
 
 
 # ---------------------------------------------------------------------------
@@ -300,17 +297,6 @@ def is_admissible_open(s: Sieve, host: Sieve) -> bool:
     return False
 
 
-def admissible_open(host: Sieve, opens) -> Sieve:
-    """host cut with the union of the given open functions."""
-    opens = list(opens)
-    if not opens:
-        raise WorkbenchError("need at least one open function")
-    nd = OpenLoc(opens[0])
-    for g in opens[1:]:
-        nd = Union(nd, OpenLoc(g))
-    return Sieve(host.ambient, Inter(host.node, nd))
-
-
 def continuity_probe(f: CoordMap, battery) -> dict:
     """Pull admissible opens back along f and re-test admissibility.
 
@@ -380,14 +366,14 @@ def arc_plain_sieve(s: Sieve, m: FatPoint) -> Sieve:
 
 
 class SimplicialSieve:
-    """A levelwise subfunctor, one class per shape.
+    """A levelwise subfunctor, one class per shape, built from plain sieves.
 
     Each shape builds `level_points(m, n)` from its parts and returns the
     points sorted. `member` tests one point, `face(n, i, p)` and
     `degeneracy(n, i, p)` are the structure maps (absent when `has_maps` is
     false), `key` names the sieve, and `ambient_key` names the levels it
     cuts, which the two sides of a union or an intersection must share.
-    `level_presentation(n)` is the (scheme, node) presenting level n, or
+    `level_presentation(n)` is the plain `Sieve` presenting level n, or
     None when the level has no single affine presentation; `arc(m)` is the
     same shape restricted along m; `scheme` is the defining affine scheme,
     whose config caps the work on the sieve.
@@ -408,32 +394,27 @@ class SimplicialSieve:
 class ConstSieve(SimplicialSieve):
     """Every level is the plain sieve; faces and degeneracies are identities."""
 
-    def __init__(self, scheme: AffineScheme, node):
-        self.scheme = scheme
-        self.node = node
+    def __init__(self, base: Sieve):
+        self.base = base
 
-    @classmethod
-    def of(cls, s: Sieve) -> "ConstSieve":
-        return cls(s.ambient, s.node)
-
-    def plain(self) -> Sieve:
-        return Sieve(self.scheme, self.node)
+    @property
+    def scheme(self):
+        return self.base.ambient
 
     def level_presentation(self, n):
-        return self.scheme, self.node
+        return self.base
 
     def arc(self, m):
-        return ConstSieve(weil_restrict(self.scheme, m),
-                          arc_node(self.node, self.scheme, m))
+        return ConstSieve(arc_plain_sieve(self.base, m))
 
     def level_points(self, m, n):
-        return self.plain().points(m)
+        return self.base.points(m)
 
     def count(self, m, n) -> int:
-        return self.plain().count(m)
+        return self.base.count(m)
 
     def member(self, m, n, point):
-        return node_member(self.node, m, point)
+        return self.base.member(m, point)
 
     def face(self, n, i, p):
         return p
@@ -442,26 +423,29 @@ class ConstSieve(SimplicialSieve):
         return p
 
     def key(self):
-        return ("const", self.scheme.presentation_key(), self.node)
+        return ("const",) + self.base.key()
 
     def ambient_key(self):
         return ("const", self.scheme.presentation_key())
 
     def __repr__(self):
-        return "(%s)_const on %s" % (node_str(self.node), self.scheme.name)
+        return "(%s)_const on %s" % (node_str(self.base.node), self.scheme.name)
 
 
 class PowerSieve(SimplicialSieve):
     """Level n is the (n+1)-fold power of the plain sieve's points; the
     symmetric shape keeps sorted orbit representatives (multisets)."""
 
-    def __init__(self, scheme: AffineScheme, node, symmetric: bool = False):
-        self.scheme = scheme
-        self.node = node
+    def __init__(self, base: Sieve, symmetric: bool = False):
+        self.base = base
         self.symmetric = symmetric
 
+    @property
+    def scheme(self):
+        return self.base.ambient
+
     def level_points(self, m, n):
-        base = Sieve(self.scheme, self.node).points(m)
+        base = self.base.points(m)
         size = comb(len(base) + n, n + 1) if self.symmetric else len(base) ** (n + 1)
         if size > self.scheme.ideal.cfg.max_candidates:
             raise CapExceeded("power level too large to enumerate")
@@ -470,7 +454,7 @@ class PowerSieve(SimplicialSieve):
         return tuple(iproduct(base, repeat=n + 1))
 
     def member(self, m, n, point):
-        return all(node_member(self.node, m, p) for p in point)
+        return all(self.base.member(m, p) for p in point)
 
     def face(self, n, i, p):
         return p[:i] + p[i + 1:]
@@ -483,30 +467,39 @@ class PowerSieve(SimplicialSieve):
         """The (n+1)-fold product of the base; multisets have none."""
         if self.symmetric:
             return None
-        out = self.scheme, self.node
+        out = self.base
         for _ in range(n):
-            out = _level_product(out, (self.scheme, self.node))
+            out = _level_product(out, self.base)
         return out
 
     def arc(self, m):
-        return PowerSieve(weil_restrict(self.scheme, m),
-                          arc_node(self.node, self.scheme, m), self.symmetric)
+        return PowerSieve(arc_plain_sieve(self.base, m), self.symmetric)
 
     def key(self):
-        return ("pow", self.scheme.presentation_key(), self.node, self.symmetric)
+        return ("pow",) + self.base.key() + (self.symmetric,)
 
     def ambient_key(self):
         return ("pow", self.scheme.presentation_key(), self.symmetric)
 
     def __repr__(self):
         tag = "sym" if self.symmetric else "fiber"
-        return "(%s)_%s on %s" % (node_str(self.node), tag, self.scheme.name)
+        return "(%s)_%s on %s" % (node_str(self.base.node), tag, self.scheme.name)
+
+
+def _level_product(a: Sieve, b: Sieve) -> Sieve:
+    """The product of two level presentations: each is pulled back along its
+    projection, so image leaves become images of fiber products."""
+    prod, pa, pb = product_scheme(a.ambient, b.ambient)
+    return sieve_inter(a.pullback(pa), b.pullback(pb))
 
 
 class _Pair(SimplicialSieve):
-    """A shape made of two sieves; `tag` names it in both keys."""
+    """A shape made of two sieves; `tag` names it in both keys, and `join`
+    makes its level presentation from its sides' (a shape with no join
+    presents nothing)."""
 
     tag = ""
+    join = None
 
     def __init__(self, left: SimplicialSieve, right: SimplicialSieve):
         self.left = left
@@ -521,11 +514,13 @@ class _Pair(SimplicialSieve):
         return self.left.scheme
 
     def level_presentation(self, n):
+        if self.join is None:
+            return None
         lp = self.left.level_presentation(n)
         rp = self.right.level_presentation(n)
         if lp is None or rp is None:
             return None
-        return self.join_levels(lp, rp)
+        return self.join(lp, rp)
 
     def arc(self, m):
         return type(self)(self.left.arc(m), self.right.arc(m))
@@ -541,6 +536,7 @@ class ProductSieve(_Pair):
     """Level n is the pairs of the two sides' level-n points."""
 
     tag = "prod"
+    join = staticmethod(_level_product)
 
     def level_points(self, m, n):
         ls = self.left.level_points(m, n)
@@ -559,12 +555,10 @@ class ProductSieve(_Pair):
     def degeneracy(self, n, i, p):
         return (self.left.degeneracy(n, i, p[0]), self.right.degeneracy(n, i, p[1]))
 
-    def join_levels(self, lp, rp):
-        return _level_product(lp, rp)
-
 
 class DisjointSieve(_Pair):
-    """Level n is the left side's points tagged "L", then the right's tagged "R"."""
+    """Level n is the left side's points tagged "L", then the right's tagged
+    "R"; tagged points of two schemes have no single presentation."""
 
     tag = "disj"
 
@@ -587,25 +581,17 @@ class DisjointSieve(_Pair):
         tag, q = p
         return (tag, self._side(tag).degeneracy(n, i, q))
 
-    def level_presentation(self, n):
-        """Tagged points of two schemes have no single presentation."""
-        return None
-
 
 class _Lattice(_Pair):
     """Union and intersection: two sieves cutting the same levels, whose
     structure maps are the left side's."""
 
     word = ""
-    join = None    # the node joining the two sides' conditions
 
     def __init__(self, left: SimplicialSieve, right: SimplicialSieve):
         if left.ambient_key() != right.ambient_key():
             raise AmbientMismatch("simplicial %s across different ambients" % self.word)
         super().__init__(left, right)
-
-    def join_levels(self, lp, rp):
-        return lp[0], self.join(lp[1], rp[1])
 
     def face(self, n, i, p):
         return self.left.face(n, i, p)
@@ -618,7 +604,7 @@ class _Lattice(_Pair):
 
 
 class UnionSieve(_Lattice):
-    tag, word, join = "union", "union", Union
+    tag, word, join = "union", "union", staticmethod(sieve_union)
 
     def level_points(self, m, n):
         both = set(self.left.level_points(m, n))
@@ -630,7 +616,7 @@ class UnionSieve(_Lattice):
 
 
 class InterSieve(_Lattice):
-    tag, word, join = "inter", "intersection", Inter
+    tag, word, join = "inter", "intersection", staticmethod(sieve_inter)
 
     def level_points(self, m, n):
         return tuple(p for p in self.left.level_points(m, n)
@@ -641,39 +627,35 @@ class InterSieve(_Lattice):
 
 
 class LevelSieve(SimplicialSieve):
-    """Explicit per-level conditions over a family of level schemes, with
-    the structure maps forgotten."""
+    """Explicit per-level plain sieves, with the structure maps forgotten."""
 
     has_maps = False
 
-    def __init__(self, levels, nodes):
+    def __init__(self, levels):
         self.levels = tuple(levels)
-        self.nodes = tuple(nodes)
 
     @property
     def truncation(self):
-        return len(self.nodes) - 1
+        return len(self.levels) - 1
 
     @property
     def scheme(self):
-        return self.levels[0]
+        return self.levels[0].ambient
 
-    def level_scheme(self, n):
+    def level_presentation(self, n):
         if n > self.truncation:
             raise CapExceeded("level %d beyond materialized truncation %d"
                               % (n, self.truncation))
         return self.levels[n]
 
     def level_points(self, m, n):
-        return Sieve(self.level_scheme(n), self.nodes[n]).points(m)
+        return self.level_presentation(n).points(m)
 
     def count(self, m, n) -> int:
-        return Sieve(self.level_scheme(n), self.nodes[n]).count(m)
+        return self.level_presentation(n).count(m)
 
     def member(self, m, n, point):
-        if n > self.truncation:
-            raise CapExceeded("level %d beyond materialized truncation" % n)
-        return node_member(self.nodes[n], m, point)
+        return self.level_presentation(n).member(m, point)
 
     def face(self, n, i, p):
         raise WorkbenchError("indexed family carries no face maps")
@@ -681,21 +663,18 @@ class LevelSieve(SimplicialSieve):
     def degeneracy(self, n, i, p):
         raise WorkbenchError("indexed family carries no degeneracy maps")
 
-    def level_presentation(self, n):
-        return self.level_scheme(n), self.nodes[n]
-
     def arc(self, m):
         raise WorkbenchError("no arc transform for %r" % (self,))
 
     def key(self):
-        return ("levels", self.ambient_key(), self.nodes)
+        return ("levels", self.ambient_key(), tuple(s.node for s in self.levels))
 
     def ambient_key(self):
-        return ("idx", tuple(s.presentation_key() for s in self.levels))
+        return ("idx", tuple(s.ambient.presentation_key() for s in self.levels))
 
 
 def simplicial_full(x: AffineScheme) -> ConstSieve:
-    return ConstSieve(x, Full())
+    return ConstSieve(full_sieve(x))
 
 
 def as_simplicial(s) -> SimplicialSieve:
@@ -704,41 +683,23 @@ def as_simplicial(s) -> SimplicialSieve:
     if isinstance(s, AffineScheme):
         return simplicial_full(s)
     if isinstance(s, Sieve):
-        return ConstSieve.of(s)
+        return ConstSieve(s)
     return s
 
 
 def lift_sieve(s: Sieve, tag: str) -> SimplicialSieve:
     """Apply a level shape to a plain sieve: constant, power, or orbit power."""
     if tag == "trivial":
-        return ConstSieve(s.ambient, s.node)
+        return ConstSieve(s)
     if tag == "fiber":
-        return PowerSieve(s.ambient, s.node, symmetric=False)
+        return PowerSieve(s)
     if tag == "sym":
-        return PowerSieve(s.ambient, s.node, symmetric=True)
+        return PowerSieve(s, symmetric=True)
     raise WorkbenchError("unknown shape tag %r" % tag)
 
 
-# ---------------------------------------------------------------------------
-# level presentations
-
-
-def _level_product(a, b):
-    """The product of two level presentations: each condition is pulled back
-    along its projection, so image leaves become images of fiber products."""
-    (sa, na), (sb, nb) = a, b
-    prod, lmap, rmap = product_scheme(sa, sb)
-
-    def projection(x, names):
-        return CoordMap(prod, x, {v: Poly.variable(names[v], prod.vars, prod.field)
-                                  for v in x.vars})
-
-    return prod, Inter(node_pullback(na, projection(sa, lmap)),
-                       node_pullback(nb, projection(sb, rmap)))
-
-
 def presented_levels(s, top: int):
-    """[(scheme, node)] for levels 0..top, or up to a level list's end."""
+    """The plain sieves presenting levels 0..top, or up to a level list's end."""
     if isinstance(s, LevelSieve):
         top = min(top, s.truncation)
     out = []
@@ -769,58 +730,7 @@ def simplicial_arc(s, sfp: SimplicialFatPoint, top: int | None = None):
     if not isinstance(s, ConstSieve):
         raise WorkbenchError("power-shaped restriction needs a constant base")
     top = sfp.truncation if top is None else top
-    levels = []
-    nodes = []
-    for n in range(top + 1):
-        mn = sfp.level(n)
-        levels.append(weil_restrict(s.scheme, mn))
-        nodes.append(arc_node(s.node, s.scheme, mn))
-    return LevelSieve(levels, nodes)
-
-
-# ---------------------------------------------------------------------------
-# relative sieves
-
-
-class RelativeSieve:
-    """A sieve with a structure morphism onto a base sieve's ambient."""
-
-    def __init__(self, total: Sieve, base: Sieve, structure: CoordMap):
-        if structure.source.presentation_key() != total.ambient.presentation_key():
-            raise AmbientMismatch("structure morphism must start at the total ambient")
-        if structure.target.presentation_key() != base.ambient.presentation_key():
-            raise AmbientMismatch("structure morphism must land in the base ambient")
-        self.total = total
-        self.base = base
-        self.structure = structure
-
-    def points_over(self, m: FatPoint):
-        """Total points labelled by their base image."""
-        alg = m.algebra
-        out = []
-        for p in self.total.points(m):
-            out.append((self.structure.apply_point(alg, p), p))
-        return out
-
-    def key(self):
-        return (self.total.key(), self.base.key(), self.structure.key())
-
-    def __eq__(self, other):
-        return isinstance(other, RelativeSieve) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-
-def fiber_product(a: RelativeSieve, b: RelativeSieve) -> RelativeSieve:
-    """Pointwise pairs agreeing on the base."""
-    if a.base.key() != b.base.key():
-        raise AmbientMismatch("fiber product needs a common base")
-    total_scheme, to_a, to_b = fiber_product_schemes(a.structure, b.structure)
-    node = Inter(node_pullback(a.total.node, to_a),
-                 node_pullback(b.total.node, to_b))
-    structure = a.structure.compose(to_a)
-    return RelativeSieve(Sieve(total_scheme, node), a.base, structure)
+    return LevelSieve([arc_plain_sieve(s.base, sfp.level(n)) for n in range(top + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -861,7 +771,7 @@ class LimitSieve:
             p_in = inside.level_presentation(0)
             p_hull = hull.level_presentation(0)
             if (p_in is not None and p_hull is not None
-                    and p_in[0].presentation_key() != p_hull[0].presentation_key()):
+                    and p_in.ambient != p_hull.ambient):
                 issues.append("member %d lives off the arc ambient" % idx)
                 continue
             if finite:
@@ -894,6 +804,3 @@ class LimitSieve:
                         break
         return {"ok": not issues, "issues": issues, "skipped": skipped}
 
-
-def limit_sieve(base, system, rule=None, label: str = "") -> LimitSieve:
-    return LimitSieve(base, system, rule=rule, label=label)

@@ -262,7 +262,7 @@ def _reference_ambient_level(s, m, n, cfg):
     if isinstance(s, ConstSieve):
         return reference_points(s.scheme, m, cfg)
     if isinstance(s, LevelSieve):
-        return reference_points(s.level_scheme(n), m, cfg)
+        return reference_points(s.level_presentation(n).ambient, m, cfg)
     if isinstance(s, PowerSieve):
         base = reference_points(s.scheme, m, cfg)
         if len(base) ** (n + 1) > cfg.max_candidates:

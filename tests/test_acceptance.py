@@ -28,9 +28,9 @@ from motivic.measures import (MeasureQuery, finite_measure, lax_measure,
 from motivic.poly import Ideal, Poly, poly_str
 from motivic.schemes import (AffineScheme, CoordMap, adjunction_check,
                              affine_space, points, weil_restrict)
-from motivic.sieves import (Closed, ConstSieve, InterSieve, ProductSieve,
+from motivic.sieves import (ConstSieve, InterSieve, LimitSieve, ProductSieve,
                             UnionSieve, closed_sieve, full_sieve, lift_sieve,
-                            limit_sieve, open_sieve, sieve_inter, sieve_union,
+                            open_sieve, sieve_inter, sieve_union,
                             simplicial_full)
 from motivic.topology import (boundary_simplex, discrete_sset,
                               evaluate_to_sset, invariants, standard_simplex)
@@ -346,7 +346,7 @@ def singleton_battery():
             for k in (2, 3):
                 s = rand_sieve(rng, amb, depth=1)
                 m = fat(field, k)
-                fam = limit_sieve(s, PointSystem(members=[m], label="one"))
+                fam = LimitSieve(s, PointSystem(members=[m], label="one"))
                 out.append((fam, m, s))
     return out
 
@@ -362,7 +362,7 @@ def test_criterion_07_measure_specialization():
     for d in (1, 2, 3):
         cfg = DEFAULT.with_overrides(max_variables=8 * d)
         space = affine_space(QQ, tuple("xyz"[:d]), "A%d" % d, cfg)
-        fam = limit_sieve(space, jets(QQ, cfg))
+        fam = LimitSieve(space, jets(QQ, cfg))
         rep = limit_measure(MeasureQuery(fam, Q=1, horizon=8, window=3))
         assert rep.stabilized and rep.since == 0
         assert rep.value == lift_const(kclass_one(QQ))
@@ -371,9 +371,9 @@ def test_criterion_07_measure_specialization():
 
     def origin_rule(m):
         arc = weil_restrict(line, m)
-        return ConstSieve(arc, Closed((Poly.variable("x_0", arc.vars, QQ),)))
+        return ConstSieve(closed_sieve(arc, [Poly.variable("x_0", arc.vars, QQ)]))
 
-    fam = limit_sieve(line, jets(QQ), rule=origin_rule)
+    fam = LimitSieve(line, jets(QQ), rule=origin_rule)
     rep = limit_measure(MeasureQuery(fam, Q=1))
     assert rep.stabilized
     assert rep.value == lift_const(lefschetz(QQ, -1))
@@ -393,7 +393,7 @@ def test_criterion_08_lax_consistency():
     for d in (1, 2, 3):
         cfg = DEFAULT.with_overrides(max_variables=8 * d)
         space = affine_space(QQ, tuple("xyz"[:d]), "A%d" % d, cfg)
-        fam = limit_sieve(space, jets(QQ, cfg))
+        fam = LimitSieve(space, jets(QQ, cfg))
         queries.append(MeasureQuery(fam, Q=1, horizon=8, window=3))
     for q in queries:
         plain = limit_measure(q)
@@ -404,7 +404,7 @@ def test_criterion_08_lax_consistency():
         assert zero.value == plain.value
         assert zero.since == plain.since
 
-    fam = limit_sieve(line, jets(QQ))
+    fam = LimitSieve(line, jets(QQ))
     flip = lax_measure(MeasureQuery(fam, Q=1, lax_rule=lambda m: m.length % 2))
     assert not flip.stabilized
     assert flip.mode == "lax"

@@ -20,7 +20,7 @@ from motivic.kring import (MEMO_BOUND, KClass, canonical_conjunction,
                            twist_by_rule)
 from motivic.poly import Ideal, Poly, buchberger
 from motivic.schemes import AffineScheme, CoordMap, affine_space
-from motivic.sieves import (Closed, ConstSieve, DisjointSieve, Full, Inter,
+from motivic.sieves import (Closed, ConstSieve, DisjointSieve, Inter,
                             InterSieve, LevelSieve, OpenLoc, Sieve, UnionSieve,
                             closed_sieve, full_sieve, image_sieve, lift_sieve,
                             open_sieve, sieve_inter, sieve_union)
@@ -427,8 +427,8 @@ class TestSimplicialClasses:
 
     def test_simplicial_scissor_on_const_shapes(self):
         xb = Poly.variable("x", self.B.vars, F2)
-        ca = ConstSieve(self.B, Closed((xb,)))
-        cb = ConstSieve(self.B, OpenLoc(xb))
+        ca = ConstSieve(closed_sieve(self.B, [xb]))
+        cb = ConstSieve(open_sieve(self.B, xb))
         lhs = (class_of_simplicial(UnionSieve(ca, cb))
                + class_of_simplicial(InterSieve(ca, cb)))
         rhs = class_of_simplicial(ca) + class_of_simplicial(cb)
@@ -461,7 +461,7 @@ class BrokenAwayFromTheOrigin(ConstSieve):
     the origin above level 0, so a degeneracy leaves the sieve."""
 
     def __init__(self, s, broken):
-        super().__init__(s.ambient, s.node)
+        super().__init__(s)
         self.broken = broken
 
     def level_points(self, m, n):
@@ -530,7 +530,7 @@ class TestAdjunctions:
     def test_a_degeneracy_leaving_the_sieve_is_refused_on_evaluation(self):
         k3 = base_point(F3)
         A1 = affine_space(F3, ("x",), "A1")
-        evaluate_to_sset(ConstSieve.of(full_sieve(A1)), k3, top=2)
+        evaluate_to_sset(ConstSieve(full_sieve(A1)), k3, top=2)
         broken = BrokenAwayFromTheOrigin(full_sieve(A1), "level")
         with pytest.raises(EvalError, match="degeneracy leaves the level set"):
             evaluate_to_sset(broken, k3, top=2)
@@ -538,7 +538,7 @@ class TestAdjunctions:
     def test_a_shape_without_maps_has_no_tau_check(self):
         k2 = base_point(F2)
         B = affine_space(F2, ("x",), "B")
-        family = LevelSieve([B, B], [Full(), Full()])
+        family = LevelSieve([full_sieve(B)] * 2)
         for check in (discrete_hom_check, enumerate_discrete_families):
             with pytest.raises(WorkbenchError, match="indexed family carries no face maps"):
                 check(B, family, k2, 1)

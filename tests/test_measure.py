@@ -9,16 +9,16 @@ from motivic.fatpoints import (PointSystem, SimplicialFatPoint, base_point,
                                jet_rule, make_fat_point)
 from motivic.fields import GF, QQ
 from motivic.kring import (class_of_simplicial, kclass_one, kclass_zero,
-                           lefschetz, level_class, lift_const)
+                           lefschetz, level_class, lift_const, lift_power)
 from motivic.measures import (MeasureQuery, counting_consistency,
                               finite_measure, forget_structure, indexed_mode,
                               integral_form, lax_measure, limit_measure,
                               stable_set_measure)
 from motivic.poly import Ideal, Poly
 from motivic.schemes import AffineScheme, affine_space, weil_restrict
-from motivic.sieves import (Closed, ConstSieve, Full, ProductSieve,
+from motivic.sieves import (ConstSieve, LimitSieve, ProductSieve,
                             closed_sieve, empty_sieve, full_sieve, lift_sieve,
-                            limit_sieve, simplicial_arc)
+                            simplicial_arc)
 
 A1 = affine_space(QQ, ("x",), "A1")
 L = lefschetz(QQ)
@@ -54,7 +54,7 @@ class TestLimitMeasure:
     def test_full_arcs_normalize_to_one(self):
         for d in (1, 2, 3):
             Ad = affine_space(QQ, tuple("x%d" % i for i in range(d)), "A%d" % d)
-            rep = limit_measure(MeasureQuery(limit_sieve(Ad, jets(QQ)), Q=1))
+            rep = limit_measure(MeasureQuery(LimitSieve(Ad, jets(QQ)), Q=1))
             assert rep.stabilized
             assert rep.value == lift_const(kclass_one(QQ))
 
@@ -62,9 +62,9 @@ class TestLimitMeasure:
         def origin_rule(m):
             arc = weil_restrict(A1, m)
             first = Poly.variable("x_0", arc.vars, QQ)
-            return ConstSieve(arc, Closed((first,)))
+            return ConstSieve(closed_sieve(arc, [first]))
 
-        fam = limit_sieve(A1, jets(QQ), rule=origin_rule)
+        fam = LimitSieve(A1, jets(QQ), rule=origin_rule)
         rep = limit_measure(MeasureQuery(fam, Q=1))
         assert rep.stabilized
         assert rep.value == lift_const(lefschetz(QQ, -1))
@@ -72,28 +72,28 @@ class TestLimitMeasure:
     def test_singleton_chain_at_rate_zero_is_the_finite_measure(self):
         m = fat(QQ, 2)
         vx = closed_sieve(A1, [Poly.variable("x", A1.vars, QQ)])
-        fam = limit_sieve(vx, PointSystem(members=[m], label="one"))
+        fam = LimitSieve(vx, PointSystem(members=[m], label="one"))
         rep = limit_measure(MeasureQuery(fam, Q=0))
         assert rep.stabilized
         assert rep.value == lift_const(finite_measure(vx, m))
 
     def test_empty_family_measures_zero(self):
-        fam = limit_sieve(empty_sieve(A1), jets(QQ))
+        fam = LimitSieve(empty_sieve(A1), jets(QQ))
         rep = limit_measure(MeasureQuery(fam, Q=1))
         assert rep.stabilized and rep.value.is_zero()
 
     def test_growing_family_at_rate_zero_is_indeterminate(self):
-        rep = limit_measure(MeasureQuery(limit_sieve(A1, jets(QQ)), Q=0))
+        rep = limit_measure(MeasureQuery(LimitSieve(A1, jets(QQ)), Q=0))
         assert not rep.stabilized
 
     def test_horizon_extension_keeps_the_verdict(self):
         wide = DEFAULT.with_overrides(max_degree=10)
-        fam = limit_sieve(A1, jets(QQ, cfg=wide))
+        fam = LimitSieve(A1, jets(QQ, cfg=wide))
         rep = limit_measure(MeasureQuery(fam, Q=1, horizon=10))
         assert rep.stabilized and rep.value == lift_const(kclass_one(QQ))
 
     def test_query_validation(self):
-        fam = limit_sieve(A1, jets(QQ))
+        fam = LimitSieve(A1, jets(QQ))
         with pytest.raises(EvalError):
             MeasureQuery(fam, Q=-1)
         with pytest.raises(EvalError):
@@ -107,9 +107,19 @@ class TestLimitMeasure:
             arc = weil_restrict(A1, m)
             return closed_sieve(arc, [Poly.variable("x_0", arc.vars, QQ)])
 
-        rep = limit_measure(MeasureQuery(limit_sieve(A1, jets(QQ), rule=origin_rule),
+        rep = limit_measure(MeasureQuery(LimitSieve(A1, jets(QQ), rule=origin_rule),
                                          Q=1))
         assert rep.stabilized and rep.value == lift_const(lefschetz(QQ, -1))
+
+    @pytest.mark.parametrize("field", [GF(3), QQ], ids=["F3", "Q"])
+    def test_an_untwisted_member_is_its_class(self, field):
+        # at Q = 0 with no lax term the value is the member's class, so a
+        # symmetric power, whose levels have no affine presentation, measures
+        line = affine_space(field, ("x",), "A1")
+        fam = LimitSieve(lift_sieve(full_sieve(line), "sym"), jets(field))
+        rep = limit_measure(MeasureQuery(fam, Q=0, horizon=4, window=2))
+        assert [v for _, v in rep.sequence] == [
+            lift_power(lefschetz(field, n), symmetric=True) for n in range(1, 5)]
 
 
 # the line under skeletal level 2: its arcs and their shapes carry that config
@@ -122,7 +132,7 @@ def fiber_member(m):
 
 def product_member(m):
     arc = weil_restrict(LINE2, m)
-    return ProductSieve(ConstSieve(arc, Full()), ConstSieve(arc, Full()))
+    return ProductSieve(ConstSieve(full_sieve(arc)), ConstSieve(full_sieve(arc)))
 
 
 class TestShapedMembers:
@@ -131,7 +141,7 @@ class TestShapedMembers:
     @pytest.mark.parametrize("rule", [fiber_member, product_member],
                              ids=["fiber", "product"])
     def test_full_arcs_normalize_to_one_at_every_level(self, rule):
-        fam = limit_sieve(LINE2, jets(QQ), rule=rule)
+        fam = LimitSieve(LINE2, jets(QQ), rule=rule)
         rep = limit_measure(MeasureQuery(fam, Q=1))
         assert rep.stabilized and rep.since == 0
         for n in range(3):
@@ -162,7 +172,7 @@ class TestTruncatedMembers:
 
     def family(self):
         A1f = affine_space(GF(3), ("x",), "A1f")
-        return limit_sieve(A1f, jets(GF(3)), rule=truncated_fiber_member)
+        return LimitSieve(A1f, jets(GF(3)), rule=truncated_fiber_member)
 
     def test_measures_instead_of_raising(self):
         assert DEFAULT.skeletal_level > 1
@@ -181,7 +191,7 @@ class TestTruncatedMembers:
 
 class TestLaxMeasure:
     def test_zero_correction_is_verbatim(self):
-        fam = limit_sieve(A1, jets(QQ))
+        fam = LimitSieve(A1, jets(QQ))
         plain = limit_measure(MeasureQuery(fam, Q=1))
         lax0 = lax_measure(MeasureQuery(fam, Q=1, lax_rule=lambda m: 0))
         assert lax0.stabilized == plain.stabilized
@@ -189,12 +199,12 @@ class TestLaxMeasure:
         assert [v for _, v in lax0.sequence] == [v for _, v in plain.sequence]
 
     def test_length_correction_cancels_the_growth(self):
-        fam = limit_sieve(A1, jets(QQ))
+        fam = LimitSieve(A1, jets(QQ))
         rep = lax_measure(MeasureQuery(fam, Q=0, lax_rule=lambda m: m.length))
         assert rep.stabilized and rep.value == lift_const(kclass_one(QQ))
 
     def test_divergent_correction_is_indeterminate(self):
-        fam = limit_sieve(A1, jets(QQ))
+        fam = LimitSieve(A1, jets(QQ))
         rep = lax_measure(MeasureQuery(fam, Q=0, lax_rule=lambda m: 2 * m.length))
         assert not rep.stabilized
 
@@ -203,13 +213,13 @@ class TestStableSets:
     def test_validated_family_over_a_finite_field(self):
         F3 = GF(3)
         A1f = affine_space(F3, ("x",), "A1f")
-        rep = stable_set_measure(limit_sieve(A1f, jets(F3)), horizon=6)
+        rep = stable_set_measure(LimitSieve(A1f, jets(F3)), horizon=6)
         assert rep.stabilized and rep.value == lift_const(kclass_one(F3))
 
     def test_counting_consistency_of_the_value(self):
         F3 = GF(3)
         A1f = affine_space(F3, ("x",), "A1f")
-        rep = stable_set_measure(limit_sieve(A1f, jets(F3)), horizon=6)
+        rep = stable_set_measure(LimitSieve(A1f, jets(F3)), horizon=6)
         k3 = base_point(F3)
         assert counting_consistency(rep, [(k3, 0), (k3, 2)], window=3)
 
@@ -217,7 +227,7 @@ class TestStableSets:
         F3 = GF(3)
         A1f = affine_space(F3, ("x",), "A1f")
         members = PointSystem(members=[fat(F3, 3), fat(F3, 2)])
-        rep = stable_set_measure(limit_sieve(A1f, members), horizon=3)
+        rep = stable_set_measure(LimitSieve(A1f, members), horizon=3)
         assert rep.stabilized
         assert rep.diagnostics[0] == "family validated to horizon 3"
         assert rep.diagnostics[1].startswith("validation skipped members 0-1: ")
@@ -230,10 +240,10 @@ class TestStableSets:
             arc = weil_restrict(A1f, m)
             if m.length % 2 == 0:
                 gens = tuple(Poly.variable(v, arc.vars, F3) for v in arc.vars)
-                return ConstSieve(arc, Closed(gens))
-            return ConstSieve(arc, Closed(()))
+                return ConstSieve(closed_sieve(arc, gens))
+            return ConstSieve(closed_sieve(arc, []))
 
-        fam = limit_sieve(A1f, jets(F3), rule=bad_rule)
+        fam = LimitSieve(A1f, jets(F3), rule=bad_rule)
         with pytest.raises(EvalError):
             stable_set_measure(fam, horizon=4)
 
@@ -242,7 +252,7 @@ class TestIndexedMode:
     def test_verdict_coincides_with_the_structured_one(self):
         F3 = GF(3)
         A1f = affine_space(F3, ("x",), "A1f")
-        fam = limit_sieve(A1f, jets(F3))
+        fam = LimitSieve(A1f, jets(F3))
         rep_i = indexed_mode(MeasureQuery(fam, Q=1))
         rep_p = limit_measure(MeasureQuery(fam, Q=1))
         assert rep_i.mode == "indexed"
@@ -271,7 +281,7 @@ class TestIndexedMode:
             return real(z, n)
 
         monkeypatch.setattr(measures, "level_class", level_class_to_one)
-        rep = indexed_mode(MeasureQuery(limit_sieve(A1f, jets(F3)), Q=1))
+        rep = indexed_mode(MeasureQuery(LimitSieve(A1f, jets(F3)), Q=1))
         assert [e["level"] for e in rep.per_level] == [0, 1]
         assert rep.diagnostics == ["per-level breakdown stops at level 2: "
                                    "level 2 beyond materialized tuple"]

@@ -49,12 +49,12 @@ def test_level_lists_list_and_count_like_the_reference():
             cases = mixed_cases(field, m, rng, 3)
             if not cases:
                 continue
-            family = LevelSieve([x for x, _ in cases], [s.node for _, s in cases])
+            family = LevelSieve([s for _, s in cases])
             for n, (x, s) in enumerate(cases):
                 want = reference_sieve_points(s, m)
                 assert family.level_points(m, n) == want
                 assert family.count(m, n) == len(want)
-                assert ConstSieve.of(s).count(m, n) == len(want)
+                assert ConstSieve(s).count(m, n) == len(want)
                 checked += 1
     assert checked >= 30
 
@@ -138,8 +138,8 @@ def test_the_candidate_cap_is_checked_before_the_search():
     for run in (lambda: points(c, m), lambda: count_points(c, m),
                 lambda: open_sieve(c, x).count(m),
                 lambda: open_sieve(c, x).points(m),
-                lambda: LevelSieve([c], [OpenLoc(x)]).level_points(m, 0),
-                lambda: LevelSieve([c], [OpenLoc(x)]).count(m, 0)):
+                lambda: LevelSieve([open_sieve(c, x)]).level_points(m, 0),
+                lambda: LevelSieve([open_sieve(c, x)]).count(m, 0)):
         with pytest.raises(CapExceeded) as err:
             run()
         assert str(err.value) == message

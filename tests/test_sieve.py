@@ -12,18 +12,18 @@ from motivic.errors import AmbientMismatch, CapExceeded, WorkbenchError
 from motivic.fatpoints import (PointSystem, SimplicialFatPoint, base_point,
                                jet_rule, make_fat_point)
 from motivic.fields import GF, QQ
+from motivic.kring import (class_of_sieve, class_of_simplicial, counting_hom,
+                           counting_simplicial)
 from motivic.poly import Ideal, Poly, poly_str
 from motivic.schemes import (AffineScheme, CoordMap, affine_space,
                              identity_map, weil_restrict)
-from motivic.sieves import (Closed, ConstSieve, DisjointSieve, Full,
-                            InterSieve, LevelSieve, OpenLoc, ProductSieve,
-                            RelativeSieve, Sieve, UnionSieve,
-                            admissible_open, arc_plain_sieve,
-                            closed_sieve, continuity_probe, empty_sieve,
-                            fiber_product, full_sieve, image_sieve,
-                            is_admissible_open, lift_sieve, limit_sieve,
-                            open_sieve, sieve_inter, sieve_union,
-                            simplicial_arc)
+from motivic.sieves import (Closed, ConstSieve, DisjointSieve, InterSieve,
+                            LevelSieve, LimitSieve, OpenLoc, ProductSieve,
+                            UnionSieve, arc_plain_sieve, closed_sieve,
+                            continuity_probe, empty_sieve,
+                            fiber_product_schemes, full_sieve, image_sieve,
+                            is_admissible_open, lift_sieve, open_sieve,
+                            sieve_inter, sieve_union, simplicial_arc)
 from motivic.topology import evaluate_to_sset
 
 F3 = GF(3)
@@ -124,19 +124,21 @@ class TestImages:
 class TestAdmissibleOpens:
     def test_host_cut_with_opens_is_admissible(self):
         host = full_sieve(A1)
-        adm = admissible_open(host, [X])
+        adm = sieve_inter(host, open_sieve(A1, X))
         assert is_admissible_open(adm, host)
+        two = sieve_inter(host, sieve_union(open_sieve(A1, X), open_sieve(A1, X - 1)))
+        assert is_admissible_open(two, host)
         assert not is_admissible_open(closed_sieve(A1, [X]), host)
 
     def test_degenerate_open_is_rejected(self):
         fat = AffineScheme("T", Ideal(("x",), F3, [X * X]))
         host = full_sieve(fat)
-        bad = admissible_open(host, [X * X])
+        bad = sieve_inter(host, open_sieve(fat, X * X))
         assert not is_admissible_open(bad, host)
 
     def test_continuity_counterexample_is_structural(self):
         host = full_sieve(A1)
-        adm = admissible_open(host, [X])
+        adm = sieve_inter(host, open_sieve(A1, X))
         const0 = CoordMap(A1, A1, {"x": Poly.zero(A1.vars, F3)})
         rep = continuity_probe(const0, [(K3, host, adm)])
         assert not rep["ok"]
@@ -146,7 +148,7 @@ class TestAdmissibleOpens:
 
     def test_identity_preserves_admissibility(self):
         host = full_sieve(A1)
-        adm = admissible_open(host, [X])
+        adm = sieve_inter(host, open_sieve(A1, X))
         assert continuity_probe(identity_map(A1), [(K3, host, adm)])["ok"]
 
 
@@ -198,18 +200,16 @@ class TestSimplicialShapes:
         B = affine_space(F2, ("x",), "B")
         xb = Poly.variable("x", B.vars, F2)
         db = lift_sieve(open_sieve(B, xb), "fiber")
-        scheme, node = db.level_presentation(1)
-        assert len(scheme.vars) == 2
+        assert len(db.level_presentation(1).ambient.vars) == 2
 
     def test_image_leaves_carry_into_power_and_product_levels(self):
         U = affine_space(F3, ("u",), "U")
         u = Poly.variable("u", U.vars, F3)
         squares = image_sieve(CoordMap(U, A1, {"x": u * u}))
         fib = lift_sieve(squares, "fiber")
-        prod = ProductSieve(ConstSieve.of(squares), ConstSieve.of(full_sieve(A1)))
+        prod = ProductSieve(ConstSieve(squares), ConstSieve(full_sieve(A1)))
         for s, n, want in ((fib, 1, 4), (fib, 2, 8), (prod, 0, 6)):
-            scheme, node = s.level_presentation(n)
-            assert s.count(K3, n) == Sieve(scheme, node).count(K3) == want
+            assert s.count(K3, n) == s.level_presentation(n).count(K3) == want
 
     def test_symmetric_shape_has_no_level_presentation(self):
         B = affine_space(F2, ("x",), "B")
@@ -229,7 +229,7 @@ def every_shape(field):
             "product": ProductSieve(lift_sieve(a, "trivial"), fb),
             "disjoint": DisjointSieve(fa, lift_sieve(b, "trivial")),
             "union": UnionSieve(fa, fb), "intersection": InterSieve(fa, fb),
-            "levels": LevelSieve([line] * 3, [a.node, b.node, Full()])}
+            "levels": LevelSieve([a, b, full_sieve(line)])}
 
 
 class TestShapesAnswerForThemselves:
@@ -250,7 +250,7 @@ class TestShapesAnswerForThemselves:
                     pres = s.level_presentation(n)
                     assert (pres is None) == (name in ("sym", "disjoint")), name
                     if pres is not None:
-                        assert Sieve(*pres).count(m) == s.count(m, n), (name, m, n)
+                        assert pres.count(m) == s.count(m, n), (name, m, n)
                 if name == "levels":
                     with pytest.raises(WorkbenchError, match="no arc transform"):
                         s.arc(m)
@@ -260,6 +260,26 @@ class TestShapesAnswerForThemselves:
                 # restriction along m is right adjoint to the product with m
                 for n in range(3):
                     assert arc.count(k, n) == s.count(m, n), (name, m, n)
+
+    @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+    def test_a_presented_level_counts_like_the_class_of_its_shape(self, field):
+        # the class of a presented level, the shape's class at that level
+        # and the shape's own count agree; sym and disjoint present no
+        # level, so only their class is checked
+        points = [m for m in kernel_points(field) if m.length <= 3]
+        checked = 0
+        for name, s in every_shape(field).items():
+            z = class_of_simplicial(s)
+            for m in points:
+                for n in range(3):
+                    want = s.count(m, n)
+                    assert counting_simplicial(z, m, n) == want, (name, m, n)
+                    pres = s.level_presentation(n)
+                    if pres is not None:
+                        got = counting_hom(class_of_sieve(pres), m)
+                        assert got == want, (name, m, n)
+                    checked += 1
+        assert checked == 8 * 3 * 3
 
 
 class TestLevelPoints:
@@ -319,7 +339,8 @@ class TestSimplicialArcs:
         fam = simplicial_arc(closed_sieve(AQ, [xq * xq]), sfp)
         assert isinstance(fam, LevelSieve)
         assert not fam.has_maps
-        assert [len(fam.level_scheme(n).vars) for n in range(3)] == [2, 4, 8]
+        assert ([len(fam.level_presentation(n).ambient.vars) for n in range(3)]
+                == [2, 4, 8])
 
     def test_trivial_shape_keeps_structure(self):
         AQ = affine_space(QQ, ("x",), "A1Q")
@@ -341,17 +362,19 @@ class TestRelativeSieves:
         xx = Poly.variable("x", A2.vars, F3)
         pr1 = CoordMap(A2, A1, {"x": xx})
         sq = CoordMap(A1, A1, {"x": X * X})
-        a_rel = RelativeSieve(full_sieve(A2), full_sieve(A1), pr1)
-        b_rel = RelativeSieve(full_sieve(A1), full_sieve(A1), sq)
-        fp = fiber_product(a_rel, b_rel)
-        assert fp.total.count(K3) == 9
-        assert len(fp.points_over(K3)) == 9
+        total, to_a, to_b = fiber_product_schemes(pr1, sq)
+        pts = full_sieve(total).points(K3)
+        assert len(pts) == full_sieve(total).count(K3) == 9
+        # each point lies over one base point through both sides
+        alg = K3.algebra
+        assert all(pr1.apply_point(alg, to_a.apply_point(alg, p))
+                   == sq.apply_point(alg, to_b.apply_point(alg, p)) for p in pts)
 
 
 class TestLimitFamilies:
     def test_full_arc_family_validates(self):
         jets = PointSystem(rule=jet_rule(F3), label="jets")
-        rep = limit_sieve(A1, jets).battery_validate(3)
+        rep = LimitSieve(A1, jets).battery_validate(3)
         assert rep["ok"] and not rep["skipped"]
 
     def test_incompatible_family_is_caught(self):
@@ -361,16 +384,16 @@ class TestLimitFamilies:
             arc = weil_restrict(A1, m)
             if m.length % 2 == 0:
                 gens = tuple(Poly.variable(v, arc.vars, F3) for v in arc.vars)
-                return ConstSieve(arc, Closed(gens))
-            return ConstSieve(arc, Full())
+                return ConstSieve(closed_sieve(arc, gens))
+            return ConstSieve(full_sieve(arc))
 
-        rep = limit_sieve(A1, jets, rule=bad_rule).battery_validate(3)
+        rep = LimitSieve(A1, jets, rule=bad_rule).battery_validate(3)
         assert not rep["ok"] and rep["issues"]
 
     def test_a_check_that_cannot_run_is_listed(self):
         t = Poly.variable("t", ("t",), F3)
         members = [make_fat_point(("t",), F3, [t ** k], "t%d" % k) for k in (3, 2)]
-        rep = limit_sieve(A1, PointSystem(members=members)).battery_validate(3)
+        rep = LimitSieve(A1, PointSystem(members=members)).battery_validate(3)
         assert rep["ok"] and not rep["issues"]
         assert len(rep["skipped"]) == 1
         assert rep["skipped"][0].startswith("members 0-1: ")

@@ -8,9 +8,9 @@ from motivic.fatpoints import (PointSystem, base_point, jet_rule,
 from motivic.fields import GF
 from motivic.poly import Poly
 from motivic.schemes import affine_space
-from motivic.sieves import (Closed, ConstSieve, DisjointSieve, InterSieve,
-                            OpenLoc, ProductSieve, UnionSieve, closed_sieve,
-                            full_sieve, lift_sieve, limit_sieve)
+from motivic.sieves import (ConstSieve, DisjointSieve, InterSieve, LimitSieve,
+                            ProductSieve, UnionSieve, closed_sieve,
+                            full_sieve, lift_sieve, open_sieve)
 from motivic.topology import (HOMOTOPY_KEY_PROXY, FiniteSimplicialSet,
                               boundary_simplex, discrete_sset,
                               evaluate_to_sset, homotopy_class_key,
@@ -126,8 +126,8 @@ class TestEvaluation:
             evaluate_to_sset(flat, self.k2, top=2)
 
     def test_euler_additivity_and_multiplicativity(self):
-        a = ConstSieve(self.B, Closed((self.xb,)))
-        b = ConstSieve(self.B, OpenLoc(self.xb))
+        a = ConstSieve(closed_sieve(self.B, [self.xb]))
+        b = ConstSieve(open_sieve(self.B, self.xb))
 
         def chi(s, top=2):
             return invariants(evaluate_to_sset(s, self.k2, top=top)) \
@@ -155,8 +155,8 @@ class TestEvaluation:
         assert inv(dis).component_count == 3
 
     def test_preservation_of_set_operations(self):
-        a = ConstSieve(self.B, Closed((self.xb,)))
-        b = ConstSieve(self.B, OpenLoc(self.xb))
+        a = ConstSieve(closed_sieve(self.B, [self.xb]))
+        b = ConstSieve(open_sieve(self.B, self.xb))
         rep = preservation_check(a, b, self.k2)
         assert rep["ok"] and rep["union"] and rep["intersection"] and rep["product"]
 
@@ -166,7 +166,7 @@ class TestHomotopyStabilization:
         A1f = affine_space(F3, ("x",), "A1f")
         xf = Poly.variable("x", A1f.vars, F3)
         origin = closed_sieve(A1f, [xf])
-        fam = limit_sieve(origin, PointSystem(rule=jet_rule(F3), label="jets"))
+        fam = LimitSieve(origin, PointSystem(rule=jet_rule(F3), label="jets"))
         rep = homotopy_stabilization(fam, horizon=4, window=3, top=1)
         assert rep["stabilized"]
         assert rep["proxy"] == HOMOTOPY_KEY_PROXY
@@ -174,7 +174,7 @@ class TestHomotopyStabilization:
 
     def test_growing_family_is_honestly_indeterminate(self):
         A1f = affine_space(F3, ("x",), "A1f")
-        fam = limit_sieve(A1f, PointSystem(rule=jet_rule(F3), label="jets"))
+        fam = LimitSieve(A1f, PointSystem(rule=jet_rule(F3), label="jets"))
         rep = homotopy_stabilization(fam, horizon=4, window=3, top=1)
         assert not rep["stabilized"]
         assert rep["proxy"] == HOMOTOPY_KEY_PROXY
@@ -187,7 +187,7 @@ class TestHomotopyStabilization:
         t = Poly.variable("t", ("t",), F3)
         members = [make_fat_point(("t",), F3, [t ** k], "t%d" % k)
                    for k in (2, 3, 3)]
-        fam = limit_sieve(A1f, PointSystem(members=members, label="C"))
+        fam = LimitSieve(A1f, PointSystem(members=members, label="C"))
         rep = homotopy_stabilization(fam, horizon=4, window=4, top=1)
         assert rep["stabilized"]
         assert rep["keys"][0] != rep["keys"][1] == rep["keys"][2]
