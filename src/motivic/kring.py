@@ -19,8 +19,8 @@ it against honest point counts.
 
 Simplicial classes layer level shapes over plain classes: constant lifts,
 fiber powers, symmetric powers (orbit counts only), and explicit level
-tuples. Products and twists that leave the closed shapes materialize finite
-level tuples up to the configured skeletal level.
+tuples. Products that leave the closed shapes materialize level tuples up
+to the configured skeletal level, twists up to their last exponent.
 """
 
 from __future__ import annotations
@@ -633,10 +633,11 @@ def _level(field, sym, n: int) -> KClass:
     raise WorkbenchError("unknown symbol kind %r" % (kind,))
 
 
-def _materialize(field, sym, cfg: Config):
+def _materialize(field, sym, top: int):
     """Tuple of frozen plain classes: every level of a level tuple, and the
-    closed shapes up to the skeletal cap."""
-    top = len(sym[1]) - 1 if sym[0] == "levels" else cfg.skeletal_level
+    closed shapes up to level top."""
+    if sym[0] == "levels":
+        top = len(sym[1]) - 1
     return tuple(_level(field, sym, n).frozen() for n in range(top + 1))
 
 
@@ -648,8 +649,8 @@ def _sym_mul(field, s1, s2, cfg: Config) -> SClass:
     if k1 == "pow" and k2 == "pow" and not s1[2] and not s2[2]:
         prod = _thaw(field, s1[1]) * _thaw(field, s2[1])
         return SClass(field, {("pow", prod.frozen(), False): 1})
-    t1 = _materialize(field, s1, cfg)
-    t2 = _materialize(field, s2, cfg)
+    t1 = _materialize(field, s1, cfg.skeletal_level)
+    t2 = _materialize(field, s2, cfg.skeletal_level)
     top = min(len(t1), len(t2))
     levels = tuple((_thaw(field, t1[n]) * _thaw(field, t2[n])).frozen()
                    for n in range(top))
@@ -658,7 +659,7 @@ def _sym_mul(field, s1, s2, cfg: Config) -> SClass:
 
 def class_of_simplicial(s: SimplicialSieve) -> SClass:
     """The class of a shape; a shape with no closed form of its own is
-    classed level by level, up to the skeletal level of its scheme's config."""
+    classed level by level, up to its truncation."""
     if isinstance(s, ConstSieve):
         return lift_const(class_of_sieve(s.base))
     if isinstance(s, PowerSieve):
@@ -682,8 +683,7 @@ def class_of_simplicial(s: SimplicialSieve) -> SClass:
         if isinstance(a, PowerSieve) and isinstance(b, PowerSieve):
             return lift_power(class_of_sieve(sieve_inter(a.base, b.base)),
                               a.symmetric)
-    out = [class_of_sieve(level) for level
-           in presented_levels(s, s.scheme.ideal.cfg.skeletal_level)]
+    out = [class_of_sieve(level) for level in presented_levels(s)]
     return SClass(out[0].field, {("levels", tuple(z.frozen() for z in out)): 1})
 
 
@@ -700,20 +700,20 @@ def is_strictly_schemic(z: SClass) -> bool:
     return all(sym[0] == "const" for sym in z.terms)
 
 
-def twist_by_rule(z: SClass, rule, cfg: Config = DEFAULT) -> SClass:
-    """Multiply level n by L**rule(n); constant rules keep closed shapes."""
+def twist_levels(z: SClass, exps) -> SClass:
+    """Multiply level n by L**exps[n] for the levels 0..len(exps) - 1; a
+    constant list keeps constant shapes closed."""
     field = z.field
-    probe = [rule(n) for n in range(cfg.skeletal_level + 1)]
-    constant = all(e == probe[0] for e in probe)
+    constant = all(e == exps[0] for e in exps)
     out: dict = {}
     for sym, c in z.terms.items():
         kind = sym[0]
         if constant and kind == "const":
             blocks, lef = sym[1]
-            nsym = ("const", (blocks, lef + probe[0]))
+            nsym = ("const", (blocks, lef + exps[0]))
         else:
-            tup = tuple(_thaw(field, fr).twist(rule(n)).frozen()
-                        for n, fr in enumerate(_materialize(field, sym, cfg)))
+            tup = tuple(_thaw(field, fr).twist(e).frozen() for fr, e
+                        in zip(_materialize(field, sym, len(exps) - 1), exps))
             nsym = ("levels", tup)
         out[nsym] = out.get(nsym, 0) + c
     return SClass(field, out)

@@ -2,12 +2,14 @@
 
 A measure query walks a family of sieves living in the arcs of a base along
 a system of fat points. Each member contributes its class times a levelwise
-Lefschetz correction L^(-ceil(Q * dim)), where the dimension is that of the
-ambient arc space at the member's level. The verdict is "stabilized" when
-the corrected classes agree in normal form across the final window of the
-horizon (an eventually-constant sequence has a filter-independent limit);
-finite explicit systems are evaluated at their last member, the principal
-case. Anything else is reported indeterminate rather than guessed.
+Lefschetz correction L^(-ceil(Q * dim)) on its levels 0..truncation, where
+the dimension is that of the ambient arc space at the member's level; the
+member's shape gives both (`truncation`, `dimension(n)`), so no level is
+presented to learn them. The verdict is "stabilized" when the corrected
+classes agree in normal form across the final window of the horizon (an
+eventually-constant sequence has a filter-independent limit); finite
+explicit systems are evaluated at their last member, the principal case.
+Anything else is reported indeterminate rather than guessed.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from fractions import Fraction
 from math import ceil
 
 from .errors import EvalError, WorkbenchError
-from .fatpoints import FatPoint, base_point, stabilize
+from .fatpoints import FatPoint, stabilize
 from .kring import (KClass, SClass, class_of_sieve, class_of_simplicial,
-                    counting_simplicial, level_class, twist_by_rule)
-from .schemes import AffineScheme, weil_restrict
+                    counting_simplicial, level_class, twist_levels)
+from .schemes import AffineScheme
 from .sieves import (LevelSieve, LimitSieve, Sieve, arc_plain_sieve, full_sieve,
                      presented_levels)
 
@@ -62,17 +64,8 @@ def _member_value(subject: LimitSieve, m: FatPoint, Q: Fraction, lax) -> SClass:
         raise EvalError("lax rule must be nonnegative")
     if Q == 0 and extra == 0:
         return z
-    cfg = member.scheme.ideal.cfg
-    # Krull dimension of the ambient arc scheme at each level the member
-    # presents: up to the skeletal level, or to the end of a shorter list
-    dims = [level.ambient.ideal.krull_dimension()
-            for level in presented_levels(member, cfg.skeletal_level)]
-
-    def rule(n):
-        d = dims[min(n, len(dims) - 1)]
-        return -(ceil(Q * d) + extra)
-
-    return twist_by_rule(z, rule, cfg)
+    return twist_levels(z, [-(ceil(Q * member.dimension(n)) + extra)
+                            for n in range(member.truncation + 1)])
 
 
 def finite_measure(s, m: FatPoint) -> KClass:
@@ -82,18 +75,6 @@ def finite_measure(s, m: FatPoint) -> KClass:
     if not isinstance(s, Sieve):
         raise EvalError("finite measure takes a plain sieve or scheme")
     return class_of_sieve(arc_plain_sieve(s, m))
-
-
-def integral_form(s, x: AffineScheme, m: FatPoint) -> KClass:
-    """Product of the uncorrected class of s and the Q=1 corrected arc of x."""
-    if isinstance(s, AffineScheme):
-        s = full_sieve(s)
-    field = x.field
-    f1 = finite_measure(s, base_point(field))
-    arc = weil_restrict(x, m)
-    dim = arc.ideal.krull_dimension()
-    f2 = class_of_sieve(full_sieve(arc)).twist(-dim)
-    return f1 * f2
 
 
 def limit_measure(q: MeasureQuery) -> MeasureReport:
@@ -128,11 +109,9 @@ def stable_set_measure(family: LimitSieve, horizon: int = 8,
 
 
 def forget_structure(s):
-    """Re-present a simplicial sieve as an indexed family of levels, up to
-    the skeletal level of its scheme's config."""
-    if isinstance(s, LevelSieve):
-        return s
-    return LevelSieve(presented_levels(s, s.scheme.ideal.cfg.skeletal_level))
+    """Re-present a simplicial sieve as an indexed family of its levels,
+    up to its truncation."""
+    return LevelSieve(presented_levels(s))
 
 
 def indexed_mode(q: MeasureQuery) -> MeasureReport:
@@ -151,9 +130,8 @@ def indexed_mode(q: MeasureQuery) -> MeasureReport:
     report = limit_measure(replace(q, subject=forgotten))
     report.mode = "indexed"
     values = [v for _, v in report.sequence]
-    top = subject.base.scheme.ideal.cfg.skeletal_level
     per_level = []
-    for n in range(top + 1):
+    for n in range(subject.base.truncation + 1):
         try:
             lv = [level_class(v, n) for v in values]
         except WorkbenchError as exc:

@@ -374,10 +374,6 @@ def weil_restrict(x: AffineScheme, m: FatPoint) -> AffineScheme:
                         Ideal(arc_vars, x.field, gens, x.ideal.cfg))
 
 
-def arc_dimension(x: AffineScheme, m: FatPoint) -> int:
-    return weil_restrict(x, m).ideal.krull_dimension()
-
-
 def arc_of_map(f: CoordMap, m: FatPoint) -> CoordMap:
     """Restriction applied to a morphism: coefficients of the pushed coordinates."""
     src = weil_restrict(f.source, m)

@@ -20,9 +20,11 @@ holds plain `Sieve`s, never a separate scheme and condition. Each shape
 answers for itself: it builds the points, faces and degeneracies of level n
 from its parts, gives the plain `Sieve` presenting level n
 (`level_presentation`; a product level is the two sides pulled back along
-the projections of `schemes.product_scheme` and intersected), restricts
-itself along a fat point (`arc`), and names the scheme whose config caps its
-work (`scheme`).
+the projections of `schemes.product_scheme` and intersected), says how many
+levels it has (`truncation`) and how big the ambient of level n is
+(`dimension(n)`, which a power or a two-sided shape reads off its parts
+without presenting the level), restricts itself along a fat point (`arc`),
+and names the scheme whose config caps its work (`scheme`).
 """
 
 from __future__ import annotations
@@ -374,12 +376,22 @@ class SimplicialSieve:
     false), `key` names the sieve, and `ambient_key` names the levels it
     cuts, which the two sides of a union or an intersection must share.
     `level_presentation(n)` is the plain `Sieve` presenting level n, or
-    None when the level has no single affine presentation; `arc(m)` is the
-    same shape restricted along m; `scheme` is the defining affine scheme,
-    whose config caps the work on the sieve.
+    None when the level has no single affine presentation; `truncation` is
+    the last level the shape stands for (its scheme's skeletal level unless
+    the shape says otherwise); `dimension(n)` is the Krull dimension of the
+    ambient of level n; `arc(m)` is the same shape restricted along m;
+    `scheme` is the defining affine scheme, whose config caps the work on
+    the sieve.
     """
 
     has_maps = True
+
+    @property
+    def truncation(self) -> int:
+        return self.scheme.ideal.cfg.skeletal_level
+
+    def dimension(self, n) -> int:
+        return self.level_presentation(n).ambient.ideal.krull_dimension()
 
     def count(self, m, n) -> int:
         return len(self.level_points(m, n))
@@ -463,6 +475,9 @@ class PowerSieve(SimplicialSieve):
         out = p[:i + 1] + (p[i],) + p[i + 1:]
         return tuple(sorted(out)) if self.symmetric else out
 
+    def dimension(self, n) -> int:
+        return (n + 1) * self.scheme.ideal.krull_dimension()
+
     def level_presentation(self, n):
         """The (n+1)-fold product of the base; multisets have none."""
         if self.symmetric:
@@ -513,6 +528,10 @@ class _Pair(SimplicialSieve):
     def scheme(self):
         return self.left.scheme
 
+    @property
+    def truncation(self) -> int:
+        return min(self.left.truncation, self.right.truncation)
+
     def level_presentation(self, n):
         if self.join is None:
             return None
@@ -537,6 +556,9 @@ class ProductSieve(_Pair):
 
     tag = "prod"
     join = staticmethod(_level_product)
+
+    def dimension(self, n) -> int:
+        return self.left.dimension(n) + self.right.dimension(n)
 
     def level_points(self, m, n):
         ls = self.left.level_points(m, n)
@@ -565,6 +587,9 @@ class DisjointSieve(_Pair):
     def _side(self, tag):
         return self.left if tag == "L" else self.right
 
+    def dimension(self, n) -> int:
+        return max(self.left.dimension(n), self.right.dimension(n))
+
     def level_points(self, m, n):
         return tuple([("L", p) for p in self.left.level_points(m, n)]
                      + [("R", p) for p in self.right.level_points(m, n)])
@@ -592,6 +617,9 @@ class _Lattice(_Pair):
         if left.ambient_key() != right.ambient_key():
             raise AmbientMismatch("simplicial %s across different ambients" % self.word)
         super().__init__(left, right)
+
+    def dimension(self, n) -> int:
+        return self.left.dimension(n)
 
     def face(self, n, i, p):
         return self.left.face(n, i, p)
@@ -635,7 +663,7 @@ class LevelSieve(SimplicialSieve):
         self.levels = tuple(levels)
 
     @property
-    def truncation(self):
+    def truncation(self) -> int:
         return len(self.levels) - 1
 
     @property
@@ -698,12 +726,10 @@ def lift_sieve(s: Sieve, tag: str) -> SimplicialSieve:
     raise WorkbenchError("unknown shape tag %r" % tag)
 
 
-def presented_levels(s, top: int):
-    """The plain sieves presenting levels 0..top, or up to a level list's end."""
-    if isinstance(s, LevelSieve):
-        top = min(top, s.truncation)
+def presented_levels(s: SimplicialSieve):
+    """The plain sieves presenting levels 0..s.truncation."""
     out = []
-    for n in range(top + 1):
+    for n in range(s.truncation + 1):
         pres = s.level_presentation(n)
         if pres is None:
             raise EvalError("no affine presentation at level %d" % n)
@@ -715,7 +741,7 @@ def presented_levels(s, top: int):
 # arcs of simplicial sieves
 
 
-def simplicial_arc(s, sfp: SimplicialFatPoint, top: int | None = None):
+def simplicial_arc(s, sfp: SimplicialFatPoint):
     """Levelwise restriction along a simplicial fat point.
 
     The constant shape keeps the full simplicial structure. The power shape
@@ -729,8 +755,8 @@ def simplicial_arc(s, sfp: SimplicialFatPoint, top: int | None = None):
         raise WorkbenchError("symmetric shape carries no ambient algebra for arcs")
     if not isinstance(s, ConstSieve):
         raise WorkbenchError("power-shaped restriction needs a constant base")
-    top = sfp.truncation if top is None else top
-    return LevelSieve([arc_plain_sieve(s.base, sfp.level(n)) for n in range(top + 1)])
+    return LevelSieve([arc_plain_sieve(s.base, sfp.level(n))
+                       for n in range(sfp.truncation + 1)])
 
 
 # ---------------------------------------------------------------------------

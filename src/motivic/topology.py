@@ -228,7 +228,7 @@ def homotopy_class_key(A: FiniteSimplicialSet):
 
 
 def evaluate_to_sset(s: SimplicialSieve, m: FatPoint,
-                     top: int = 4) -> FiniteSimplicialSet:
+                     top: int) -> FiniteSimplicialSet:
     """Levels 0..top of s at m, under the cell cap of its scheme's config;
     a face or degeneracy that leaves the sieve raises EvalError."""
     if not s.has_maps:

@@ -17,7 +17,7 @@ from motivic.kring import (MEMO_BOUND, KClass, canonical_conjunction,
                            expand_node, galois_check, is_strictly_schemic,
                            kclass_int, kclass_one, kclass_zero, lefschetz,
                            level_class, lift_const, pushforward,
-                           twist_by_rule)
+                           twist_levels)
 from motivic.poly import Ideal, Poly, buchberger
 from motivic.schemes import AffineScheme, CoordMap, affine_space
 from motivic.sieves import (Closed, ConstSieve, DisjointSieve, Inter,
@@ -439,8 +439,8 @@ class TestSimplicialClasses:
         for n in range(3):
             assert counting_simplicial(z, self.k2, n) == 2 * 2 ** (n + 1)
 
-    def test_twist_by_rule_shifts_levels(self):
-        z = twist_by_rule(class_of_simplicial(self.triv), lambda n: -n)
+    def test_twist_levels_shifts_levels(self):
+        z = twist_levels(class_of_simplicial(self.triv), [0, -1, -2])
         for n in range(3):
             assert level_class(z, n) == lefschetz(F2, 1 - n)
 

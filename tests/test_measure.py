@@ -8,17 +8,17 @@ from motivic.errors import CapExceeded, EvalError
 from motivic.fatpoints import (PointSystem, SimplicialFatPoint, base_point,
                                jet_rule, make_fat_point)
 from motivic.fields import GF, QQ
-from motivic.kring import (class_of_simplicial, kclass_one, kclass_zero,
-                           lefschetz, level_class, lift_const, lift_power)
+from motivic.kring import (class_of_simplicial, class_str, kclass_one,
+                           kclass_zero, lefschetz, level_class, lift_const,
+                           lift_power)
 from motivic.measures import (MeasureQuery, counting_consistency,
                               finite_measure, forget_structure, indexed_mode,
-                              integral_form, lax_measure, limit_measure,
-                              stable_set_measure)
+                              lax_measure, limit_measure, stable_set_measure)
 from motivic.poly import Ideal, Poly
 from motivic.schemes import AffineScheme, affine_space, weil_restrict
-from motivic.sieves import (ConstSieve, LimitSieve, ProductSieve,
-                            closed_sieve, empty_sieve, full_sieve, lift_sieve,
-                            simplicial_arc)
+from motivic.sieves import (ConstSieve, DisjointSieve, LevelSieve, LimitSieve,
+                            PowerSieve, ProductSieve, closed_sieve, empty_sieve,
+                            full_sieve, lift_sieve, simplicial_arc)
 
 A1 = affine_space(QQ, ("x",), "A1")
 L = lefschetz(QQ)
@@ -41,13 +41,6 @@ class TestFiniteMeasure:
         pt = AffineScheme("pt", Ideal((), QQ, []))
         assert finite_measure(pt, fat(QQ, 2)) == kclass_one(QQ)
         assert finite_measure(empty_sieve(A1), fat(QQ, 2)) == kclass_zero(QQ)
-
-    def test_integral_form_normalizes_by_dimension(self):
-        k0 = base_point(QQ)
-        assert integral_form(full_sieve(A1), A1, k0) == L
-        assert integral_form(empty_sieve(A1), A1, k0) == kclass_zero(QQ)
-        pt = AffineScheme("pt", Ideal((), QQ, []))
-        assert integral_form(full_sieve(pt), pt, k0) == kclass_one(QQ)
 
 
 class TestLimitMeasure:
@@ -155,6 +148,69 @@ class TestShapedMembers:
         z = class_of_simplicial(ProductSieve(lift_sieve(line, "fiber"),
                                              lift_sieve(line, "trivial")))
         assert [len(sym[1]) for sym in z.terms if sym[0] == "levels"] == [3]
+
+
+def twice_the_arcs(shape):
+    """A rule whose member at m is built by `shape` from the full arcs of
+    the line at m, as a constant shape."""
+
+    def rule(m):
+        arc = weil_restrict(affine_space(m.field, ("x",), "A1"), m)
+        return shape(ConstSieve(full_sieve(arc)))
+
+    return rule
+
+
+def twisted(rule, field):
+    line = affine_space(field, ("x",), "A1")
+    fam = LimitSieve(line, jets(field), rule=rule)
+    return limit_measure(MeasureQuery(fam, Q=1, horizon=4, window=2))
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=["F3", "Q"])
+class TestTheShapeDecidesItsLevels:
+    """A member's shape gives its truncation and each level's dimension; the
+    measure presents no level to learn them."""
+
+    def test_a_disjoint_union_of_two_lines_measures_two(self, field):
+        rep = twisted(twice_the_arcs(lambda c: DisjointSieve(c, c)), field)
+        assert rep.stabilized and class_str(rep.value) == "2"
+
+    def test_a_product_with_a_level_list_stops_at_the_list_end(self, field):
+        def shape(c):
+            return ProductSieve(LevelSieve([c.base, c.base]), c)
+
+        rep = twisted(twice_the_arcs(shape), field)
+        assert rep.stabilized and class_str(rep.value) == "levels(1; 1)"
+
+    def test_a_twisted_fiber_power_presents_no_level(self, field, monkeypatch):
+        def refuse(self, n):
+            raise AssertionError("level %d presented" % n)
+
+        monkeypatch.setattr(PowerSieve, "level_presentation", refuse)
+        line = affine_space(field, ("x",), "A1")
+        fam = LimitSieve(lift_sieve(full_sieve(line), "fiber"), jets(field))
+        rep = limit_measure(MeasureQuery(fam, Q=1, horizon=4, window=2))
+        assert rep.stabilized
+        assert class_str(rep.value) == "levels(1; 1; 1; 1; 1)"
+
+    def test_a_twisted_symmetric_power_still_has_no_level_class(self, field):
+        # its dimensions are known, but its class has no plain levels to twist
+        line = affine_space(field, ("x",), "A1")
+        fam = LimitSieve(lift_sieve(full_sieve(line), "sym"), jets(field))
+        with pytest.raises(EvalError, match="symmetric shape has no level"):
+            limit_measure(MeasureQuery(fam, Q=1, horizon=4, window=2))
+
+    def test_a_level_list_is_classed_to_its_own_end(self, field):
+        # six levels, one more than the default skeletal level gives
+        assert DEFAULT.skeletal_level == 4
+        six = twice_the_arcs(lambda c: LevelSieve([c.base] * 6))
+        k0 = base_point(field)
+        z = class_of_simplicial(six(k0))
+        assert [len(sym[1]) for sym in z.terms] == [6]
+        rep = twisted(six, field)
+        assert rep.stabilized
+        assert class_str(rep.value) == "levels(%s)" % "; ".join(["1"] * 6)
 
 
 def truncated_fiber_member(m):

@@ -15,10 +15,9 @@ from motivic.fatpoints import base_point, make_fat_point, tensor_points
 from motivic.fields import GF, QQ
 from motivic.poly import Ideal, Poly, poly_str
 from motivic.schemes import (AffineScheme, CoordMap, adjunction_check,
-                             affine_space, arc_dimension, arc_of_map,
-                             arc_var, count_points, identity_map, points,
-                             product_scheme, truncation_map, validate_point,
-                             weil_restrict)
+                             affine_space, arc_of_map, arc_var, count_points,
+                             identity_map, points, product_scheme,
+                             truncation_map, validate_point, weil_restrict)
 
 F3 = GF(3)
 
@@ -71,7 +70,7 @@ def test_jet_coordinates_are_free():
             arc = weil_restrict(Ad, fat(QQ, n))
             assert len(arc.vars) == d * n
             assert not arc.ideal.gens
-            assert arc_dimension(Ad, fat(QQ, n)) == d * n
+            assert weil_restrict(Ad, fat(QQ, n)).ideal.krull_dimension() == d * n
 
 
 def test_arc_coordinate_naming():

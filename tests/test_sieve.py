@@ -262,6 +262,36 @@ class TestShapesAnswerForThemselves:
                     assert arc.count(k, n) == s.count(m, n), (name, m, n)
 
     @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+    def test_truncations_and_level_dimensions(self, field):
+        # a shape knows each level's dimension without presenting it: where
+        # a level is presented, its ambient has that Krull dimension
+        shapes = every_shape(field)
+        shapes["product with a list"] = ProductSieve(shapes["levels"],
+                                                     shapes["trivial"])
+        presented = 0
+        for name, s in shapes.items():
+            for n in range(3):
+                pres = s.level_presentation(n)
+                if pres is not None:
+                    got = pres.ambient.ideal.krull_dimension()
+                    assert s.dimension(n) == got, (name, n)
+                    presented += 1
+            if isinstance(s, (ProductSieve, DisjointSieve, UnionSieve,
+                              InterSieve)):
+                assert s.truncation == min(s.left.truncation,
+                                           s.right.truncation), name
+        assert presented == 7 * 3
+        sym, line = shapes["sym"], shapes["sym"].scheme
+        assert line.ideal.krull_dimension() == 1
+        for n in range(3):
+            assert sym.dimension(n) == (n + 1) * line.ideal.krull_dimension()
+            # the larger side's: the fiber power's, not the line's
+            assert shapes["disjoint"].dimension(n) == n + 1
+        assert shapes["levels"].truncation == 2
+        assert shapes["product with a list"].truncation == 2
+        assert shapes["trivial"].truncation == 4
+
+    @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
     def test_a_presented_level_counts_like_the_class_of_its_shape(self, field):
         # the class of a presented level, the shape's class at that level
         # and the shape's own count agree; sym and disjoint present no
