@@ -135,7 +135,7 @@ class Session:
         field = self.need_field()
         mode, body = st.payload
         if mode == "rule":
-            system = PointSystem(rule=jet_rule(field, body, self.cfg), label=st.name)
+            system = PointSystem(rule=jet_rule(field, body, self.cfg))
         else:
             members = []
             for i, alg in enumerate(body):
@@ -145,7 +145,7 @@ class Session:
                 else:
                     members.append(make_fat_point(
                         vars, field, gens, name="%s.%d" % (st.name, i), cfg=self.cfg))
-            system = PointSystem(members=members, label=st.name)
+            system = PointSystem(members=members)
         self.bind(st.name, "chain", system)
         return {"mode": mode}
 
@@ -315,7 +315,7 @@ class Session:
     def eval_measure(self, st):
         subject, chain, qval, lax, horizon, window = st.payload
         system = self.lookup(chain, ("chain",))[1]
-        family = LimitSieve(self.as_sieve(subject), system, label=subject)
+        family = LimitSieve(self.as_sieve(subject), system)
         rule = None
         if lax is not None:
             a, b = lax
@@ -376,15 +376,14 @@ class Session:
             host = self.as_sieve(names[1])
             adm = self.as_sieve(names[2])
             m = self.fat_point(point) if point is not None else None
-            rep = continuity_probe(f, [(m, host, adm)])
-            case = rep["cases"][0]
+            rep = continuity_probe(f, m, host, adm)
             out.update(map=names[0], host=names[1], open=names[2])
             if point is not None:
                 out["point"] = point
-            out["admissible_before"] = str(case["admissible_before"]).lower()
-            out["admissible_after"] = str(case["admissible_after"]).lower()
-            if case["semantic"] is not None:
-                out["semantic"] = str(case["semantic"]).lower()
+            out["admissible_before"] = str(rep["admissible_before"]).lower()
+            out["admissible_after"] = str(rep["admissible_after"]).lower()
+            if rep["semantic"] is not None:
+                out["semantic"] = str(rep["semantic"]).lower()
             ok = rep["ok"]
         elif what == "tau":
             y = self.lookup(names[0], ("scheme",))[1]

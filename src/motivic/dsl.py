@@ -37,14 +37,15 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError, WorkbenchError
+from .errors import WorkbenchError
 
 
-class ScriptError(ParseError):
-    """Parse failure; carries the line number (1-based)."""
+class ScriptError(WorkbenchError):
+    """Parse failure: the bare message, and its line number (1-based)."""
 
-    def __init__(self, msg, line=0):
-        super().__init__(msg, line=line)
+    def __init__(self, msg, line):
+        super().__init__(msg)
+        self.line = line
 
 
 # -- tokens --------------------------------------------------------------

@@ -33,14 +33,5 @@ class EnumerationUnavailable(WorkbenchError):
     """Point enumeration was requested over an infinite field."""
 
 
-class ParseError(WorkbenchError):
-    def __init__(self, message, line=None, column=None):
-        if line is not None:
-            message = "line %d:%d: %s" % (line, column or 0, message)
-        super().__init__(message)
-        self.line = line
-        self.column = column
-
-
 class EvalError(WorkbenchError):
     """A script statement failed to evaluate."""

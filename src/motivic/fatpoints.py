@@ -324,12 +324,11 @@ class PointSystem:
     1..horizon from a callable index -> FatPoint.
     """
 
-    def __init__(self, members=None, rule=None, label: str = ""):
+    def __init__(self, members=None, rule=None):
         if (members is None) == (rule is None):
             raise WorkbenchError("give exactly one of members / rule")
         self.explicit = list(members) if members is not None else None
         self.rule = rule
-        self.label = label
 
     @property
     def finite(self) -> bool:

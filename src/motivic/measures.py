@@ -9,7 +9,9 @@ presented to learn them. The verdict is "stabilized" when the corrected
 classes agree in normal form across the final window of the horizon (an
 eventually-constant sequence has a filter-independent limit); finite
 explicit systems are evaluated at their last member, the principal case.
-Anything else is reported indeterminate rather than guessed.
+Anything else is reported indeterminate rather than guessed. Indexed mode
+runs the same pipeline on each member re-presented as a `LevelSieve` of its
+presented levels.
 """
 
 from __future__ import annotations
@@ -108,25 +110,17 @@ def stable_set_measure(family: LimitSieve, horizon: int = 8,
     return report
 
 
-def forget_structure(s):
-    """Re-present a simplicial sieve as an indexed family of its levels,
-    up to its truncation."""
-    return LevelSieve(presented_levels(s))
-
-
 def indexed_mode(q: MeasureQuery) -> MeasureReport:
-    """The same pipeline run on the structure-forgotten members.
+    """The same pipeline run on the structure-forgotten members: each member
+    re-presented as the list of its levels up to its truncation.
 
     No measure step consults face or degeneracy maps, so the verdict must
     match the structured run; the per-level breakdown is reported too.
     """
     subject = q.subject
-
-    def rule(m):
-        return forget_structure(subject.member_at(m))
-
-    forgotten = LimitSieve(subject.base, subject.system, rule=rule,
-                           label=subject.label)
+    forgotten = LimitSieve(
+        subject.base, subject.system,
+        rule=lambda m: LevelSieve(presented_levels(subject.member_at(m))))
     report = limit_measure(replace(q, subject=forgotten))
     report.mode = "indexed"
     values = [v for _, v in report.sequence]

@@ -128,10 +128,6 @@ class CoordMap:
         return "%s -> %s : %s" % (self.source.name, self.target.name, inside)
 
 
-def identity_map(x: AffineScheme) -> CoordMap:
-    return CoordMap(x, x, {v: Poly.variable(v, x.vars, x.field) for v in x.vars})
-
-
 # -- the point search ---------------------------------------------------------
 
 
@@ -314,12 +310,6 @@ def count_points(x: AffineScheme, m: FatPoint) -> int:
     if not x.ideal.gens:
         return x.field.order ** (len(x.vars) * m.length)
     return search(x, m, count=True)
-
-
-def validate_point(x: AffineScheme, m: FatPoint, point) -> bool:
-    alg = m.algebra
-    images = dict(zip(x.vars, point))
-    return all(alg.is_zero_vec(alg.eval_poly(g, images)) for g in x.ideal.gens)
 
 
 # -- Weil restriction ---------------------------------------------------------

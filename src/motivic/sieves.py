@@ -10,7 +10,9 @@ condition, so a branch is dropped or its free coordinates counted as soon as
 the coordinates set so far decide it, and a count builds no point.
 `node_member` tests one point already in hand against the same compiled
 condition, through the search's whole-point reader, so the tree has one
-reading.
+reading. Pullback along a map and restriction along a fat point rewrite the
+tree leaf by leaf through one walk (`rewrite_leaves`); `continuity_probe`
+pulls one admissible open back along a map and tests it again.
 
 Simplicial sieves layer a level structure on top, one class per shape:
 constant levels, cartesian powers with coordinate deletion/duplication
@@ -161,22 +163,30 @@ def node_member(node, m: FatPoint, point) -> bool:
     return _settled(got[1], flat_coordinates(point, alg.dim), p, tuple(point))
 
 
-def node_pullback(node, f: CoordMap):
-    """Leafwise substitution; image leaves become images of fiber products."""
+def rewrite_leaves(node, leaf):
+    """The tree with each V, D and im leaf replaced by `leaf(nd)`; full and
+    empty stay, unions and intersections keep their shape."""
     if isinstance(node, (Full, Empty)):
         return node
-    if isinstance(node, Closed):
-        return Closed(tuple(f.pullback_poly(g) for g in node.gens))
-    if isinstance(node, OpenLoc):
-        return OpenLoc(f.pullback_poly(node.g))
-    if isinstance(node, Im):
-        fp, pr, _ = fiber_product_schemes(f, node.cmap)
-        return Im(pr)
-    if isinstance(node, Union):
-        return Union(node_pullback(node.left, f), node_pullback(node.right, f))
-    if isinstance(node, Inter):
-        return Inter(node_pullback(node.left, f), node_pullback(node.right, f))
+    if isinstance(node, (Closed, OpenLoc, Im)):
+        return leaf(node)
+    if isinstance(node, (Union, Inter)):
+        return type(node)(rewrite_leaves(node.left, leaf),
+                          rewrite_leaves(node.right, leaf))
     raise WorkbenchError("unknown node %r" % (node,))
+
+
+def node_pullback(node, f: CoordMap):
+    """Leafwise substitution; image leaves become images of fiber products."""
+
+    def leaf(nd):
+        if isinstance(nd, Closed):
+            return Closed(tuple(f.pullback_poly(g) for g in nd.gens))
+        if isinstance(nd, OpenLoc):
+            return OpenLoc(f.pullback_poly(nd.g))
+        return Im(fiber_product_schemes(f, nd.cmap)[1])
+
+    return rewrite_leaves(node, leaf)
 
 
 def fiber_product_schemes(f: CoordMap, g: CoordMap):
@@ -299,36 +309,24 @@ def is_admissible_open(s: Sieve, host: Sieve) -> bool:
     return False
 
 
-def continuity_probe(f: CoordMap, battery) -> dict:
-    """Pull admissible opens back along f and re-test admissibility.
-
-    battery: iterable of (fat point or None, host sieve, admissible sieve).
-    When a finite-field fat point is supplied the pullback is also checked
-    semantically: a source point lands in the pulled sieve exactly when its
-    image lands in the original.
+def continuity_probe(f: CoordMap, m, host: Sieve, adm: Sieve) -> dict:
+    """Pull the admissible open `adm` of `host` back along f and re-test
+    admissibility. When a finite-field fat point m (else None) is supplied
+    the pullback is also checked semantically: a source point lands in the
+    pulled sieve exactly when its image lands in the original.
     """
-    results = []
-    ok = True
-    for m, host, adm in battery:
-        if not is_admissible_open(adm, host):
-            results.append({"admissible_before": False, "admissible_after": False,
-                            "semantic": None})
-            ok = False
-            continue
-        pulled = adm.pullback(f)
-        pulled_host = host.pullback(f)
-        after = is_admissible_open(pulled, pulled_host)
-        semantic = None
-        if m is not None and f.source.field.finite:
-            alg = m.algebra
-            semantic = all(
-                pulled.member(m, p) == adm.member(m, f.apply_point(alg, p))
-                for p in points(f.source, m))
-        results.append({"admissible_before": True, "admissible_after": after,
-                        "semantic": semantic})
-        if not after or semantic is False:
-            ok = False
-    return {"ok": ok, "cases": results}
+    if not is_admissible_open(adm, host):
+        return {"ok": False, "admissible_before": False,
+                "admissible_after": False, "semantic": None}
+    pulled = adm.pullback(f)
+    after = is_admissible_open(pulled, host.pullback(f))
+    semantic = None
+    if m is not None and f.source.field.finite:
+        alg = m.algebra
+        semantic = all(pulled.member(m, p) == adm.member(m, f.apply_point(alg, p))
+                       for p in points(f.source, m))
+    return {"ok": after and semantic is not False, "admissible_before": True,
+            "admissible_after": after, "semantic": semantic}
 
 
 # ---------------------------------------------------------------------------
@@ -337,25 +335,20 @@ def continuity_probe(f: CoordMap, battery) -> dict:
 
 def arc_node(node, x: AffineScheme, m: FatPoint):
     """Rewrite a condition on x into one on the restriction of x along m."""
-    if isinstance(node, (Full, Empty)):
-        return node
-    if isinstance(node, Closed):
-        if not node.gens:
-            return Full()
-        _, rows = arc_coefficients(list(node.gens), x, m)
-        gens = tuple(c for row in rows for c in row if not c.is_zero())
-        return Closed(gens)
-    if isinstance(node, OpenLoc):
-        # a Weil-restricted unit test: the residue coefficient must be a unit
-        _, rows = arc_coefficients([node.g], x, m)
-        return OpenLoc(rows[0][0])
-    if isinstance(node, Im):
-        return Im(arc_of_map(node.cmap, m))
-    if isinstance(node, Union):
-        return Union(arc_node(node.left, x, m), arc_node(node.right, x, m))
-    if isinstance(node, Inter):
-        return Inter(arc_node(node.left, x, m), arc_node(node.right, x, m))
-    raise WorkbenchError("unknown node %r" % (node,))
+
+    def leaf(nd):
+        if isinstance(nd, Closed):
+            if not nd.gens:
+                return Full()
+            _, rows = arc_coefficients(list(nd.gens), x, m)
+            return Closed(tuple(c for row in rows for c in row if not c.is_zero()))
+        if isinstance(nd, OpenLoc):
+            # a Weil-restricted unit test: the residue coefficient must be a unit
+            _, rows = arc_coefficients([nd.g], x, m)
+            return OpenLoc(rows[0][0])
+        return Im(arc_of_map(nd.cmap, m))
+
+    return rewrite_leaves(node, leaf)
 
 
 def arc_plain_sieve(s: Sieve, m: FatPoint) -> Sieve:
@@ -766,24 +759,24 @@ def simplicial_arc(s, sfp: SimplicialFatPoint):
 class LimitSieve:
     """A family of sieves living inside the arcs of a base, one per member."""
 
-    def __init__(self, base, system, rule=None, label: str = ""):
+    def __init__(self, base, system, rule=None):
         self.base = as_simplicial(base)
         self.system = system
         self.rule = rule  # FatPoint -> sieve over the arc ambient
-        self.label = label
 
     def member_at(self, m: FatPoint) -> SimplicialSieve:
         if self.rule is None:
             return self.base.arc(m)
         return as_simplicial(self.rule(m))
 
-    def battery_validate(self, horizon: int, levels: int = 1) -> dict:
+    def battery_validate(self, horizon: int) -> dict:
         """Finite-field checks on the family: each member sits inside the
-        arcs of the base, and consecutive members are compatible with the
-        truncation projections between arc ambients. Arc ambients live over
-        the ground field, so enumeration happens at the ground point; over
-        the rationals only the presentational checks run. A check that
-        cannot run is listed under "skipped" with its error."""
+        arcs of the base at levels 0 and 1, and consecutive members are
+        compatible with the truncation projections between arc ambients.
+        Arc ambients live over the ground field, so enumeration happens at
+        the ground point; over the rationals only the presentational checks
+        run. A check that cannot run is listed under "skipped" with its
+        error."""
         ms = self.system.materialize(horizon)
         base0 = self.base.scheme
         field = base0.field
@@ -801,7 +794,7 @@ class LimitSieve:
                 issues.append("member %d lives off the arc ambient" % idx)
                 continue
             if finite:
-                for n in range(levels + 1):
+                for n in (0, 1):
                     try:
                         got = set(inside.level_points(k0, n))
                         big = set(hull.level_points(k0, n))

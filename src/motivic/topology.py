@@ -1,12 +1,13 @@
 """Realization invariants of finite simplicial sets from sieve evaluation.
 
 The realization itself is never built; what a desk check needs are the
-CW-level invariants of the non-degenerate cells: component count, Euler
-characteristic, and integral homology of the normalized chain complex,
-reduced by an integer Smith normal form. Simplicial identities are verified
-exhaustively on construction, so a malformed face table fails fast.
+CW-level invariants of the non-degenerate cells: Euler characteristic and
+integral homology of the normalized chain complex, reduced by an integer
+Smith normal form, with the component count read off as the rank of the
+free group H_0. Simplicial identities are verified exhaustively on
+construction, so a malformed face table fails fast.
 
-The homotopy-class key bundles those invariants. Equal keys are a necessary
+`invariants(A).key()` bundles those invariants. Equal keys are a necessary
 condition for homotopy equivalence, never a sufficient one, and every
 consumer of the key is expected to say so.
 """
@@ -104,7 +105,6 @@ class FiniteSimplicialSet:
 
 @dataclass
 class RealizationInvariants:
-    component_count: int
     euler_characteristic: int
     homology: tuple  # per degree: (rank, tuple of torsion divisors > 1)
 
@@ -112,6 +112,11 @@ class RealizationInvariants:
         alt = sum((-1) ** n * h[0] for n, h in enumerate(self.homology))
         if alt != self.euler_characteristic:
             raise WorkbenchError("homology ranks disagree with the cell count")
+
+    @property
+    def component_count(self) -> int:
+        """H_0 is free of rank the number of components."""
+        return self.homology[0][0]
 
     def key(self):
         return (self.component_count, self.euler_characteristic, self.homology)
@@ -180,21 +185,6 @@ def invariants(A: FiniteSimplicialSet) -> RealizationInvariants:
     nondeg = [A.nondegenerate(n) for n in range(A.N + 1)]
     chi = sum((-1) ** n * len(cells) for n, cells in enumerate(nondeg))
 
-    parent = {x: x for x in A.levels[0]}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    if A.N >= 1:
-        for e in A.levels[1]:
-            a, b = find(A.face(1, 0, e)), find(A.face(1, 1, e))
-            if a != b:
-                parent[a] = b
-    components = len({find(x) for x in A.levels[0]})
-
     index = [{x: i for i, x in enumerate(cells)} for cells in nondeg]
     ranks = [0] * (A.N + 2)
     torsions = [()] * (A.N + 1)
@@ -219,12 +209,7 @@ def invariants(A: FiniteSimplicialSet) -> RealizationInvariants:
     homology = tuple((len(nondeg[n]) - ranks[n] - ranks[n + 1],
                       torsions[n] if n < A.N else ())
                      for n in range(A.N + 1))
-    return RealizationInvariants(components, chi, homology)
-
-
-def homotopy_class_key(A: FiniteSimplicialSet):
-    """(components, chi, homology); equal keys are necessary, not sufficient."""
-    return invariants(A).key()
+    return RealizationInvariants(chi, homology)
 
 
 def evaluate_to_sset(s: SimplicialSieve, m: FatPoint,
@@ -318,11 +303,8 @@ def homotopy_stabilization(family, horizon: int, window: int = 3,
     if not field.finite:
         raise EvalError("homotopy keys need a finite base field")
     k0 = base_point(field)
-    keys = []
-    for m in family.system.materialize(horizon):
-        member = family.member_at(m)
-        A = evaluate_to_sset(member, k0, top)
-        keys.append(homotopy_class_key(A))
+    keys = [invariants(evaluate_to_sset(family.member_at(m), k0, top)).key()
+            for m in family.system.materialize(horizon)]
     stab, val, since = stabilize(keys, window, family.system.finite)
     return {"stabilized": stab, "key": val, "since": since,
             "proxy": HOMOTOPY_KEY_PROXY, "keys": keys}

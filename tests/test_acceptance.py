@@ -50,7 +50,7 @@ def wide(field):
 
 
 def jets(field, cfg=DEFAULT):
-    return PointSystem(rule=jet_rule(field, cfg=cfg), label="jets")
+    return PointSystem(rule=jet_rule(field, cfg=cfg))
 
 
 def mono(ambient, name):
@@ -346,7 +346,7 @@ def singleton_battery():
             for k in (2, 3):
                 s = rand_sieve(rng, amb, depth=1)
                 m = fat(field, k)
-                fam = LimitSieve(s, PointSystem(members=[m], label="one"))
+                fam = LimitSieve(s, PointSystem(members=[m]))
                 out.append((fam, m, s))
     return out
 

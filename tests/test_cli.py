@@ -230,6 +230,22 @@ class TestReports:
         assert "kind=parse" in rep
         assert "line=2" in rep
 
+    def test_a_parse_error_reports_its_line_once(self):
+        block = record_blocks(run_script("field Q\nsieve = broken\n")[0])[0]
+        assert block["line"] == "2"
+        assert block["error"] == "expected a name, found '='"
+
+    def test_a_level_past_the_declared_truncation_is_refused(self):
+        text = ("field F 2\nfatpoint m = k[t]/(t^2)\nscheme X = Spec k[x]\n"
+                "sieve s = D(x) in X\nsimplicial S = fiber(s) @ 3\n"
+                "count S at m level 4\ncount S at m level 3\n")
+        rep, code = run_script(text)
+        assert code == 2
+        over, last = record_blocks(rep)[-2:]
+        assert over["status"] == "error"
+        assert over["error"] == "level 4 exceeds the declared truncation 3"
+        assert last["status"] == "ok" and last["value"] == "16"
+
     def test_single_assignment_is_enforced(self):
         text = "field Q\nscheme X = Spec k[x]\nscheme X = Spec k[y]\n"
         rep, code = run_script(text)
@@ -303,6 +319,13 @@ class TestEntryPoint:
             capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert proc.stdout == "field F 3\nscheme X = Spec k[x]\n"
+
+    def test_format_mode_names_a_parse_error_once(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", __import__("io").StringIO(
+            "field Q\nsieve = broken\n"))
+        assert main(["--format"]) == 3
+        assert capsys.readouterr().err \
+            == "motivic: line 2: expected a name, found '='\n"
 
     def test_malformed_environment_integer_is_a_clean_error(self, monkeypatch, capsys):
         monkeypatch.setenv("MOTIVIC_HORIZON", "abc")

@@ -80,12 +80,12 @@ def test_simplicial_levels_by_tag():
 
 
 def test_point_system_rule_vs_explicit():
-    jets = PointSystem(rule=jet_rule(QQ), label="jets")
+    jets = PointSystem(rule=jet_rule(QQ))
     assert not jets.finite
     assert [m.length for m in jets.materialize(3)] == [1, 2, 3]
     assert first_unnested(jets, 4) is None
 
-    fixed = PointSystem(members=[dual_numbers()], label="one")
+    fixed = PointSystem(members=[dual_numbers()])
     assert fixed.finite
     assert len(fixed.materialize(8)) == 1
 
@@ -105,8 +105,8 @@ def first_unnested(system, horizon):
 def test_chain_check_catches_non_nested_members():
     t2 = dual_numbers()
     t3 = make_fat_point(("t",), QQ, [T ** 3], "t3")
-    assert first_unnested(PointSystem(members=[t3, t2], label="bad"), 2) == 0
-    assert first_unnested(PointSystem(members=[t2, t3], label="good"), 2) is None
+    assert first_unnested(PointSystem(members=[t3, t2]), 2) == 0
+    assert first_unnested(PointSystem(members=[t2, t3]), 2) is None
 
 
 def test_truncation_compatibility():

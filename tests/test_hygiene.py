@@ -9,6 +9,10 @@
   are the `Session.eval_*` handlers, which `Session.evaluate` reaches
   through `getattr`. The check goes by name alone, so a method that shares
   its name with a used one passes.
+- Every attribute a package class stores on `self` (`self.name = ...` in
+  one of its methods) is read somewhere in the package, the tests or the
+  benchmark, again by name alone: some `x.name` is loaded. An attribute
+  that is only ever assigned or bumped (`self.n += 1`) is unread.
 
 Names that appear only inside strings do not count.
 """
@@ -70,6 +74,33 @@ def unreferenced_definitions(package: dict, readers):
     return sorted(out)
 
 
+def unread_attributes(package: dict, readers):
+    """Attributes that classes of `package` ({module: source}) store on
+    `self` and no source in `readers` loads, as "module.Class.attr",
+    sorted."""
+    read = set()
+    for source in readers:
+        read.update(node.attr for node in ast.walk(ast.parse(source))
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load))
+    out = set()
+    for module, source in package.items():
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                out.update("%s.%s.%s" % (module, cls.name, node.attr)
+                           for node in ast.walk(method)
+                           if isinstance(node, ast.Attribute)
+                           and isinstance(node.ctx, ast.Store)
+                           and isinstance(node.value, ast.Name)
+                           and node.value.id == "self"
+                           and node.attr not in read)
+    return sorted(out)
+
+
 def test_the_check_finds_an_unused_import():
     source = ("from __future__ import annotations\n"
               "import os.path\nimport sys as system\n"
@@ -109,3 +140,23 @@ def test_every_definition_is_referenced():
     package = {path.stem: path.read_text() for path in PACKAGE}
     readers = [path.read_text() for path in READERS]
     assert unreferenced_definitions(package, readers) == []
+
+
+def test_the_check_finds_an_unread_attribute():
+    package = {"m": ("class C:\n    def __init__(self, a):\n"
+                     "        self.kept = a\n        self.unread = a\n"
+                     "        self.n = 0\n"
+                     "    def bump(self):\n        self.n += 1\n"
+                     "        return self.kept\n"
+                     "class D:\n    def set(self, other):\n"
+                     "        self.elsewhere = 1\n        other.unread = 2\n")}
+    reader = "def f(d):\n    return d.elsewhere\n"
+    assert unread_attributes(package, list(package.values()) + [reader]) \
+        == ["m.C.n", "m.C.unread"]
+
+
+def test_every_stored_attribute_is_read():
+    assert PACKAGE
+    package = {path.stem: path.read_text() for path in PACKAGE}
+    readers = [path.read_text() for path in READERS]
+    assert unread_attributes(package, readers) == []

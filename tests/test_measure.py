@@ -12,13 +12,14 @@ from motivic.kring import (class_of_simplicial, class_str, kclass_one,
                            kclass_zero, lefschetz, level_class, lift_const,
                            lift_power)
 from motivic.measures import (MeasureQuery, counting_consistency,
-                              finite_measure, forget_structure, indexed_mode,
+                              finite_measure, indexed_mode,
                               lax_measure, limit_measure, stable_set_measure)
 from motivic.poly import Ideal, Poly
 from motivic.schemes import AffineScheme, affine_space, weil_restrict
 from motivic.sieves import (ConstSieve, DisjointSieve, LevelSieve, LimitSieve,
                             PowerSieve, ProductSieve, closed_sieve, empty_sieve,
-                            full_sieve, lift_sieve, simplicial_arc)
+                            full_sieve, lift_sieve, presented_levels,
+                            simplicial_arc)
 
 A1 = affine_space(QQ, ("x",), "A1")
 L = lefschetz(QQ)
@@ -30,7 +31,7 @@ def fat(field, k):
 
 
 def jets(field, cfg=DEFAULT):
-    return PointSystem(rule=jet_rule(field, cfg=cfg), label="jets")
+    return PointSystem(rule=jet_rule(field, cfg=cfg))
 
 
 class TestFiniteMeasure:
@@ -65,7 +66,7 @@ class TestLimitMeasure:
     def test_singleton_chain_at_rate_zero_is_the_finite_measure(self):
         m = fat(QQ, 2)
         vx = closed_sieve(A1, [Poly.variable("x", A1.vars, QQ)])
-        fam = LimitSieve(vx, PointSystem(members=[m], label="one"))
+        fam = LimitSieve(vx, PointSystem(members=[m]))
         rep = limit_measure(MeasureQuery(fam, Q=0))
         assert rep.stabilized
         assert rep.value == lift_const(finite_measure(vx, m))
@@ -322,7 +323,7 @@ class TestIndexedMode:
         k3 = base_point(F3)
         from motivic.sieves import lift_sieve
         fib = lift_sieve(full_sieve(A1f), "fiber")
-        flat = forget_structure(fib)
+        flat = LevelSieve(presented_levels(fib))
         for n in range(3):
             assert flat.count(k3, n) == fib.count(k3, n)
 

@@ -15,8 +15,7 @@ from motivic.fields import GF, QQ
 from motivic.kring import (class_of_sieve, class_of_simplicial, counting_hom,
                            counting_simplicial)
 from motivic.poly import Ideal, Poly, poly_str
-from motivic.schemes import (AffineScheme, CoordMap, affine_space,
-                             identity_map, weil_restrict)
+from motivic.schemes import AffineScheme, CoordMap, affine_space, weil_restrict
 from motivic.sieves import (Closed, ConstSieve, DisjointSieve, InterSieve,
                             LevelSieve, LimitSieve, OpenLoc, ProductSieve,
                             UnionSieve, arc_plain_sieve, closed_sieve,
@@ -140,16 +139,15 @@ class TestAdmissibleOpens:
         host = full_sieve(A1)
         adm = sieve_inter(host, open_sieve(A1, X))
         const0 = CoordMap(A1, A1, {"x": Poly.zero(A1.vars, F3)})
-        rep = continuity_probe(const0, [(K3, host, adm)])
+        rep = continuity_probe(const0, K3, host, adm)
         assert not rep["ok"]
-        case = rep["cases"][0]
-        assert case["admissible_before"] and not case["admissible_after"]
-        assert case["semantic"] is True
+        assert rep["admissible_before"] and not rep["admissible_after"]
+        assert rep["semantic"] is True
 
     def test_identity_preserves_admissibility(self):
         host = full_sieve(A1)
         adm = sieve_inter(host, open_sieve(A1, X))
-        assert continuity_probe(identity_map(A1), [(K3, host, adm)])["ok"]
+        assert continuity_probe(CoordMap(A1, A1, {"x": X}), K3, host, adm)["ok"]
 
 
 class TestArcsOfSieves:
@@ -403,12 +401,12 @@ class TestRelativeSieves:
 
 class TestLimitFamilies:
     def test_full_arc_family_validates(self):
-        jets = PointSystem(rule=jet_rule(F3), label="jets")
+        jets = PointSystem(rule=jet_rule(F3))
         rep = LimitSieve(A1, jets).battery_validate(3)
         assert rep["ok"] and not rep["skipped"]
 
     def test_incompatible_family_is_caught(self):
-        jets = PointSystem(rule=jet_rule(F3), label="jets")
+        jets = PointSystem(rule=jet_rule(F3))
 
         def bad_rule(m):
             arc = weil_restrict(A1, m)

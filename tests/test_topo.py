@@ -8,15 +8,15 @@ from motivic.fatpoints import (PointSystem, base_point, jet_rule,
 from motivic.fields import GF
 from motivic.poly import Poly
 from motivic.schemes import affine_space
-from motivic.sieves import (ConstSieve, DisjointSieve, InterSieve, LimitSieve,
-                            ProductSieve, UnionSieve, closed_sieve,
-                            full_sieve, lift_sieve, open_sieve)
+from motivic.sieves import (ConstSieve, DisjointSieve, InterSieve, LevelSieve,
+                            LimitSieve, ProductSieve, UnionSieve, closed_sieve,
+                            full_sieve, lift_sieve, open_sieve,
+                            presented_levels)
 from motivic.topology import (HOMOTOPY_KEY_PROXY, FiniteSimplicialSet,
                               boundary_simplex, discrete_sset,
-                              evaluate_to_sset, homotopy_class_key,
-                              homotopy_stabilization, invariants,
-                              preservation_check, smith_normal_form,
-                              standard_simplex)
+                              evaluate_to_sset, homotopy_stabilization,
+                              invariants, preservation_check,
+                              smith_normal_form, standard_simplex)
 
 from battery import rng_for
 
@@ -82,10 +82,10 @@ class TestStandardComplexes:
         assert inv.euler_characteristic == 2
 
     def test_homotopy_keys_separate_these(self):
-        d0 = homotopy_class_key(standard_simplex(0))
-        assert homotopy_class_key(standard_simplex(2)) == d0
-        assert homotopy_class_key(boundary_simplex(2)) != d0
-        assert homotopy_class_key(discrete_sset(("a", "b"))) != d0
+        d0 = invariants(standard_simplex(0)).key()
+        assert invariants(standard_simplex(2)).key() == d0
+        assert invariants(boundary_simplex(2)).key() != d0
+        assert invariants(discrete_sset(("a", "b"))).key() != d0
 
     def test_euler_equals_alternating_rank_sum(self):
         for A in (standard_simplex(2), boundary_simplex(2),
@@ -119,9 +119,8 @@ class TestEvaluation:
         assert inv.component_count == 1 and inv.euler_characteristic == 1
 
     def test_indexed_families_carry_no_structure(self):
-        from motivic.measures import forget_structure
         fib = lift_sieve(full_sieve(self.B), "fiber")
-        flat = forget_structure(fib)
+        flat = LevelSieve(presented_levels(fib))
         with pytest.raises(EvalError):
             evaluate_to_sset(flat, self.k2, top=2)
 
@@ -166,7 +165,7 @@ class TestHomotopyStabilization:
         A1f = affine_space(F3, ("x",), "A1f")
         xf = Poly.variable("x", A1f.vars, F3)
         origin = closed_sieve(A1f, [xf])
-        fam = LimitSieve(origin, PointSystem(rule=jet_rule(F3), label="jets"))
+        fam = LimitSieve(origin, PointSystem(rule=jet_rule(F3)))
         rep = homotopy_stabilization(fam, horizon=4, window=3, top=1)
         assert rep["stabilized"]
         assert rep["proxy"] == HOMOTOPY_KEY_PROXY
@@ -174,7 +173,7 @@ class TestHomotopyStabilization:
 
     def test_growing_family_is_honestly_indeterminate(self):
         A1f = affine_space(F3, ("x",), "A1f")
-        fam = LimitSieve(A1f, PointSystem(rule=jet_rule(F3), label="jets"))
+        fam = LimitSieve(A1f, PointSystem(rule=jet_rule(F3)))
         rep = homotopy_stabilization(fam, horizon=4, window=3, top=1)
         assert not rep["stabilized"]
         assert rep["proxy"] == HOMOTOPY_KEY_PROXY
@@ -187,7 +186,7 @@ class TestHomotopyStabilization:
         t = Poly.variable("t", ("t",), F3)
         members = [make_fat_point(("t",), F3, [t ** k], "t%d" % k)
                    for k in (2, 3, 3)]
-        fam = LimitSieve(A1f, PointSystem(members=members, label="C"))
+        fam = LimitSieve(A1f, PointSystem(members=members))
         rep = homotopy_stabilization(fam, horizon=4, window=4, top=1)
         assert rep["stabilized"]
         assert rep["keys"][0] != rep["keys"][1] == rep["keys"][2]
