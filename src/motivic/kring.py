@@ -28,8 +28,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 from math import comb
+from operator import itemgetter
 
-from .config import DEFAULT, Config
+from .config import Config
 from .errors import (AmbientMismatch, CapExceeded, EnumerationUnavailable,
                      EvalError, WorkbenchError)
 from .fatpoints import FatPoint
@@ -121,9 +122,12 @@ class Block:
 def _reindex(p: Poly, where, new_vars) -> Poly:
     """p with variable i moved to position `where[i]` of `new_vars`.
 
-    Every variable that occurs in p must have a position.
+    Every variable that occurs in p must have a position. An identity map
+    is a rename: the same terms under the new variables.
     """
     n = len(new_vars)
+    if len(where) == n and all(i == w for i, w in enumerate(where)):
+        return Poly(new_vars, p.field, p.terms)
     out = {}
     for e, c in p.terms.items():
         ne = [0] * n
@@ -176,18 +180,35 @@ def _node_of_parts(gens, open_g, ims):
     return node
 
 
+def _ranked(keys):
+    """(the keys sorted by repr, the repr of that tuple); each key is
+    repr'd once."""
+    ranked = sorted(((repr(k), k) for k in keys), key=itemgetter(0))
+    reprs = [r for r, _ in ranked]
+    text = "(%s,)" % reprs[0] if len(reprs) == 1 else "(%s)" % ", ".join(reprs)
+    return tuple(k for _, k in ranked), text
+
+
 def _block_candidates(vars_sub, field, gens, open_g, ims, cfg):
     """The least presentation over coordinate permutations, or None when the
     open reduces to zero.
 
     `gens` is a reduced basis in the order of `vars_sub`, of an ideal that
     is not the unit ideal, so no renaming of it is either.
+
+    A candidate's key is ("blk", n, basis keys, open key, image map keys),
+    and the least repr of a key wins. Every repr in a key is paren-balanced
+    and closes only at its end, so one basis part is never a proper prefix
+    of another: two reprs first differ inside the basis part, unless the
+    basis parts are equal. A candidate whose basis part sorts strictly after
+    the best one's loses whatever its open and image maps are, so those are
+    not made for it. Whether the open reduces to zero does not depend on
+    the permutation, and the first candidate is never skipped.
     """
     n = len(vars_sub)
     identity = tuple(range(n))
     perm_source = permutations(range(n)) if n <= 5 else [identity]
-    best_key = best_repr = None
-    best_sieve = None
+    best = None  # (key, key repr, basis repr, basis, open, image maps) of the least
     zvars = tuple("z%d" % j for j in range(n))
     for perm in perm_source:
         pgens = [_reindex(g, perm, zvars) for g in gens]
@@ -196,6 +217,9 @@ def _block_candidates(vars_sub, field, gens, open_g, ims, cfg):
             # an in-order renaming keeps a reduced grevlex basis reduced
             ideal._basis = pgens
         basis = ideal.basis()
+        basis_keys, basis_repr = _ranked(g.key() for g in basis)
+        if best is not None and basis_repr > best[2]:
+            continue
         popen = None
         if open_g is not None:
             popen = ideal.normal_form(_reindex(open_g, perm, zvars))
@@ -212,18 +236,17 @@ def _block_candidates(vars_sub, field, gens, open_g, ims, cfg):
             for cm in ims:
                 images = {mapping[v]: cm.images[v] for v in cm.target.vars}
                 pims.append(CoordMap(cm.source, tgt, images))
-        key = ("blk", n,
-               tuple(sorted((g.key() for g in basis), key=repr)),
-               None if popen is None else popen.key(),
-               tuple(sorted((cm.key() for cm in pims), key=repr)))
-        key_repr = repr(key)
-        if best_repr is None or key_repr < best_repr:
-            best_key, best_repr = key, key_repr
-            scheme_ideal = Ideal(zvars, field, list(basis), cfg)
-            scheme_ideal._basis = list(basis)
-            scheme = AffineScheme("blk", scheme_ideal)
-            best_sieve = Sieve(scheme, _node_of_parts(basis, popen, pims))
-    return Block(best_key, best_repr, best_sieve)
+        open_key = None if popen is None else popen.key()
+        ims_keys, ims_repr = _ranked(cm.key() for cm in pims)
+        key_repr = "('blk', %d, %s, %r, %s)" % (n, basis_repr, open_key, ims_repr)
+        if best is None or key_repr < best[1]:
+            key = ("blk", n, basis_keys, open_key, ims_keys)
+            best = (key, key_repr, basis_repr, basis, popen, pims)
+    key, key_repr, _, basis, popen, pims = best
+    scheme_ideal = Ideal(zvars, field, list(basis), cfg)
+    scheme_ideal._basis = list(basis)
+    sieve = Sieve(AffineScheme("blk", scheme_ideal), _node_of_parts(basis, popen, pims))
+    return Block(key, key_repr, sieve)
 
 
 def canonical_conjunction(ambient: AffineScheme, literals, chain=None):
@@ -590,7 +613,9 @@ class SClass(_Combination):
     def _of_int(self, n: int) -> "SClass":
         return lift_const(kclass_int(self.field, n))
 
-    def mul(self, other: "SClass", cfg: Config = DEFAULT) -> "SClass":
+    def mul(self, other: "SClass", cfg: Config) -> "SClass":
+        """The product; one that leaves the closed shapes materializes levels
+        up to cfg.skeletal_level."""
         self._check(other)
         out = SClass(self.field, {})
         for s1, c1 in self.terms.items():
@@ -600,9 +625,10 @@ class SClass(_Combination):
         return out
 
     def __mul__(self, other):
+        # a product of two classes depends on a config: it is `mul`
         if isinstance(other, int):
             return self.scale(other)
-        return self.mul(other)
+        return NotImplemented
 
 
 def lift_const(z: KClass) -> SClass:

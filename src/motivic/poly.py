@@ -27,7 +27,18 @@ from .fields import Field
 
 
 def grevlex_key(exps):
+    """Ascending grevlex key, for the min-heaps and sorts that want the
+    least term first; `_descending` orders terms greatest first."""
     return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def _descending(e):
+    """Sort and heap key that puts exponents grevlex-largest first.
+
+    It ends in e itself, so a heap entry gives its exponents back; the first
+    two parts already tell any two exponent tuples apart.
+    """
+    return (-sum(e), e[::-1], e)
 
 
 def _div_exps(a, b):
@@ -96,7 +107,7 @@ class Poly:
     def leading(self):
         """(exponents, coefficient) of the grevlex-largest term."""
         if self._lead is None:
-            e = max(self.terms, key=grevlex_key)
+            e = min(self.terms, key=_descending)
             self._lead = (e, self.terms[e])
         return self._lead
 
@@ -123,8 +134,10 @@ class Poly:
 
     def key(self):
         if self._key is None:
+            # grevlex-increasing terms
             self._key = (self.vars, self.field,
-                         tuple(sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]))))
+                         tuple(sorted(self.terms.items(), key=lambda t: _descending(t[0]),
+                                      reverse=True)))
         return self._key
 
     # -- arithmetic --------------------------------------------------------
@@ -197,10 +210,12 @@ class Poly:
         return Poly(self.vars, f, {e: f.mul(cc, c) for e, cc in self.terms.items()})
 
     def monic(self):
+        """The monic multiple, made from the int form: one coefficient is
+        made per term. It fills no divisor cache, here or on the result."""
         if self.is_zero():
             return self
         _, c = self.leading()
-        return self if c == 1 else self.scale(self.field.inv(c))
+        return self if c == 1 else _monic(_int_form(self), self.vars, self.field)
 
     # -- structural maps ----------------------------------------------------
 
@@ -287,7 +302,7 @@ def join_terms(bits) -> str:
 
 def poly_str(p: Poly) -> str:
     bits = []
-    for e in sorted(p.terms, key=grevlex_key, reverse=True):
+    for e in sorted(p.terms, key=_descending):
         c = p.terms[e]
         factors = []
         for i, k in enumerate(e):
@@ -358,11 +373,6 @@ def _int_form(p: Poly):
     return _normalized(_cleared(p)[0], p.leading()[0], p.field.char)
 
 
-def _descending(e):
-    """Heap entry that pops exponents grevlex-largest first."""
-    return (-sum(e), e[::-1], e)
-
-
 def _reduce(work, divisors, p):
     """Fraction-free full division of the int term dict `work` (consumed).
 
@@ -422,12 +432,18 @@ def reduce_full(f: Poly, basis) -> Poly:
 
     The first element of `basis` whose leading term divides a term divides
     it. The division runs on int forms: f cleared of its denominators, each
-    divisor read from its `divisor` cache. The remainder is exact.
+    divisor read from its `divisor` cache. The remainder is exact, and its
+    leading term is recorded: the division heap pops terms grevlex-largest
+    first, so the remainder's first term leads.
     """
     p = f.field.char
     work, den = _cleared(f)
     rem, mult = _reduce(work, [g.divisor() for g in basis if g.terms], p)
-    return Poly(f.vars, f.field, rem if p else _over(rem, den * mult))
+    out = Poly(f.vars, f.field, rem if p else _over(rem, den * mult))
+    if rem:
+        e = next(iter(out.terms))
+        out._lead = (e, out.terms[e])
+    return out
 
 
 def _s_terms(f, g, p):
@@ -550,12 +566,12 @@ def buchberger(gens, cfg: Config = DEFAULT):
         # comes back as gens[i].monic(), the very object when it is monic
         # already, so no copy of it and of its cached key is made
         i = minimal[0]
-        return [gens[i].monic() if i < len(gens) else _monic(basis[i], vars, field)]
+        return [gens[i].monic() if i < len(gens) else _basis_element(basis[i], vars, field)]
     minimal = [basis[i] for i in minimal]
     out = []
     for at, h in enumerate(minimal):
         rem, _ = _reduce(_terms_of(h), minimal[:at] + minimal[at + 1:], p)
-        out.append(_monic(_normalized(rem, h[0], p), vars, field))
+        out.append(_basis_element(_normalized(rem, h[0], p), vars, field))
     return out
 
 
@@ -568,9 +584,15 @@ def _terms_of(h):
 
 
 def _monic(h, vars, field) -> Poly:
-    """The monic `Poly` of a `_normalized` form, which is its divisor cache."""
+    """The monic `Poly` of a `_normalized` form."""
     terms = _terms_of(h)
-    out = Poly(vars, field, terms if field.char else _over(terms, h[1]))
+    return Poly(vars, field, terms if field.char else _over(terms, h[1]))
+
+
+def _basis_element(h, vars, field) -> Poly:
+    """`_monic`, with h as the divisor cache: a reduced basis divides many
+    remainders."""
+    out = _monic(h, vars, field)
     out._divisor = h
     return out
 

@@ -12,7 +12,9 @@ loop on `Poly` sums and monomial multiples formed term by term in the field's
 own arithmetic (Fractions over Q): every pair, re-sorted before each pop, with
 only the coprime-leading-term skip, independently of the int kernels of
 products, division and bases in `motivic.poly`. The reference Krull dimension
-tries every subset of the variables.
+tries every subset of the variables. The reference block search makes and
+`repr`s the whole key of every coordinate permutation of a block, where
+`kring._block_candidates` stops a candidate that loses on its basis.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, product as iproduct
+from itertools import combinations_with_replacement, permutations, product as iproduct
 
 from motivic.config import DEFAULT
 from motivic.errors import CapExceeded
@@ -324,6 +326,11 @@ def _monomial_times(shift, c, g: Poly) -> Poly:
                                 for e, gc in g.terms.items()})
 
 
+def _made_monic(g: Poly) -> Poly:
+    """g over its leading coefficient, term by term in the field's own arithmetic."""
+    return _monomial_times((0,) * len(g.vars), g.field.inv(g.leading()[1]), g)
+
+
 def reference_s_poly(f: Poly, g: Poly) -> Poly:
     fe, fc = f.leading()
     ge, gc = g.leading()
@@ -361,7 +368,7 @@ def reference_buchberger(gens):
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
-    basis = [g.monic() for g in gens]
+    basis = [_made_monic(g) for g in gens]
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     while pairs:
         pairs.sort(key=lambda ij: grevlex_key(
@@ -373,7 +380,7 @@ def reference_buchberger(gens):
             continue  # coprime leads reduce to zero
         r = reference_reduce_full(reference_s_poly(basis[i], basis[j]), basis)
         if not r.is_zero():
-            basis.append(r.monic())
+            basis.append(_made_monic(r))
             k = len(basis) - 1
             pairs.extend((i2, k) for i2 in range(k))
     # autoreduce; each element is rewritten against the already-reduced head
@@ -388,10 +395,53 @@ def reference_buchberger(gens):
             if r.key() != g.key():
                 changed = True
             if not r.is_zero():
-                nxt.append(r.monic())
+                nxt.append(_made_monic(r))
         basis = nxt
     basis.sort(key=lambda g: grevlex_key(g.leading()[0]))
     return basis
+
+
+def reference_block_key(vars, field: Field, gens, open_g, ims):
+    """(key, repr of the key) of the least presentation of a block, or None
+    when the open reduces to zero.
+
+    Every permutation of the coordinates is tried, and its whole key is
+    made and `repr`'d: ("blk", n, basis keys, key of the monic reduced open
+    or None for a constant one, image map keys), each tuple sorted by
+    `repr`. The least repr wins. The open is reduced by
+    `reference_reduce_full` and made monic term by term.
+    """
+    n = len(vars)
+    zvars = tuple("z%d" % j for j in range(n))
+    best = None
+    for perm in permutations(range(n)):
+        def moved(g):
+            out = {}
+            for e, c in g.terms.items():
+                ne = [0] * n
+                for i, k in enumerate(e):
+                    ne[perm[i]] = k
+                out[tuple(ne)] = c
+            return Poly(zvars, field, out)
+
+        ideal = Ideal(zvars, field, [moved(g) for g in gens])
+        basis = ideal.basis()
+        open_key = None
+        if open_g is not None:
+            r = reference_reduce_full(moved(open_g), basis)
+            if r.is_zero():
+                return None
+            if not r.is_constant():
+                open_key = _made_monic(r).key()
+        target = AffineScheme("blk", ideal)
+        map_keys = [CoordMap(cm.source, target, {zvars[perm[i]]: cm.images[v]
+                                                 for i, v in enumerate(vars)}).key()
+                    for cm in ims]
+        key = ("blk", n, tuple(sorted((g.key() for g in basis), key=repr)), open_key,
+               tuple(sorted(map_keys, key=repr)))
+        if best is None or repr(key) < best[1]:
+            best = (key, repr(key))
+    return best
 
 
 def rand_ideal_gens(rng, field: Field, nvars: int):

@@ -1,6 +1,7 @@
 """Script language and driver: parsing, printing, reports, exit codes."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -293,13 +294,32 @@ class TestSessionObjects:
         assert block["value"] == "L^3"
 
 
+def console_script_target() -> str:
+    """The "module:attr" of the `motivic` line of `[project.scripts]`, read
+    as text (tomllib is not in every supported Python)."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "pyproject.toml")
+    with open(path) as fh:
+        found = re.search(r'^motivic\s*=\s*"([^"]+)"', fh.read(), re.M)
+    assert found, "pyproject.toml names no motivic console script"
+    return found.group(1)
+
+
 class TestEntryPoint:
     def test_console_script_runs(self):
+        # call the entry object the way an installed console script does:
+        # with the command's arguments in sys.argv, its return the exit code
+        module, _, attr = console_script_target().partition(":")
+        child = ("import functools, importlib, sys\n"
+                 "sys.argv = ['motivic', '-']\n"
+                 "entry = functools.reduce(getattr, %r.split('.'),"
+                 " importlib.import_module(%r))\n"
+                 "sys.exit(entry())\n" % (attr, module))
         proc = subprocess.run(
-            [sys.executable, "-m", "motivic.cli", "-"],
+            [sys.executable, "-c", child],
             input="field F 3\nscheme X = Spec k[x]\nfatpoint p = k\ncount X at p\n",
             capture_output=True, text=True, env=child_env())
-        assert proc.returncode == 0
+        assert proc.returncode == 0, proc.stderr
         assert "value=3" in proc.stdout
 
     def test_package_runs_as_a_module(self):

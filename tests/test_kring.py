@@ -10,7 +10,8 @@ from motivic.errors import (AmbientMismatch, CapExceeded, EvalError,
                             WorkbenchError)
 from motivic.fatpoints import base_point, make_fat_point
 from motivic.fields import GF, QQ
-from motivic.kring import (MEMO_BOUND, KClass, canonical_conjunction,
+from motivic.kring import (MEMO_BOUND, KClass, _block_candidates,
+                           canonical_conjunction,
                            class_of_scheme, class_of_sieve,
                            class_of_simplicial, class_str, counting_hom,
                            counting_simplicial, discrete_hom_check,
@@ -26,8 +27,8 @@ from motivic.sieves import (Closed, ConstSieve, DisjointSieve, Inter,
                             open_sieve, sieve_inter, sieve_union)
 from motivic.topology import evaluate_to_sset
 
-from battery import (enumerate_discrete_families, rand_class, rand_sieve,
-                     rng_for)
+from battery import (enumerate_discrete_families, rand_class, rand_poly,
+                     rand_sieve, reference_block_key, rng_for)
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
@@ -166,6 +167,56 @@ def test_an_image_block_runs_buchberger_once_per_permutation(monkeypatch):
     monkeypatch.setattr("motivic.poly.buchberger", counted)
     assert class_str(class_of_sieve(s)) == "[(V(z0*z1 + 2*z2^2) & im(A2))]"
     assert len(calls) <= 6
+
+
+def block_cases(field, rng):
+    """(variables, reduced basis, open or None, image maps, kind) of blocks
+    on 2 to 5 coordinates with nonempty bases, of every kind: no open, an
+    open, an open in the ideal, and image leaves from a line and a plane."""
+    sources = [affine_space(field, ("s",), "S1"), affine_space(field, ("s", "t"), "S2")]
+    for n in range(2, 6):
+        vars = tuple("v%d" % i for i in range(n))
+        kinds = ["plain", "open", "zero open", "image"]
+        made = 0
+        while made < 2 * len(kinds):
+            gens = [rand_poly(rng, vars, field, max_deg=2, max_terms=3, allow_const=False)
+                    for _ in range(rng.randint(1, 3))]
+            ideal = Ideal(vars, field, gens)
+            if ideal.is_unit():
+                continue
+            basis = list(ideal.basis())
+            kind = kinds[made % len(kinds)]
+            made += 1
+            open_g, ims = None, []
+            if kind == "open":
+                open_g = rand_poly(rng, vars, field, max_deg=2, max_terms=3)
+            elif kind == "zero open":
+                open_g = basis[0] * rand_poly(rng, vars, field, max_deg=1, max_terms=2)
+            elif kind == "image":
+                open_g = rand_poly(rng, vars, field, max_deg=1, max_terms=2)
+                tgt = AffineScheme("blk", ideal)
+                ims = [CoordMap(src, tgt, {v: rand_poly(rng, src.vars, field, max_terms=2)
+                                           for v in vars})
+                       for src in rng.sample(sources, rng.randint(1, 2))]
+            yield vars, basis, open_g, ims, kind
+
+
+@pytest.mark.parametrize("field", [F3, QQ], ids=repr)
+def test_pruned_block_search_matches_the_unpruned_reference(field):
+    """A candidate that loses on its basis stops early, and the block it
+    picks is the one that trying every permutation in full picks."""
+    seen = set()
+    for vars, basis, open_g, ims, kind in block_cases(field, rng_for("blocks", field.char)):
+        want = reference_block_key(vars, field, basis, open_g, ims)
+        got = _block_candidates(vars, field, basis, open_g, ims, Config())
+        if want is None:
+            assert got is None, (kind, basis, open_g)
+        else:
+            assert (got.key, repr(got)) == want, (kind, basis, open_g)
+        seen.add((len(vars), kind, want is None))
+    for n in range(2, 6):
+        assert {(n, "plain", False), (n, "open", False), (n, "zero open", True),
+                (n, "image", False)} <= seen, n
 
 
 class TestPickling:
@@ -435,9 +486,24 @@ class TestSimplicialClasses:
         assert lhs == rhs
 
     def test_mixed_product_materializes_levels(self):
-        z = class_of_simplicial(self.triv).mul(class_of_simplicial(self.fib))
+        z = class_of_simplicial(self.triv).mul(class_of_simplicial(self.fib),
+                                               self.B.ideal.cfg)
         for n in range(3):
             assert counting_simplicial(z, self.k2, n) == 2 * 2 ** (n + 1)
+
+    def test_product_materializes_the_configured_levels(self):
+        cfg = Config(skeletal_level=2)
+        B = AffineScheme("B", Ideal(("x",), F2, [], cfg))
+        triv = class_of_simplicial(lift_sieve(full_sieve(B), "trivial"))
+        fib = class_of_simplicial(lift_sieve(full_sieve(B), "fiber"))
+        z = triv.mul(fib, cfg)
+        (sym,) = z.terms
+        assert sym[0] == "levels" and len(sym[1]) == 3
+        with pytest.raises(CapExceeded):
+            level_class(z, 3)
+        with pytest.raises(TypeError):
+            triv * fib
+        assert triv * 2 == triv + triv
 
     def test_twist_levels_shifts_levels(self):
         z = twist_levels(class_of_simplicial(self.triv), [0, -1, -2])
