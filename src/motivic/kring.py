@@ -138,11 +138,37 @@ def _reindex(p: Poly, where, new_vars) -> Poly:
     return Poly(new_vars, p.field, out)
 
 
-def _reduced(vars, field, cfg, gens, opens):
+def _remembered(memo: dict, key, make):
+    """memo[key], made by `make()` on a miss.
+
+    A hit moves its entry to the end, and past MEMO_BOUND the entry at the
+    front, the least recently used, goes first. A value whose making raises
+    is not stored.
+    """
+    if key in memo:
+        value = memo.pop(key)
+    else:
+        value = make()
+        if len(memo) >= MEMO_BOUND:
+            del memo[next(iter(memo))]
+    memo[key] = value
+    return value
+
+
+def _reduced(ambient: AffineScheme, vars, gens, opens):
     """(reduced basis, opens in normal form that are not constants), or None
     when the conjunction is empty: the ideal is the unit ideal, or an open
-    reduces to zero."""
-    ideal = Ideal(vars, field, gens, cfg)
+    reduces to zero.
+
+    The ideal of `gens` over `vars` comes from the ambient's memo of
+    presentations, whose bases were made under the ambient's config.
+    """
+    def make():
+        made = Ideal(vars, ambient.field, gens, ambient.ideal.cfg)
+        made.basis()
+        return made
+
+    ideal = _remembered(ambient.ideals, (vars, tuple(gens)), make)
     if ideal.is_unit():
         return None
     opens = [ideal.normal_form(g) for g in opens]
@@ -280,7 +306,7 @@ def canonical_conjunction(ambient: AffineScheme, literals, chain=None):
         opens = chain.order(opens)
 
     vars = ambient.vars
-    reduced = _reduced(vars, field, cfg, list(ambient.ideal.gens) + closed, opens)
+    reduced = _reduced(ambient, vars, list(ambient.ideal.gens) + closed, opens)
     if reduced is None:
         return None
     basis, opens = reduced
@@ -298,7 +324,7 @@ def canonical_conjunction(ambient: AffineScheme, literals, chain=None):
                  for j, g in enumerate(basis) if j != gi]
         opens = [_reindex(g.substitute(images), where, new_vars) for g in opens]
         vars = new_vars
-        reduced = _reduced(vars, field, cfg, basis, opens)
+        reduced = _reduced(ambient, vars, basis, opens)
         if reduced is None:
             return None
         basis, opens = reduced
@@ -500,7 +526,8 @@ def _thaw(field: Field, frozen) -> KClass:
     return KClass(field, dict(frozen))
 
 
-# entries of an ambient's conjunction memo; the oldest goes first past this
+# entries of each memo on an ambient; past this the least recently used
+# goes first
 MEMO_BOUND = 64
 
 
@@ -508,9 +535,12 @@ def class_of_sieve(s: Sieve) -> KClass:
     """Sum of the canonical symbols of the node's conjunctions.
 
     Each symbol is looked up in the ambient's memo under its literals first;
-    the memo lives on the ambient, whose config is fixed. Conjunctions with
-    image literals bypass the memo: equal maps may come from differently
-    named sources, and the block prints the name. One `_ProductChain`
+    the memo lives on the ambient, whose config is fixed, and keeps the
+    MEMO_BOUND symbols used most recently. Conjunctions with image literals
+    bypass the memo: equal maps may come from differently named sources,
+    and the block prints the name. Canonicalization takes the ideal of each
+    presentation it reduces from a second memo on the ambient, so one
+    presentation runs Buchberger once per ambient. One `_ProductChain`
     carries the partial products of the node's opens from one conjunction
     to the next.
     """
@@ -520,13 +550,9 @@ def class_of_sieve(s: Sieve) -> KClass:
     for coeff, lits in expand_node(s.node):
         if any(kind == "I" for kind, _ in lits):
             sym = canonical_conjunction(s.ambient, lits, chain)
-        elif lits in memo:
-            sym = memo[lits]
         else:
-            sym = canonical_conjunction(s.ambient, lits, chain)
-            if len(memo) >= MEMO_BOUND:
-                del memo[next(iter(memo))]
-            memo[lits] = sym
+            sym = _remembered(memo, lits, lambda: canonical_conjunction(
+                s.ambient, lits, chain))
         if sym is None:
             continue
         terms[sym] = terms.get(sym, 0) + coeff
@@ -572,28 +598,37 @@ def _terms_str(z) -> str:
 def counting_hom(z: KClass, m: FatPoint) -> Fraction:
     """Point count of a class at a finite fat point; L goes to q**length.
 
-    Each block is counted once per fat point: its count is kept in m's
-    algebra memo under the block and the candidate cap it was counted
-    under, so a tighter cap counts again (and raises) rather than reading
-    a count the cap would refuse.
+    The sum is made in integers, over the denominator of the class's
+    largest negative twist, and becomes one `Fraction` at the end. Each
+    block is counted once per fat point: its count is kept in m's algebra
+    memo under the block and the candidate cap it was counted under, so a
+    tighter cap counts again (and raises) rather than reading a count the
+    cap would refuse.
     """
+    num, s = _scaled_count(z, m)
+    return Fraction(num, z.field.order ** (m.length * s))
+
+
+def _scaled_count(z: KClass, m: FatPoint):
+    """(n, s) with n / q**(length*s) the count of z at m, where s is the
+    largest negative Lefschetz exponent of z, or 0 if it has none."""
     field = z.field
     if not field.finite:
         raise EnumerationUnavailable("counting needs a finite base field")
-    q = field.order
-    ell = m.length
+    unit = field.order ** m.length
+    s = max(0, -min((lef for _, lef in z.terms), default=0))
     memo = m.algebra.memo
-    total = Fraction(0)
+    total = 0
     for (blocks, lef), c in z.terms.items():
-        val = Fraction(q) ** (ell * lef)
+        val = c * unit ** (lef + s)
         for block in blocks:
             key = ("count", block, block.sieve.ambient.ideal.cfg.max_candidates)
             got = memo.get(key)
             if got is None:
                 got = memo[key] = block.sieve.count(m)
             val *= got
-        total += c * val
-    return total
+        total += val
+    return total, s
 
 
 # ---------------------------------------------------------------------------
@@ -761,23 +796,29 @@ def counting_simplicial(z: SClass, m: FatPoint, n: int) -> Fraction:
     """Level-n point count of a simplicial class at a finite fat point.
 
     A power shape counts its base once: level n is that count to the n+1,
-    or the number of (n+1)-multisets of it in the symmetric shape.
+    or the number of (n+1)-multisets of it in the symmetric shape. As in
+    `counting_hom`, the sum is made in integers over one power of q.
     """
     field = z.field
-    total = Fraction(0)
+    parts = []  # (numerator, s): a term's count is numerator / q**(length*s)
     for sym, c in z.terms.items():
         if sym[0] != "pow":
-            val = counting_hom(_level(field, sym, n), m)
+            num, s = _scaled_count(_level(field, sym, n), m)
         else:
-            base = counting_hom(_thaw(field, sym[1]), m)
+            num, s = _scaled_count(_thaw(field, sym[1]), m)
             if not sym[2]:
-                val = base ** (n + 1)
-            elif base.denominator != 1 or base < 0:
-                raise EvalError("orbit count needs a nonnegative integer base")
+                num, s = num ** (n + 1), s * (n + 1)
             else:
-                val = Fraction(comb(int(base) + n, n + 1))
-        total += c * val
-    return total
+                den = field.order ** (m.length * s)
+                if num < 0 or num % den:
+                    raise EvalError("orbit count needs a nonnegative integer base")
+                num, s = comb(num // den + n, n + 1), 0
+        parts.append((c * num, s))
+    if not parts:
+        return Fraction(0)
+    unit = field.order ** m.length
+    top = max(s for _, s in parts)
+    return Fraction(sum(num * unit ** (top - s) for num, s in parts), unit ** top)
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,12 @@ class AffineScheme:
     def __init__(self, name: str, ideal: Ideal):
         self.name = name
         self.ideal = ideal
-        # canonical symbols of conjunctions on this ambient, kept by
-        # kring.class_of_sieve; not part of equality or hashing
+        # least-recently-used memos of kring, neither part of equality or
+        # hashing: the canonical symbols of conjunctions on this ambient
+        # (class_of_sieve), and the ideals of presentations derived from it,
+        # each with its reduced basis made under this ambient's config
         self.memo = {}
+        self.ideals = {}
 
     @property
     def vars(self):

@@ -17,7 +17,7 @@ from motivic.kring import (MEMO_BOUND, KClass, _block_candidates,
                            counting_simplicial, discrete_hom_check,
                            expand_node, galois_check, is_strictly_schemic,
                            kclass_int, kclass_one, kclass_zero, lefschetz,
-                           level_class, lift_const, pushforward,
+                           level_class, lift_const, lift_power, pushforward,
                            twist_levels)
 from motivic.poly import Ideal, Poly, buchberger
 from motivic.schemes import AffineScheme, CoordMap, affine_space
@@ -274,31 +274,68 @@ class TestConjunctionMemo:
         x, y = (Poly.variable(v, A2.vars, QQ) for v in A2.vars)
         s = closed_sieve(A2, [x * x - y * y * y + x])
         assert class_of_sieve(s) == class_of_sieve(s)
-        assert A2.memo
-        with pytest.raises(CapExceeded):
-            class_of_sieve(Sieve(tight, s.node))
+        assert A2.memo and A2.ideals
+        # a basis that raises is not stored, so a retry raises again
+        for _ in range(2):
+            with pytest.raises(CapExceeded):
+                class_of_sieve(Sieve(tight, s.node))
+        assert not tight.memo and not tight.ideals
 
     def test_the_memo_stays_bounded_and_serves_equal_classes(self):
         ambient = AffineScheme("X", Ideal(("x", "y"), F3, []))
         rng = rng_for("memo")
-        sieves, seen = [], set()
-        while len(seen) <= MEMO_BOUND + 20:
+        sieves, classes, seen, ideals = [], [], set(), set()
+        # until both memos have evicted at least 20 entries
+        while len(seen) <= MEMO_BOUND + 20 or len(ideals) <= MEMO_BOUND + 20:
             s = rand_sieve(rng, ambient, depth=2)
             sieves.append(s)
             seen.update(lits for _, lits in expand_node(s.node))
-        classes = []
-        for s in sieves:
             classes.append(class_of_sieve(s))
+            ideals.update(ambient.ideals)
             assert len(ambient.memo) <= MEMO_BOUND
-        assert len(ambient.memo) == MEMO_BOUND
+            assert len(ambient.ideals) <= MEMO_BOUND
+        assert len(ambient.memo) == len(ambient.ideals) == MEMO_BOUND
         # again, now with the early conjunctions evicted and the late ones
         # served from the memo, then on a fresh ambient without a memo entry
         for s, z in zip(sieves, classes):
-            assert class_of_sieve(s) == z
+            warm = class_of_sieve(s)
             fresh = AffineScheme("X", Ideal(("x", "y"), F3, []))
             again = class_of_sieve(Sieve(fresh, s.node))
-            assert again == z and class_str(again) == class_str(z)
+            assert warm == again == z
+            assert class_str(warm) == class_str(again) == class_str(z)
         assert len(ambient.memo) <= MEMO_BOUND
+        assert len(ambient.ideals) <= MEMO_BOUND
+
+    @pytest.mark.parametrize("kept", ["symbols", "ideals"])
+    def test_an_entry_read_late_outlives_older_ones(self, kept):
+        # V(xy - i) over Q: one conjunction, one symbol and one reduced
+        # presentation each; a symbol is read through class_of_sieve, an
+        # ideal through canonical_conjunction, which bypasses the symbols
+        plane = affine_space(QQ, ("x", "y"), "P")
+        x, y = (Poly.variable(v, plane.vars, QQ) for v in plane.vars)
+        gens = [x * y - i for i in range(MEMO_BOUND + 1)]
+        if kept == "symbols":
+            memo = plane.memo
+            keys = [frozenset([("C", g)]) for g in gens]
+
+            def read(g):
+                class_of_sieve(closed_sieve(plane, [g]))
+        else:
+            memo = plane.ideals
+            keys = [(plane.vars, (g,)) for g in gens]
+
+            def read(g):
+                canonical_conjunction(plane, [("C", g)])
+        for g in gens[:MEMO_BOUND - 1]:
+            read(g)
+        read(gens[0])
+        read(gens[MEMO_BOUND - 1])
+        assert len(memo) == MEMO_BOUND and keys[0] in memo and keys[1] in memo
+        # the bound is reached: the next entry evicts the least recently
+        # used, which is the second, not the first
+        read(gens[MEMO_BOUND])
+        assert len(memo) == MEMO_BOUND
+        assert keys[0] in memo and keys[1] not in memo
 
 
 def union_ladder(k):
@@ -461,6 +498,18 @@ class TestSimplicialClasses:
         for n in range(4):
             assert counting_simplicial(z, self.k2, n) == n + 2
             assert counting_simplicial(z, self.k2, n) == self.sym.count(self.k2, n)
+
+    def test_a_twisted_symmetric_base_counts_when_its_count_is_whole(self):
+        A1 = affine_space(F3, ("u",), "A1")
+        u = Poly.variable("u", A1.vars, F3)
+        # (#D(u) + 1) / q: 3/3 at k, but 7/9 at k[t]/(t^2)
+        base = (class_of_sieve(open_sieve(A1, u)) + 1).twist(-1)
+        z = lift_power(base, symmetric=True)
+        for n in range(3):
+            assert counting_simplicial(z, base_point(F3), n) == 1
+            assert counting_simplicial(lift_power(base), fat2(F3), n) == Fraction(7, 9) ** (n + 1)
+            with pytest.raises(EvalError):
+                counting_simplicial(z, fat2(F3), n)
 
     def test_constant_shape_is_strictly_schemic(self):
         z = class_of_simplicial(self.triv)
