@@ -14,7 +14,6 @@ usual.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import traceback
@@ -484,7 +483,11 @@ def _field_from_label(label: str) -> Field:
     raise WorkbenchError("bad field label %r (use Q or F<p>)" % label)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    # imported here, not at module level: the library and run_script never
+    # parse arguments, and argparse is a sizeable share of a cold import
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="motivic",
         description="evaluate a workbench script and print a key=value report")

@@ -1,7 +1,7 @@
 """Script language for the workbench: tokenizer, parser, pretty-printer.
 
 One statement per line.  '#' starts a comment.  The parser produces small
-tuple/dataclass ASTs that the printer turns back into canonical text; the
+tuple and record ASTs that the printer turns back into canonical text; the
 printer output reparses to the identical AST, so print . parse is idempotent
 on every accepted script.
 
@@ -34,10 +34,10 @@ joined by ' + ' / ' - ', factors joined by '*', exponents with '^'.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import WorkbenchError
+from .records import Record
 
 
 class ScriptError(WorkbenchError):
@@ -131,18 +131,22 @@ class _Cursor:
 
 # -- statement AST --------------------------------------------------------
 
-@dataclass(frozen=True)
-class Algebra:
-    vars: tuple       # variable names
-    gens: tuple       # PolyAst generators
+class Algebra(Record):
+    __slots__ = ("vars", "gens")
+
+    def __init__(self, vars: tuple, gens: tuple):
+        object.__setattr__(self, "vars", vars)    # variable names
+        object.__setattr__(self, "gens", gens)    # PolyAst generators
 
 
-@dataclass(frozen=True)
-class Statement:
-    kind: str
-    name: str | None
-    payload: tuple
-    line: int = 0
+class Statement(Record):
+    __slots__ = ("kind", "name", "payload", "line")
+
+    def __init__(self, kind: str, name: str | None, payload: tuple, line: int = 0):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "line", line)
 
     def __repr__(self):
         return "Statement(%s)" % print_statement(self)

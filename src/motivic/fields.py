@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import EnumerationUnavailable, WorkbenchError
+from .records import Record
 
 _PRIME_CAP = 1 << 16
 
@@ -28,7 +29,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class Field:
+class Field(Record):
     """Immutable field descriptor. char == 0 means the rationals."""
 
     __slots__ = ("char",)
@@ -41,14 +42,7 @@ class Field:
                 raise WorkbenchError("characteristic must be prime, got %d" % char)
         object.__setattr__(self, "char", char)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Field is immutable")
-
-    def __reduce__(self):
-        # rebuild through __init__: the default slot restore would go
-        # through the __setattr__ guard above
-        return (Field, (self.char,))
-
+    # every Poly operation compares fields: test the one slot directly
     def __eq__(self, other):
         return isinstance(other, Field) and self.char == other.char
 

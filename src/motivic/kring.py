@@ -304,6 +304,10 @@ def canonical_conjunction(ambient: AffineScheme, literals, chain=None):
             ims.append(obj)
     if chain is not None:
         opens = chain.order(opens)
+    # literals come in frozenset order, which follows the per-process string
+    # hash; sort the generators so one ideal is one memo entry. Sort by the
+    # term tuple: a key also holds its Field, which does not order.
+    closed.sort(key=lambda g: g.key()[2])
 
     vars = ambient.vars
     reduced = _reduced(ambient, vars, list(ambient.ideal.gens) + closed, opens)

@@ -16,7 +16,6 @@ presented levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from math import ceil
 
@@ -29,33 +28,32 @@ from .sieves import (LevelSieve, LimitSieve, Sieve, arc_plain_sieve, full_sieve,
                      presented_levels)
 
 
-@dataclass
 class MeasureQuery:
-    subject: LimitSieve
-    Q: Fraction = Fraction(0)
-    lax_rule: object = None  # FatPoint -> nonnegative int
-    horizon: int = 8
-    window: int = 3
-
-    def __post_init__(self):
-        self.Q = Fraction(self.Q)
+    def __init__(self, subject: LimitSieve, Q: Fraction = Fraction(0),
+                 lax_rule=None, horizon: int = 8, window: int = 3):
+        self.subject = subject
+        self.Q = Fraction(Q)
+        self.lax_rule = lax_rule  # FatPoint -> nonnegative int
+        self.horizon = horizon
+        self.window = window
         if self.Q < 0:
             raise EvalError("Q must be nonnegative")
-        if self.window < 2:
+        if window < 2:
             raise EvalError("stability window must be at least 2")
-        if self.horizon < self.window:
+        if horizon < window:
             raise EvalError("horizon must cover the stability window")
 
 
-@dataclass
 class MeasureReport:
-    mode: str
-    sequence: list  # (label, SClass)
-    stabilized: bool
-    value: SClass | None
-    since: int | None
-    per_level: list = dc_field(default_factory=list)
-    diagnostics: list = dc_field(default_factory=list)
+    def __init__(self, mode: str, sequence: list, stabilized: bool,
+                 value: SClass | None, since: int | None):
+        self.mode = mode
+        self.sequence = sequence  # (label, SClass)
+        self.stabilized = stabilized
+        self.value = value
+        self.since = since
+        self.per_level = []
+        self.diagnostics = []
 
 
 def _member_value(subject: LimitSieve, m: FatPoint, Q: Fraction, lax) -> SClass:
@@ -93,7 +91,7 @@ def limit_measure(q: MeasureQuery) -> MeasureReport:
 
 def lax_measure(q: MeasureQuery) -> MeasureReport:
     if q.lax_rule is None:
-        q = replace(q, lax_rule=lambda m: 0)
+        q = MeasureQuery(q.subject, q.Q, lambda m: 0, q.horizon, q.window)
     return limit_measure(q)
 
 
@@ -121,7 +119,8 @@ def indexed_mode(q: MeasureQuery) -> MeasureReport:
     forgotten = LimitSieve(
         subject.base, subject.system,
         rule=lambda m: LevelSieve(presented_levels(subject.member_at(m))))
-    report = limit_measure(replace(q, subject=forgotten))
+    report = limit_measure(MeasureQuery(forgotten, q.Q, q.lax_rule,
+                                        q.horizon, q.window))
     report.mode = "indexed"
     values = [v for _, v in report.sequence]
     per_level = []

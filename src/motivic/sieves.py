@@ -31,7 +31,6 @@ and names the scheme whose config caps its work (`scheme`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, product as iproduct
 from math import comb
 
@@ -39,6 +38,7 @@ from .errors import AmbientMismatch, CapExceeded, EvalError, WorkbenchError
 from .fatpoints import (FatPoint, SimplicialFatPoint, base_point,
                         flat_coordinates)
 from .poly import Ideal, Poly, poly_str
+from .records import Record
 from .schemes import (AffineScheme, CoordMap, _compiled, _settled,
                       arc_coefficients, arc_of_map, points, product_scheme,
                       search, truncation_map, weil_restrict)
@@ -47,41 +47,49 @@ from .schemes import (AffineScheme, CoordMap, _compiled, _settled,
 # expression nodes
 
 
-@dataclass(frozen=True)
-class Full:
-    pass
+class Full(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Empty:
-    pass
+class Empty(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Closed:
-    gens: tuple
+class Closed(Record):
+    __slots__ = ("gens",)
+
+    def __init__(self, gens: tuple):
+        object.__setattr__(self, "gens", gens)
 
 
-@dataclass(frozen=True)
-class OpenLoc:
-    g: Poly
+class OpenLoc(Record):
+    __slots__ = ("g",)
+
+    def __init__(self, g: Poly):
+        object.__setattr__(self, "g", g)
 
 
-@dataclass(frozen=True)
-class Im:
-    cmap: CoordMap
+class Im(Record):
+    __slots__ = ("cmap",)
+
+    def __init__(self, cmap: CoordMap):
+        object.__setattr__(self, "cmap", cmap)
 
 
-@dataclass(frozen=True)
-class Union:
-    left: object
-    right: object
+class Union(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Inter:
-    left: object
-    right: object
+class Inter(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 def node_str(node) -> str:

@@ -14,7 +14,6 @@ consumer of the key is expected to say so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, product as iproduct
 
 from .config import DEFAULT, Config
@@ -103,14 +102,12 @@ class FiniteSimplicialSet:
         return "SimplicialSet(levels=%s)" % [len(lv) for lv in self.levels]
 
 
-@dataclass
 class RealizationInvariants:
-    euler_characteristic: int
-    homology: tuple  # per degree: (rank, tuple of torsion divisors > 1)
-
-    def __post_init__(self):
-        alt = sum((-1) ** n * h[0] for n, h in enumerate(self.homology))
-        if alt != self.euler_characteristic:
+    def __init__(self, euler_characteristic: int, homology: tuple):
+        self.euler_characteristic = euler_characteristic
+        self.homology = homology  # per degree: (rank, tuple of torsion divisors > 1)
+        alt = sum((-1) ** n * h[0] for n, h in enumerate(homology))
+        if alt != euler_characteristic:
             raise WorkbenchError("homology ranks disagree with the cell count")
 
     @property

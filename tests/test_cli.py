@@ -340,6 +340,21 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout == "field F 3\nscheme X = Spec k[x]\n"
 
+    def test_a_cold_import_leaves_out_the_code_generators(self):
+        # one script runs per process, so what `import motivic.cli` loads
+        # is paid on every run; argparse loads when main parses arguments
+        child = ("import sys\n"
+                 "before = set(sys.modules)\n"
+                 "import motivic.cli\n"
+                 "print(sorted({'dataclasses', 'inspect', 'argparse'}"
+                 " & (set(sys.modules) - before)))\n"
+                 "sys.exit(motivic.cli.main(['--format', '-']))\n")
+        proc = subprocess.run([sys.executable, "-c", child],
+                              input="field  F 3\nscheme X = Spec k[ x ]\n",
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\nfield F 3\nscheme X = Spec k[x]\n"
+
     def test_format_mode_names_a_parse_error_once(self, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", __import__("io").StringIO(
             "field Q\nsieve = broken\n"))

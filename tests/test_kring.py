@@ -306,6 +306,16 @@ class TestConjunctionMemo:
         assert len(ambient.memo) <= MEMO_BOUND
         assert len(ambient.ideals) <= MEMO_BOUND
 
+    def test_closed_literals_in_either_order_share_one_ideal(self):
+        # a conjunction's literals come in frozenset order, which follows
+        # the per-process string hash
+        plane = affine_space(F3, ("x", "y"), "P")
+        x, y = (Poly.variable(v, plane.vars, F3) for v in plane.vars)
+        a, b = x * x + y * y, x * y
+        first = canonical_conjunction(plane, [("C", a), ("C", b)])
+        assert canonical_conjunction(plane, [("C", b), ("C", a)]) == first
+        assert len(plane.ideals) == 1
+
     @pytest.mark.parametrize("kept", ["symbols", "ideals"])
     def test_an_entry_read_late_outlives_older_ones(self, kept):
         # V(xy - i) over Q: one conjunction, one symbol and one reduced

@@ -88,11 +88,12 @@ class TestLimitMeasure:
 
     def test_query_validation(self):
         fam = LimitSieve(A1, jets(QQ))
-        with pytest.raises(EvalError):
+        with pytest.raises(EvalError, match="^Q must be nonnegative$"):
             MeasureQuery(fam, Q=-1)
-        with pytest.raises(EvalError):
+        with pytest.raises(EvalError, match="^stability window must be at least 2$"):
             MeasureQuery(fam, Q=1, window=1)
-        with pytest.raises(EvalError):
+        with pytest.raises(EvalError,
+                           match="^horizon must cover the stability window$"):
             MeasureQuery(fam, Q=1, horizon=2, window=3)
 
     def test_a_plain_sieve_rule_measures_as_its_constant_shape(self):
