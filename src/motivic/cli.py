@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 import sys
-import traceback
 from fractions import Fraction
 
 from . import dsl
@@ -188,7 +187,7 @@ class Session:
                               poly_from_ast(expr[1], ambient.vars, ambient.field))
         if tag == "im":
             f = self.lookup(expr[1], ("map",))[1]
-            if f.target.presentation_key() != ambient.presentation_key():
+            if f.target != ambient:
                 raise EvalError("image of %r lives in a different ambient" % expr[1])
             s = image_sieve(f)
             return Sieve(ambient, s.node)
@@ -198,7 +197,7 @@ class Session:
             return empty_sieve(ambient)
         if tag == "ref":
             s = self.lookup(expr[1], ("sieve",))[1]
-            if s.ambient.presentation_key() != ambient.presentation_key():
+            if s.ambient != ambient:
                 raise EvalError("sieve %r lives in a different ambient" % expr[1])
             return s
         left = self._sieve_from_expr(expr[1], ambient)
@@ -457,6 +456,7 @@ def run_script(text, cfg: Config = DEFAULT, field: Field | None = None):
         except Exception as err:
             # a fault of the workbench, not of the script: the report names
             # its type only and goes on; the traceback goes to stderr
+            import traceback
             traceback.print_exc(file=sys.stderr)
             any_error = True
             lines.append("status=error")

@@ -247,16 +247,6 @@ class FatPoint:
         return "%s[%s]/(%s)" % (base, ", ".join(self.ideal.vars), inside)
 
 
-def _nilpotent(alg: QuotientAlgebra, vec) -> bool:
-    """Repeated squaring: nilpotent iff the first power of 2 past dim kills it."""
-    n = 1
-    v = vec
-    while n <= alg.dim:
-        v = alg.mul(v, v)
-        n *= 2
-    return alg.is_zero_vec(v)
-
-
 def make_fat_point(vars, field: Field, gens, name: str = "",
                    cfg: Config = DEFAULT) -> FatPoint:
     """Validate and build a fat point; raises NotFinite or NotLocal."""
@@ -264,8 +254,9 @@ def make_fat_point(vars, field: Field, gens, name: str = "",
     if ideal.is_unit():
         raise NotLocal("unit ideal presents the zero ring, not a point")
     alg = QuotientAlgebra(ideal)
+    # in an algebra of dimension d an element is nilpotent iff its d-th power vanishes
     for v in ideal.vars:
-        if not _nilpotent(alg, alg.nf_vector(Poly.variable(v, ideal.vars, field))):
+        if not ideal.contains(Poly.variable(v, ideal.vars, field) ** alg.dim):
             raise NotLocal("generator %r is not nilpotent" % v)
     return FatPoint(alg, name=name)
 

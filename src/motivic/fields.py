@@ -93,14 +93,13 @@ class Field(Record):
 
     @property
     def order(self) -> int:
+        """p for F_p; Q has no order, and nothing over it is counted."""
         if not self.finite:
-            raise EnumerationUnavailable("field is infinite")
+            raise EnumerationUnavailable("point enumeration needs a finite field")
         return self.char
 
     def elements(self):
-        if not self.finite:
-            raise EnumerationUnavailable("cannot enumerate an infinite field")
-        return range(self.char)
+        return range(self.order)
 
 
 QQ = Field(0)

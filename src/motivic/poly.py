@@ -98,9 +98,6 @@ class Poly:
     def is_constant(self):
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_coeff(self):
-        return self.terms.get((0,) * len(self.vars), self.field.zero)
-
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
 
@@ -676,15 +673,6 @@ class Ideal:
         supports = [frozenset(i for i, k in enumerate(e) if k)
                     for e in self.leading_exponents()]
         return len(self.vars) - _fewest_meeting(supports)
-
-    def __eq__(self, other):
-        return (isinstance(other, Ideal) and self.vars == other.vars
-                and self.field == other.field
-                and tuple(g.key() for g in self.basis())
-                == tuple(g.key() for g in other.basis()))
-
-    def __hash__(self):
-        return hash((self.vars, self.field, tuple(g.key() for g in self.basis())))
 
     def __repr__(self):
         inside = ", ".join(poly_str(g) for g in self.gens) or "0"

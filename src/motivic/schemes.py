@@ -19,8 +19,7 @@ from itertools import product as iproduct
 from operator import itemgetter
 
 from .config import DEFAULT, Config
-from .errors import (AmbientMismatch, CapExceeded, EnumerationUnavailable,
-                     FieldMismatch, WorkbenchError)
+from .errors import AmbientMismatch, CapExceeded, FieldMismatch, WorkbenchError
 from .fatpoints import (FatPoint, QuotientAlgebra, point_of, row_value,
                         truncation_compatible)
 from .fields import Field
@@ -97,8 +96,6 @@ class CoordMap:
 
     def pullback_poly(self, p: Poly) -> Poly:
         """Precompose: polynomial on the target becomes one on the source."""
-        if p.is_zero() or p.is_constant():
-            return Poly.constant(p.constant_coeff(), self.source.vars, self.source.field)
         return p.substitute(self.images, vars=self.source.vars, field=self.source.field)
 
     def apply_point(self, alg: QuotientAlgebra, point):
@@ -228,19 +225,17 @@ def search(x: AffineScheme, m: FatPoint, condition=None, count: bool = False):
     Returns the points sorted, each a tuple of coefficient vectors, one per
     variable, or with count=True their number, without building them.
     """
-    if not x.field.finite:
-        raise EnumerationUnavailable("point enumeration needs a finite field")
+    p = x.field.order
     if x.field != m.field:
         raise FieldMismatch("scheme and fat point over different fields")
     alg = m.algebra
     n = len(x.vars)
     size = n * m.length
-    total = x.field.order ** size
+    total = p ** size
     cap = x.ideal.cfg.max_candidates
     if total > cap:
         raise CapExceeded("enumeration of %d candidates exceeds cap %d"
                           % (total, cap))
-    p = x.field.char
     eqs = tuple(("zero", row) for g in x.ideal.gens
                 for row in alg.coefficient_rows(g))
     extra = True if condition is None else condition()

@@ -17,7 +17,8 @@ pulls one admissible open back along a map and tests it again.
 Simplicial sieves layer a level structure on top, one class per shape:
 constant levels, cartesian powers with coordinate deletion/duplication
 (multisets in the symmetric shape), levelwise products, disjoint unions,
-unions and intersections, and level lists that carry no maps at all. A shape
+unions and intersections, and level lists that carry no maps at all (a
+level list raises when asked for a face or a degeneracy). A shape
 holds plain `Sieve`s, never a separate scheme and condition. Each shape
 answers for itself: it builds the points, faces and degeneracies of level n
 from its parts, gives the plain `Sieve` presenting level n
@@ -199,7 +200,7 @@ def node_pullback(node, f: CoordMap):
 
 def fiber_product_schemes(f: CoordMap, g: CoordMap):
     """W x_X Z for f: W -> X, g: Z -> X; returns (scheme, to W, to Z)."""
-    if f.target.presentation_key() != g.target.presentation_key():
+    if f.target != g.target:
         raise AmbientMismatch("fiber product needs a common target")
     prod, to_w, to_z = product_scheme(f.source, g.source)
     fw, gz = f.compose(to_w), g.compose(to_z)
@@ -231,18 +232,12 @@ class Sieve:
                       count=True)
 
     def pullback(self, f: CoordMap) -> "Sieve":
-        if f.target.presentation_key() != self.ambient.presentation_key():
+        if f.target != self.ambient:
             raise AmbientMismatch("pullback along a morphism into a different ambient")
         return Sieve(f.source, node_pullback(self.node, f))
 
     def key(self):
         return (self.ambient.presentation_key(), self.node)
-
-    def __eq__(self, other):
-        return isinstance(other, Sieve) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         return "%s on %s" % (node_str(self.node), self.ambient.name)
@@ -269,7 +264,7 @@ def image_sieve(cmap: CoordMap) -> Sieve:
 
 
 def _same_ambient(a: Sieve, b: Sieve):
-    if a.ambient.presentation_key() != b.ambient.presentation_key():
+    if a.ambient != b.ambient:
         raise AmbientMismatch("lattice operation across different ambients")
 
 
@@ -305,7 +300,7 @@ def is_admissible_open(s: Sieve, host: Sieve) -> bool:
     The opens must not degenerate (zero in the ambient coordinate ring),
     otherwise a closed condition is hiding in the open part.
     """
-    if s.ambient.presentation_key() != host.ambient.presentation_key():
+    if s.ambient != host.ambient:
         return False
     nd = s.node
     if not isinstance(nd, Inter):
@@ -373,9 +368,10 @@ class SimplicialSieve:
 
     Each shape builds `level_points(m, n)` from its parts and returns the
     points sorted. `member` tests one point, `face(n, i, p)` and
-    `degeneracy(n, i, p)` are the structure maps (absent when `has_maps` is
-    false), `key` names the sieve, and `ambient_key` names the levels it
-    cuts, which the two sides of a union or an intersection must share.
+    `degeneracy(n, i, p)` are the structure maps (a level list has none:
+    asking it for one raises `EvalError`), `key` names the sieve, and
+    `ambient_key` names the levels it cuts, which the two sides of a union
+    or an intersection must share.
     `level_presentation(n)` is the plain `Sieve` presenting level n, or
     None when the level has no single affine presentation; `truncation` is
     the last level the shape stands for (its scheme's skeletal level unless
@@ -384,8 +380,6 @@ class SimplicialSieve:
     `scheme` is the defining affine scheme, whose config caps the work on
     the sieve.
     """
-
-    has_maps = True
 
     @property
     def truncation(self) -> int:
@@ -396,12 +390,6 @@ class SimplicialSieve:
 
     def count(self, m, n) -> int:
         return len(self.level_points(m, n))
-
-    def __eq__(self, other):
-        return isinstance(other, SimplicialSieve) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
 
 class ConstSieve(SimplicialSieve):
@@ -520,10 +508,6 @@ class _Pair(SimplicialSieve):
     def __init__(self, left: SimplicialSieve, right: SimplicialSieve):
         self.left = left
         self.right = right
-
-    @property
-    def has_maps(self):
-        return self.left.has_maps and self.right.has_maps
 
     @property
     def scheme(self):
@@ -658,8 +642,6 @@ class InterSieve(_Lattice):
 class LevelSieve(SimplicialSieve):
     """Explicit per-level plain sieves, with the structure maps forgotten."""
 
-    has_maps = False
-
     def __init__(self, levels):
         self.levels = tuple(levels)
 
@@ -687,10 +669,9 @@ class LevelSieve(SimplicialSieve):
         return self.level_presentation(n).member(m, point)
 
     def face(self, n, i, p):
-        raise WorkbenchError("indexed family carries no face maps")
+        raise EvalError("indexed family carries no structure maps")
 
-    def degeneracy(self, n, i, p):
-        raise WorkbenchError("indexed family carries no degeneracy maps")
+    degeneracy = face
 
     def arc(self, m):
         raise WorkbenchError("no arc transform for %r" % (self,))

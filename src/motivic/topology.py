@@ -212,9 +212,8 @@ def invariants(A: FiniteSimplicialSet) -> RealizationInvariants:
 def evaluate_to_sset(s: SimplicialSieve, m: FatPoint,
                      top: int) -> FiniteSimplicialSet:
     """Levels 0..top of s at m, under the cell cap of its scheme's config;
-    a face or degeneracy that leaves the sieve raises EvalError."""
-    if not s.has_maps:
-        raise EvalError("indexed family carries no structure maps")
+    a face or degeneracy that leaves the sieve raises EvalError, and so does
+    a level list, which has no maps, once it has a cell to map."""
     levels = [s.level_points(m, n) for n in range(top + 1)]
     return FiniteSimplicialSet(levels, s.face, s.degeneracy, s.scheme.ideal.cfg)
 

@@ -225,6 +225,34 @@ class TestReports:
         assert blocks[4]["value"] == "1 + L"
         assert "TypeError: forced" in capsys.readouterr().err
 
+    def test_counting_over_q_reports_one_error(self):
+        # an affine space, a scheme with relations, a sieve, both simplicial
+        # shapes and both kinds of class all stop where the search would
+        text = ("field Q\nfatpoint m = k[t]/(t^2)\nscheme A = Spec k[x]\n"
+                "scheme X = Spec k[x, y]/(y - x^2)\nsieve s = D(x) in A\n"
+                "simplicial S = fiber(s) @ 2\nsimplicial T = trivial(s) @ 2\n"
+                "class c = [A]\nclass d = [S]\n"
+                "count A at m\ncount X at m\ncount s at m\n"
+                "count S at m level 1\ncount T at m\ncount c at m\n"
+                "count d at m level 1\n")
+        rep, code = run_script(text)
+        assert code == 2
+        counts = [b for b in record_blocks(rep) if b["kind"] == "count"]
+        assert len(counts) == 7
+        assert {b["error"] for b in counts} == {"point enumeration needs a finite field"}
+
+    def test_a_product_of_fiber_powers_is_the_power_of_the_product(self):
+        text = ("field F 2\nfatpoint m = k[t]/(t^2)\nscheme X = Spec k[x]\n"
+                "sieve u = D(x) in X\nsimplicial F = fiber(u) @ 2\n"
+                "simplicial G = fiber(X) @ 2\nclass c = [F] * [G]\n"
+                "count F at m level 2\ncount G at m level 2\n"
+                "count c at m level 2\n")
+        rep, code = run_script(text)
+        assert code == 0
+        blocks = record_blocks(rep)
+        assert blocks[6]["value"] == "fib([D(z0)]*L)"
+        assert [b["value"] for b in blocks[7:]] == ["8", "64", "512"]
+
     def test_parse_failure_sets_exit_three(self):
         rep, code = run_script("field Q\nsieve = broken\n")
         assert code == 3
@@ -342,11 +370,12 @@ class TestEntryPoint:
 
     def test_a_cold_import_leaves_out_the_code_generators(self):
         # one script runs per process, so what `import motivic.cli` loads
-        # is paid on every run; argparse loads when main parses arguments
+        # is paid on every run; argparse loads when main parses arguments,
+        # traceback when a statement fails inside the workbench
         child = ("import sys\n"
                  "before = set(sys.modules)\n"
                  "import motivic.cli\n"
-                 "print(sorted({'dataclasses', 'inspect', 'argparse'}"
+                 "print(sorted({'dataclasses', 'inspect', 'argparse', 'traceback'}"
                  " & (set(sys.modules) - before)))\n"
                  "sys.exit(motivic.cli.main(['--format', '-']))\n")
         proc = subprocess.run([sys.executable, "-c", child],

@@ -6,8 +6,7 @@ from itertools import permutations
 import pytest
 
 from motivic.config import Config
-from motivic.errors import (AmbientMismatch, CapExceeded, EvalError,
-                            WorkbenchError)
+from motivic.errors import AmbientMismatch, CapExceeded, EvalError
 from motivic.fatpoints import base_point, make_fat_point
 from motivic.fields import GF, QQ
 from motivic.kring import (MEMO_BOUND, KClass, _block_candidates,
@@ -665,7 +664,7 @@ class TestAdjunctions:
         B = affine_space(F2, ("x",), "B")
         family = LevelSieve([full_sieve(B)] * 2)
         for check in (discrete_hom_check, enumerate_discrete_families):
-            with pytest.raises(WorkbenchError, match="indexed family carries no face maps"):
+            with pytest.raises(EvalError, match="indexed family carries no structure maps"):
                 check(B, family, k2, 1)
 
     def test_pushforward_image_points(self):

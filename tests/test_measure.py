@@ -281,6 +281,13 @@ class TestStableSets:
         k3 = base_point(F3)
         assert counting_consistency(rep, [(k3, 0), (k3, 2)], window=3)
 
+    def test_a_value_that_counts_unlike_its_tail_is_inconsistent(self):
+        F3 = GF(3)
+        A1f = affine_space(F3, ("x",), "A1f")
+        rep = stable_set_measure(LimitSieve(A1f, jets(F3)), horizon=6)
+        rep.value = lift_const(kclass_zero(F3))
+        assert counting_consistency(rep, [(base_point(F3), 0)], window=3) is False
+
     def test_skipped_checks_reach_the_diagnostics(self):
         F3 = GF(3)
         A1f = affine_space(F3, ("x",), "A1f")

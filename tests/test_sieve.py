@@ -8,7 +8,7 @@ from battery import (jet_point, kernel_points, mixed_cases, rand_sieve,
                      reference_level_points, reference_member,
                      reference_points, rng_for)
 from motivic.config import Config
-from motivic.errors import AmbientMismatch, CapExceeded, WorkbenchError
+from motivic.errors import AmbientMismatch, CapExceeded, EvalError, WorkbenchError
 from motivic.fatpoints import (PointSystem, SimplicialFatPoint, base_point,
                                jet_rule, make_fat_point)
 from motivic.fields import GF, QQ
@@ -170,6 +170,18 @@ class TestArcsOfSieves:
         dx = open_sieve(A1, X)
         arc = arc_plain_sieve(dx, t2)
         assert arc.count(K3) == dx.count(t2)
+
+    def test_the_arc_of_an_image_counts_like_the_image(self):
+        # the parabola's 9 arcs, the 9 arcs on x = 0, and one arc in both
+        t2 = dual_numbers(F3)
+        X2 = affine_space(F3, ("x", "y"), "X2")
+        U = affine_space(F3, ("u",), "U")
+        u = Poly.variable("u", U.vars, F3)
+        f = CoordMap(U, X2, {"x": u, "y": u * u})
+        s = sieve_union(image_sieve(f),
+                        closed_sieve(X2, [Poly.variable("x", X2.vars, F3)]))
+        arc = arc_plain_sieve(s, t2)
+        assert s.count(t2) == arc.count(K3) == 17
 
 
 class TestSimplicialShapes:
@@ -366,7 +378,8 @@ class TestSimplicialArcs:
         sfp = SimplicialFatPoint("fiber", dual_numbers(QQ), truncation=2)
         fam = simplicial_arc(closed_sieve(AQ, [xq * xq]), sfp)
         assert isinstance(fam, LevelSieve)
-        assert not fam.has_maps
+        with pytest.raises(EvalError, match="indexed family carries no structure maps"):
+            fam.face(1, 0, ((0,),))
         assert ([len(fam.level_presentation(n).ambient.vars) for n in range(3)]
                 == [2, 4, 8])
 
@@ -425,3 +438,20 @@ class TestLimitFamilies:
         assert rep["ok"] and not rep["issues"]
         assert len(rep["skipped"]) == 1
         assert rep["skipped"][0].startswith("members 0-1: ")
+
+    def test_a_member_outside_the_base_arcs_is_an_issue(self):
+        # the base is D(x), the members are the whole arc schemes
+        base = open_sieve(A1, Poly.variable("x", A1.vars, F3))
+        jets = PointSystem(rule=jet_rule(F3))
+        rep = LimitSieve(base, jets,
+                         rule=lambda m: full_sieve(weil_restrict(A1, m))).battery_validate(2)
+        assert not rep["ok"] and not rep["skipped"]
+        assert "member 0 escapes the base arcs at level 0" in rep["issues"]
+
+    def test_a_member_on_another_points_arcs_is_an_issue(self):
+        # member 0 is k[t]/(t), whose arcs are presented as the base point's
+        jets = PointSystem(rule=jet_rule(F3))
+        rep = LimitSieve(A1, jets,
+                         rule=lambda m: full_sieve(weil_restrict(A1, K3))).battery_validate(2)
+        assert not rep["ok"]
+        assert rep["issues"] == ["member 1 lives off the arc ambient"]

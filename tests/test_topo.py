@@ -159,6 +159,19 @@ class TestEvaluation:
         rep = preservation_check(a, b, self.k2)
         assert rep["ok"] and rep["union"] and rep["intersection"] and rep["product"]
 
+    def test_a_member_test_unlike_the_levels_fails_the_intersection(self):
+        # b lists only the origin but its member test accepts every point, so
+        # the intersection lists all of a where the set operation keeps one
+        class AcceptsAll(ConstSieve):
+            def member(self, m, n, point):
+                return True
+
+        a = ConstSieve(full_sieve(self.B))
+        b = AcceptsAll(closed_sieve(self.B, [self.xb]))
+        rep = preservation_check(a, b, self.k2)
+        assert rep == {"union": True, "intersection": False, "product": True,
+                       "ok": False}
+
 
 class TestHomotopyStabilization:
     def test_constant_point_family_stabilizes(self):
@@ -205,6 +218,28 @@ class TestValidation:
 
         with pytest.raises(WorkbenchError):
             FiniteSimplicialSet(levels=[("v",), ("e",)], face=face, degen=degen)
+
+    # maps that stay inside the levels but break one identity each
+    @pytest.mark.parametrize("levels, face, degen, message", [
+        # d_0 d_2 f = a but d_1 d_0 f = b
+        ([("a", "b"), ("e",), ("f",)],
+         lambda n, i, x: ("a", "b")[i] if n == 1 else "e",
+         lambda n, i, x: "e" if n == 0 else "f",
+         "face identity fails at n=2"),
+        # s_0 s_0 v = f but s_1 s_0 v = g
+        ([("v",), ("e",), ("f", "g")],
+         lambda n, i, x: "v" if n == 1 else "e",
+         lambda n, i, x: "e" if n == 0 else ("f", "g")[i],
+         "degeneracy identity fails at n=0"),
+        # d_1 s_0 a = b
+        ([("a", "b"), ("e",)],
+         lambda n, i, x: ("a", "b")[i],
+         lambda n, i, x: "e",
+         "mixed identity fails at n=0"),
+    ], ids=["face", "degeneracy", "mixed"])
+    def test_each_simplicial_identity_is_checked(self, levels, face, degen, message):
+        with pytest.raises(EvalError, match=message):
+            FiniteSimplicialSet(levels=levels, face=face, degen=degen)
 
     def test_cell_cap(self):
         from motivic.config import DEFAULT

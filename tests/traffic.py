@@ -1,0 +1,120 @@
+"""Which functions of the package ever run: a call trace of tier-1 and of one
+pass of each benchmark workload.
+
+    python3 tests/traffic.py [SEED]
+
+Runs the tier-1 suite, then one untraced and one traced (TRACE=1) pass of
+`perfbench/worker.py` on each workload at SEED (default 7), each in a fresh
+interpreter under a `sys.settrace` hook that records every code object it
+enters. Then prints each function, method and lambda of `src/motivic` that
+no run entered, as `path:line qualified-name`, and their number. Class
+bodies and comprehensions are left out. A child interpreter that a test
+starts is not traced, so a function that only such a child reaches is
+listed too.
+
+It is run by hand, not in CI: the hook makes the suite several times
+slower. Only the standard library is used, besides pytest for the suite.
+"""
+
+import inspect
+import json
+import os
+import runpy
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "motivic")
+WORKLOADS = ("jet-count", "class-canon", "ring-laws")
+
+
+def counted(code) -> bool:
+    """A function, a method or a lambda; not a module, a class body or a
+    comprehension."""
+    return bool(code.co_flags & inspect.CO_NEWLOCALS) and (
+        code.co_name == "<lambda>" or not code.co_name.startswith("<"))
+
+
+def where(code):
+    """(path, first line, qualified name) of a code object."""
+    return (os.path.realpath(code.co_filename), code.co_firstlineno,
+            getattr(code, "co_qualname", code.co_name))
+
+
+def defined():
+    """`where` of every function compiled from the package's sources."""
+    out = set()
+    for name in sorted(os.listdir(PACKAGE)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(PACKAGE, name)
+        with open(path) as f:
+            todo = [compile(f.read(), path, "exec")]
+        while todo:
+            code = todo.pop()
+            todo.extend(c for c in code.co_consts if inspect.iscode(c))
+            if counted(code):
+                out.add(where(code))
+    return out
+
+
+def child(out, argv):
+    """Run pytest (argv[0] == "pytest") or a script under the hook, then
+    write the package functions it entered to `out` as JSON."""
+    seen = set()
+
+    def hook(frame, event, arg):
+        # a global hook that returns None sees only "call" events
+        seen.add(frame.f_code)
+
+    sys.settrace(hook)
+    try:
+        if argv[0] == "pytest":
+            import pytest
+            code = pytest.main(argv[1:])
+        else:
+            sys.argv = argv
+            runpy.run_path(argv[0], run_name="__main__")
+            code = 0
+    finally:
+        sys.settrace(None)
+        entered = sorted({where(c) for c in seen if counted(c)})
+        with open(out, "w") as f:
+            json.dump([e for e in entered if e[0].startswith(PACKAGE + os.sep)], f)
+    return int(code)
+
+
+def main(argv):
+    seed = argv[0] if argv else "7"
+    worker = os.path.join(ROOT, "perfbench", "worker.py")
+    runs = [["pytest", "-q", "-p", "no:cacheprovider",
+             "--continue-on-collection-errors"]]
+    runs += [[worker, w, seed, trace] for trace in ("0", "1") for w in WORKLOADS]
+    old = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")
+               + (os.pathsep + old if old else ""))
+    entered = set()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "entered.json")
+        for run in runs:
+            proc = subprocess.run([sys.executable, os.path.realpath(__file__),
+                                   "--child", out] + run, cwd=ROOT, env=env,
+                                  stdout=subprocess.DEVNULL)
+            print("%s: exit %d" % (" ".join(os.path.basename(a) for a in run),
+                                   proc.returncode), file=sys.stderr)
+            if proc.returncode:
+                return proc.returncode
+            with open(out) as f:
+                entered.update(tuple(e) for e in json.load(f))
+    never = sorted(defined() - entered)
+    for path, line, name in never:
+        print("%s:%d %s" % (os.path.relpath(path, ROOT), line, name))
+    print("%d of %d package functions never ran" % (len(never), len(defined())))
+    return 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--child"]:
+        sys.exit(child(sys.argv[2], sys.argv[3:]))
+    sys.exit(main(sys.argv[1:]))
