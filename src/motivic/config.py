@@ -47,8 +47,11 @@ class Config(Record):
         return Config(**dict(zip(_FIELDS, self._values()), **live)) if live else self
 
 
-def from_environment(base: Config | None = None) -> Config:
-    cfg = base or Config()
+DEFAULT = Config()
+
+
+def from_environment() -> Config:
+    """The defaults overlaid with every MOTIVIC_<FIELD> variable set."""
     found = {}
     for name in _FIELDS:
         var = ENV_PREFIX + name.upper()
@@ -59,7 +62,4 @@ def from_environment(base: Config | None = None) -> Config:
             except ValueError:
                 raise WorkbenchError("%s must be an integer, got %r"
                                      % (var, raw)) from None
-    return cfg.with_overrides(**found)
-
-
-DEFAULT = Config()
+    return DEFAULT.with_overrides(**found)

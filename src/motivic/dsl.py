@@ -220,11 +220,12 @@ def poly_ast_str(ast):
     return out
 
 
-def _parse_poly_list(c, closer=")"):
+def _parse_poly_list(c):
+    """Polynomials separated by commas, up to a closing parenthesis."""
     polys = [parse_poly(c)]
     while c.accept_op(","):
         polys.append(parse_poly(c))
-    c.expect_op(closer)
+    c.expect_op(")")
     return tuple(polys)
 
 

@@ -233,12 +233,6 @@ class FatPoint:
         return (self.field, self.ideal.vars,
                 tuple(g.key() for g in self.ideal.basis()))
 
-    def __eq__(self, other):
-        return isinstance(other, FatPoint) and self.presentation_key() == other.presentation_key()
-
-    def __hash__(self):
-        return hash(self.presentation_key())
-
     def __repr__(self):
         base = repr(self.field)
         if not self.ideal.vars:
@@ -303,9 +297,6 @@ class SimplicialFatPoint:
             else:
                 self._levels[n] = tensor_points(self.level(n - 1), self.base)
         return self._levels[n]
-
-    def __repr__(self):
-        return "%s(%r)@%d" % (self.tag, self.base, self.truncation)
 
 
 class PointSystem:

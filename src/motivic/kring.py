@@ -433,9 +433,9 @@ class _Combination:
 
     __slots__ = ("field", "terms")
 
-    def __init__(self, field: Field, terms: dict | None = None):
+    def __init__(self, field: Field, terms: dict):
         self.field = field
-        self.terms = {s: c for s, c in (terms or {}).items() if c}
+        self.terms = {s: c for s, c in terms.items() if c}
 
     def _check(self, other):
         if self.field != other.field:
@@ -460,9 +460,6 @@ class _Combination:
             other = self._of_int(other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return self._of_int(other) - self
-
     def scale(self, c: int):
         return type(self)(self.field, {s: cc * c for s, cc in self.terms.items()})
 
@@ -475,9 +472,6 @@ class _Combination:
     def __eq__(self, other):
         return (type(other) is type(self) and self.field == other.field
                 and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.field, self.frozen()))
 
     def __repr__(self):
         return class_str(self)

@@ -95,13 +95,12 @@ def lax_measure(q: MeasureQuery) -> MeasureReport:
     return limit_measure(q)
 
 
-def stable_set_measure(family: LimitSieve, horizon: int = 8,
-                       window: int = 3) -> MeasureReport:
+def stable_set_measure(family: LimitSieve, horizon: int = 8) -> MeasureReport:
     """Measure a truncation-compatible family at Q = 1, validating first."""
     check = family.battery_validate(min(horizon, 4))
     if not check["ok"]:
         raise EvalError("incompatible family: %s" % "; ".join(check["issues"]))
-    q = MeasureQuery(family, Q=Fraction(1), horizon=horizon, window=window)
+    q = MeasureQuery(family, Q=Fraction(1), horizon=horizon)
     report = limit_measure(q)
     report.diagnostics.append("family validated to horizon %d" % min(horizon, 4))
     report.diagnostics.extend("validation skipped %s" % s for s in check["skipped"])

@@ -186,9 +186,6 @@ class Poly:
     __radd__ = __add__
     __rmul__ = __mul__
 
-    def __rsub__(self, other):
-        return Poly.constant(other, self.vars, self.field) - self
-
     def __pow__(self, n):
         if n < 0:
             raise WorkbenchError("negative polynomial power")
@@ -673,10 +670,6 @@ class Ideal:
         supports = [frozenset(i for i, k in enumerate(e) if k)
                     for e in self.leading_exponents()]
         return len(self.vars) - _fewest_meeting(supports)
-
-    def __repr__(self):
-        inside = ", ".join(poly_str(g) for g in self.gens) or "0"
-        return "<%s | %s>" % (", ".join(self.vars), inside)
 
 
 def _fewest_meeting(sets) -> int:

@@ -23,7 +23,7 @@ from .errors import AmbientMismatch, CapExceeded, FieldMismatch, WorkbenchError
 from .fatpoints import (FatPoint, QuotientAlgebra, point_of, row_value,
                         truncation_compatible)
 from .fields import Field
-from .poly import Ideal, Poly, poly_str, tensor_product
+from .poly import Ideal, Poly, tensor_product
 
 class AffineScheme:
     def __init__(self, name: str, ideal: Ideal):
@@ -50,16 +50,6 @@ class AffineScheme:
     def __eq__(self, other):
         return (isinstance(other, AffineScheme)
                 and self.presentation_key() == other.presentation_key())
-
-    def __hash__(self):
-        return hash(self.presentation_key())
-
-    def __repr__(self):
-        if not self.vars:
-            return "Spec %r" % self.field
-        inside = ", ".join(poly_str(g) for g in self.ideal.gens)
-        body = "%s[%s]" % (self.field, ", ".join(self.vars))
-        return "Spec %s/(%s)" % (body, inside) if inside else "Spec " + body
 
 
 def affine_space(field: Field, names, name: str = "", cfg: Config = DEFAULT) -> AffineScheme:
@@ -122,10 +112,6 @@ class CoordMap:
 
     def __hash__(self):
         return hash(self.key())
-
-    def __repr__(self):
-        inside = ", ".join("%s=%s" % (v, poly_str(p)) for v, p in self.images.items())
-        return "%s -> %s : %s" % (self.source.name, self.target.name, inside)
 
 
 # -- the point search ---------------------------------------------------------
@@ -305,8 +291,8 @@ def points(x: AffineScheme, m: FatPoint):
 
 
 def count_points(x: AffineScheme, m: FatPoint) -> int:
-    if not x.ideal.gens:
-        return x.field.order ** (len(x.vars) * m.length)
+    """The number of points of x at m (`search` in count mode), under the
+    same field check and candidate cap as `points`."""
     return search(x, m, count=True)
 
 

@@ -429,9 +429,6 @@ class ConstSieve(SimplicialSieve):
     def ambient_key(self):
         return ("const", self.scheme.presentation_key())
 
-    def __repr__(self):
-        return "(%s)_const on %s" % (node_str(self.base.node), self.scheme.name)
-
 
 class PowerSieve(SimplicialSieve):
     """Level n is the (n+1)-fold power of the plain sieve's points; the
@@ -484,10 +481,6 @@ class PowerSieve(SimplicialSieve):
 
     def ambient_key(self):
         return ("pow", self.scheme.presentation_key(), self.symmetric)
-
-    def __repr__(self):
-        tag = "sym" if self.symmetric else "fiber"
-        return "(%s)_%s on %s" % (node_str(self.base.node), tag, self.scheme.name)
 
 
 def _level_product(a: Sieve, b: Sieve) -> Sieve:
@@ -674,7 +667,7 @@ class LevelSieve(SimplicialSieve):
     degeneracy = face
 
     def arc(self, m):
-        raise WorkbenchError("no arc transform for %r" % (self,))
+        raise WorkbenchError("indexed family carries no arc transform")
 
     def key(self):
         return ("levels", self.ambient_key(), tuple(s.node for s in self.levels))

@@ -98,9 +98,6 @@ class FiniteSimplicialSet:
                 images.add(self.degen(n - 1, i, x))
         return [x for x in self.levels[n] if x not in images]
 
-    def __repr__(self):
-        return "SimplicialSet(levels=%s)" % [len(lv) for lv in self.levels]
-
 
 class RealizationInvariants:
     def __init__(self, euler_characteristic: int, homology: tuple):
@@ -218,14 +215,18 @@ def evaluate_to_sset(s: SimplicialSieve, m: FatPoint,
     return FiniteSimplicialSet(levels, s.face, s.degeneracy, s.scheme.ideal.cfg)
 
 
-def _simplex(n: int, top: int, cfg: Config, boundary: bool) -> FiniteSimplicialSet:
+# the last level each fixture below lists
+FIXTURE_TOP = 4
+
+
+def _simplex(n: int, cfg: Config, boundary: bool) -> FiniteSimplicialSet:
     """Nondecreasing vertex tuples of the n-simplex, faces deleting a vertex
     and degeneracies repeating one; the boundary drops the cells that use
     every vertex."""
     every = set(range(n + 1))
     levels = [tuple(x for x in combinations_with_replacement(range(n + 1), k + 1)
                     if not (boundary and set(x) == every))
-              for k in range(top + 1)]
+              for k in range(FIXTURE_TOP + 1)]
 
     def face(k, i, x):
         return x[:i] + x[i + 1:]
@@ -236,17 +237,17 @@ def _simplex(n: int, top: int, cfg: Config, boundary: bool) -> FiniteSimplicialS
     return FiniteSimplicialSet(levels, face, degen, cfg)
 
 
-def standard_simplex(n: int, top: int = 4, cfg: Config = DEFAULT) -> FiniteSimplicialSet:
-    return _simplex(n, top, cfg, boundary=False)
+def standard_simplex(n: int, cfg: Config = DEFAULT) -> FiniteSimplicialSet:
+    return _simplex(n, cfg, boundary=False)
 
 
-def boundary_simplex(n: int, top: int = 4, cfg: Config = DEFAULT) -> FiniteSimplicialSet:
-    return _simplex(n, top, cfg, boundary=True)
+def boundary_simplex(n: int) -> FiniteSimplicialSet:
+    return _simplex(n, DEFAULT, boundary=True)
 
 
-def discrete_sset(elements, top: int = 4, cfg: Config = DEFAULT) -> FiniteSimplicialSet:
+def discrete_sset(elements) -> FiniteSimplicialSet:
     elements = tuple(elements)
-    levels = [elements for _ in range(top + 1)]
+    levels = [elements for _ in range(FIXTURE_TOP + 1)]
 
     def face(n, i, x):
         return x
@@ -254,7 +255,7 @@ def discrete_sset(elements, top: int = 4, cfg: Config = DEFAULT) -> FiniteSimpli
     def degen(n, i, x):
         return x
 
-    return FiniteSimplicialSet(levels, face, degen, cfg)
+    return FiniteSimplicialSet(levels, face, degen, DEFAULT)
 
 
 def preservation_check(a: SimplicialSieve, b: SimplicialSieve, m: FatPoint,

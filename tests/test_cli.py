@@ -241,6 +241,15 @@ class TestReports:
         assert len(counts) == 7
         assert {b["error"] for b in counts} == {"point enumeration needs a finite field"}
 
+    def test_a_space_and_its_full_sieve_meet_one_cap(self):
+        text = ("field F 3\nfatpoint m = k[t]/(t^7)\nscheme A = Spec k[x, y]\n"
+                "sieve S = full in A\ncount A at m\ncount S at m\n")
+        rep, code = run_script(text)
+        assert code == 2
+        counts = [b for b in record_blocks(rep) if b["kind"] == "count"]
+        assert [b["error"] for b in counts] == [
+            "enumeration of 4782969 candidates exceeds cap 1048576"] * 2
+
     def test_a_product_of_fiber_powers_is_the_power_of_the_product(self):
         text = ("field F 2\nfatpoint m = k[t]/(t^2)\nscheme X = Spec k[x]\n"
                 "sieve u = D(x) in X\nsimplicial F = fiber(u) @ 2\n"

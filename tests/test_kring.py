@@ -46,6 +46,11 @@ class TestPlainClasses:
         assert class_of_scheme(A3) == L * L * L
         assert class_str(class_of_scheme(A1)) == "L"
 
+    def test_a_class_reprs_as_it_prints(self):
+        # pytest shows the two sides of a failed class comparison by repr
+        z = class_of_scheme(affine_space(QQ, ("x",), "A1")) - 3
+        assert repr(z) == class_str(z) == "-3 + L"
+
     def test_reduced_points_add_up(self):
         A1 = affine_space(QQ, ("x",), "A1")
         x = Poly.variable("x", A1.vars, QQ)
@@ -501,6 +506,11 @@ class TestSimplicialClasses:
         for n in range(4):
             assert counting_simplicial(z, self.k2, n) == 2 ** (n + 1)
             assert level_class(z, n) == lefschetz(F2, n + 1)
+
+    def test_an_integer_lifts_as_a_constant_shape(self):
+        z = class_of_sieve(open_sieve(self.B, Poly.variable("x", self.B.vars, F2)))
+        assert lift_const(z) + 1 == lift_const(z + 1)
+        assert lift_const(z) - 1 == lift_const(z - 1)
 
     def test_symmetric_power_levels(self):
         z = class_of_simplicial(self.sym)

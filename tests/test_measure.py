@@ -249,12 +249,15 @@ class TestTruncatedMembers:
 
 class TestLaxMeasure:
     def test_zero_correction_is_verbatim(self):
+        # lax_measure without a rule applies the zero rule
         fam = LimitSieve(A1, jets(QQ))
         plain = limit_measure(MeasureQuery(fam, Q=1))
-        lax0 = lax_measure(MeasureQuery(fam, Q=1, lax_rule=lambda m: 0))
-        assert lax0.stabilized == plain.stabilized
-        assert lax0.value == plain.value
-        assert [v for _, v in lax0.sequence] == [v for _, v in plain.sequence]
+        for rule in (lambda m: 0, None):
+            lax0 = lax_measure(MeasureQuery(fam, Q=1, lax_rule=rule))
+            assert lax0.mode == "lax"
+            assert lax0.stabilized == plain.stabilized
+            assert lax0.value == plain.value
+            assert [v for _, v in lax0.sequence] == [v for _, v in plain.sequence]
 
     def test_length_correction_cancels_the_growth(self):
         fam = LimitSieve(A1, jets(QQ))

@@ -10,7 +10,7 @@ import pytest
 from battery import (kernel_points, rand_poly, rand_sieve, reference_points,
                      reference_sieve_points, rng_for)
 from motivic.config import DEFAULT
-from motivic.errors import CapExceeded
+from motivic.errors import CapExceeded, FieldMismatch
 from motivic.fatpoints import base_point, make_fat_point, tensor_points
 from motivic.fields import GF, QQ
 from motivic.poly import Ideal, Poly, poly_str
@@ -41,6 +41,19 @@ def test_point_counts_over_f3():
     P = parabola(F3)
     assert count_points(P, base_point(F3)) == 3
     assert count_points(P, fat(F3, 2)) == 9
+
+
+def test_a_space_is_counted_by_the_search():
+    # no relations is no shortcut: the search's field check and candidate
+    # cap hold, as they do for the space's points
+    A = affine_space(GF(2), ("x",), "A")
+    for run in (points, count_points):
+        with pytest.raises(FieldMismatch):
+            run(A, base_point(F3))
+    A2 = affine_space(F3, ("x", "y"), "A2")
+    for run in (points, count_points):
+        with pytest.raises(CapExceeded, match="^enumeration of 4782969 candidates"):
+            run(A2, fat(F3, 7))
 
 
 def test_derived_presentations_keep_the_source_config():
@@ -135,6 +148,10 @@ def test_adjunction_bijection_for_smooth_and_fat():
     D = AffineScheme("D", Ideal(("x",), GF(2), [x * x]))
     rep2 = adjunction_check(D, m, a)
     assert rep2["bijection"], rep2
+
+    # a probe of length one gives each arc coordinate one tensor coefficient
+    rep3 = adjunction_check(parabola(F3), fat(F3, 2), base_point(F3))
+    assert rep3["bijection"] and rep3["tensor_count"] == rep3["arc_count"] == 9
 
 
 def test_tensor_point_symmetry_in_counts():

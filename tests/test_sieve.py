@@ -262,7 +262,8 @@ class TestShapesAnswerForThemselves:
                     if pres is not None:
                         assert pres.count(m) == s.count(m, n), (name, m, n)
                 if name == "levels":
-                    with pytest.raises(WorkbenchError, match="no arc transform"):
+                    with pytest.raises(WorkbenchError,
+                                       match="^indexed family carries no arc transform$"):
                         s.arc(m)
                     continue
                 arc = s.arc(m)
@@ -270,6 +271,24 @@ class TestShapesAnswerForThemselves:
                 # restriction along m is right adjoint to the product with m
                 for n in range(3):
                     assert arc.count(k, n) == s.count(m, n), (name, m, n)
+
+    @pytest.mark.parametrize("name", list(every_shape(F3)))
+    def test_a_shape_names_itself_and_the_levels_it_cuts(self, name):
+        # key() names a shape and ambient_key() the levels it cuts: a shape
+        # built again has the same keys and no other shape shares its key;
+        # a union with itself cuts its levels; each listed point is a member
+        shapes, again = every_shape(F3), every_shape(F3)
+        s = shapes[name]
+        assert s.key() == again[name].key()
+        assert s.ambient_key() == again[name].ambient_key()
+        assert hash(s.key()) == hash(again[name].key())
+        assert [o for o, t in shapes.items() if t.key() == s.key()] == [name]
+        union = UnionSieve(s, again[name])
+        assert union.key() == ("union", s.key(), s.key())
+        assert union.ambient_key() == s.ambient_key()
+        m = dual_numbers(F3)
+        for n in range(3):
+            assert all(s.member(m, n, p) for p in s.level_points(m, n)), n
 
     @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
     def test_truncations_and_level_dimensions(self, field):

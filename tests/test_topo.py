@@ -154,10 +154,14 @@ class TestEvaluation:
         assert inv(dis).component_count == 3
 
     def test_preservation_of_set_operations(self):
-        a = ConstSieve(closed_sieve(self.B, [self.xb]))
-        b = ConstSieve(open_sieve(self.B, self.xb))
-        rep = preservation_check(a, b, self.k2)
-        assert rep["ok"] and rep["union"] and rep["intersection"] and rep["product"]
+        v, d = closed_sieve(self.B, [self.xb]), open_sieve(self.B, self.xb)
+        full = full_sieve(self.B)
+        pairs = [(ConstSieve(v), ConstSieve(d)),
+                 (LevelSieve([v, full, d]), LevelSieve([d, v, full]))]
+        for a, b in pairs:
+            rep = preservation_check(a, b, self.k2)
+            assert rep == {"union": True, "intersection": True,
+                           "product": True, "ok": True}
 
     def test_a_member_test_unlike_the_levels_fails_the_intersection(self):
         # b lists only the origin but its member test accepts every point, so

@@ -10,10 +10,14 @@ enters. Then prints each function, method and lambda of `src/motivic` that
 no run entered, as `path:line qualified-name`, and their number. Class
 bodies and comprehensions are left out. A child interpreter that a test
 starts is not traced, so a function that only such a child reaches is
-listed too.
+not entered here: each such function is listed in KNOWN with the reason it
+is kept, and printed apart with that reason.
 
-It is run by hand, not in CI: the hook makes the suite several times
-slower. Only the standard library is used, besides pytest for the suite.
+Exits 1 when a function outside KNOWN was never entered (or a run failed),
+else 0. KNOWN is keyed by qualified name, which code objects carry from
+Python 3.11 (`co_qualname`); on older versions the names are bare and do
+not match. The hook makes the suite several times slower. Only the
+standard library is used, besides pytest for the suite.
 """
 
 import inspect
@@ -27,6 +31,14 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "motivic")
 WORKLOADS = ("jet-count", "class-canon", "ring-laws")
+
+# functions kept although no traced run enters them, by qualified name
+PICKLED = "pickled only in the child interpreter of %s, which is not traced"
+KNOWN = {
+    "Record.__reduce__": PICKLED % "tests/test_records.py",
+    "Poly.__reduce__": PICKLED % "tests/test_kring.py",
+    "Block.__reduce__": PICKLED % "tests/test_kring.py",
+}
 
 
 def counted(code) -> bool:
@@ -108,10 +120,16 @@ def main(argv):
             with open(out) as f:
                 entered.update(tuple(e) for e in json.load(f))
     never = sorted(defined() - entered)
-    for path, line, name in never:
+    unknown = [e for e in never if e[2] not in KNOWN]
+    for path, line, name in unknown:
         print("%s:%d %s" % (os.path.relpath(path, ROOT), line, name))
-    print("%d of %d package functions never ran" % (len(never), len(defined())))
-    return 0
+    print("%d of %d package functions never ran, %d of them with a known reason:"
+          % (len(never), len(defined()), len(never) - len(unknown)))
+    for path, line, name in never:
+        if name in KNOWN:
+            print("  %s:%d %s: %s" % (os.path.relpath(path, ROOT), line, name,
+                                     KNOWN[name]))
+    return 1 if unknown else 0
 
 
 if __name__ == "__main__":
