@@ -1,10 +1,12 @@
 """Fat points: finite local algebra presentations and their simplicial shapes.
 
 A fat point is k[y1..ys]/I with every generator nilpotent (so the algebra is
-local with residue field k). Elements are handled as coefficient vectors over
-the standard-monomial basis, multiplied through a lazily built table. Point
-counting reads polynomials through `QuotientAlgebra.coefficient_rows`: their
-coefficients at the generic point, one row of plain terms per basis monomial.
+local with residue field k). `FatPoint` is that quotient algebra itself: a
+validated `QuotientAlgebra` with a name. Elements are handled as coefficient
+vectors over the standard-monomial basis, multiplied through a lazily built
+table; `length` is the number of basis monomials. Point counting reads
+polynomials through `QuotientAlgebra.coefficient_rows`: their coefficients
+at the generic point, one row of plain terms per basis monomial.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ class QuotientAlgebra:
         self.basis = basis                      # monomial Polys, grevlex-increasing
         self.basis_exps = [b.leading()[0] for b in basis]
         self.index = {e: i for i, e in enumerate(self.basis_exps)}
-        self.dim = len(basis)
+        self.length = len(basis)
         self._table = {}
         # derived data that depends on this algebra only, keyed by a tagged
         # input: ("rows", poly) for coefficient rows, ("image", map, cap) for
@@ -40,7 +42,7 @@ class QuotientAlgebra:
         return self.ideal.vars
 
     def zero_vector(self):
-        return (self.field.zero,) * self.dim
+        return (self.field.zero,) * self.length
 
     def unit_vector(self):
         one = (0,) * len(self.vars)
@@ -71,7 +73,7 @@ class QuotientAlgebra:
 
     def mul(self, u, v):
         f = self.field
-        out = [f.zero] * self.dim
+        out = [f.zero] * self.length
         for i, a in enumerate(u):
             if not a:
                 continue
@@ -131,7 +133,7 @@ class QuotientAlgebra:
             """acc * (sum_j a_ij b_j); acc maps (monomial, basis index) -> c."""
             out = {}
             for (mono, k), c in acc.items():
-                for j in range(self.dim):
+                for j in range(self.length):
                     prod = self._pair(k, j)
                     if prod:
                         grown = _bump(mono, j * n + i)
@@ -148,7 +150,7 @@ class QuotientAlgebra:
                     acc = times_coordinate(acc, i)
             for key, c2 in acc.items():
                 total[key] = total.get(key, 0) + c2
-        rows = [[] for _ in range(self.dim)]
+        rows = [[] for _ in range(self.length)]
         for (mono, k), c in _clean(f, total).items():
             rows[k].append((c, mono))
         return tuple(tuple(sorted(r, key=lambda term: term[1])) for r in rows)
@@ -210,24 +212,12 @@ def row_value(row, vals):
     return total
 
 
-class FatPoint:
-    """A validated finite local algebra point."""
+class FatPoint(QuotientAlgebra):
+    """A validated finite local algebra point: the quotient algebra itself."""
 
-    def __init__(self, algebra: QuotientAlgebra, name: str = ""):
-        self.algebra = algebra
+    def __init__(self, ideal: Ideal, name: str = ""):
+        super().__init__(ideal)
         self.name = name
-
-    @property
-    def field(self) -> Field:
-        return self.algebra.field
-
-    @property
-    def ideal(self) -> Ideal:
-        return self.algebra.ideal
-
-    @property
-    def length(self) -> int:
-        return self.algebra.dim
 
     def presentation_key(self):
         return (self.field, self.ideal.vars,
@@ -247,17 +237,17 @@ def make_fat_point(vars, field: Field, gens, name: str = "",
     ideal = Ideal(vars, field, gens, cfg)
     if ideal.is_unit():
         raise NotLocal("unit ideal presents the zero ring, not a point")
-    alg = QuotientAlgebra(ideal)
+    m = FatPoint(ideal, name)
     # in an algebra of dimension d an element is nilpotent iff its d-th power vanishes
     for v in ideal.vars:
-        if not ideal.contains(Poly.variable(v, ideal.vars, field) ** alg.dim):
+        if not ideal.contains(Poly.variable(v, ideal.vars, field) ** m.length):
             raise NotLocal("generator %r is not nilpotent" % v)
-    return FatPoint(alg, name=name)
+    return m
 
 
 def base_point(field: Field) -> FatPoint:
     """The one-dimensional point with no coordinates."""
-    return FatPoint(QuotientAlgebra(Ideal((), field, [])), name="k")
+    return FatPoint(Ideal((), field, []), "k")
 
 
 def tensor_points(a: FatPoint, b: FatPoint) -> FatPoint:
@@ -266,7 +256,7 @@ def tensor_points(a: FatPoint, b: FatPoint) -> FatPoint:
     Locality is inherited: each generator stays nilpotent in the tensor.
     """
     ideal, _, _ = tensor_product(a.ideal, b.ideal)
-    return FatPoint(QuotientAlgebra(ideal))
+    return FatPoint(ideal)
 
 
 class SimplicialFatPoint:

@@ -118,25 +118,6 @@ class Block:
         return Block, (self.key, self._repr, self.sieve)
 
 
-def _reindex(p: Poly, where, new_vars) -> Poly:
-    """p with variable i moved to position `where[i]` of `new_vars`.
-
-    Every variable that occurs in p must have a position. An identity map
-    is a rename: the same terms under the new variables.
-    """
-    n = len(new_vars)
-    if len(where) == n and all(i == w for i, w in enumerate(where)):
-        return Poly(new_vars, p.field, p.terms)
-    out = {}
-    for e, c in p.terms.items():
-        ne = [0] * n
-        for i, k in enumerate(e):
-            if k:
-                ne[where[i]] = k
-        out[tuple(ne)] = c
-    return Poly(new_vars, p.field, out)
-
-
 def _remembered(memo: dict, key, make):
     """memo[key], made by `make()` on a miss.
 
@@ -236,7 +217,7 @@ def _block_candidates(vars_sub, field, gens, open_g, ims, cfg):
     best = None  # (key, key repr, basis repr, basis, open, image maps) of the least
     zvars = tuple("z%d" % j for j in range(n))
     for perm in perm_source:
-        pgens = [_reindex(g, perm, zvars) for g in gens]
+        pgens = [g.reindex(perm, zvars) for g in gens]
         ideal = Ideal(zvars, field, pgens, cfg)
         if perm == identity:
             # an in-order renaming keeps a reduced grevlex basis reduced
@@ -247,7 +228,7 @@ def _block_candidates(vars_sub, field, gens, open_g, ims, cfg):
             continue
         popen = None
         if open_g is not None:
-            popen = ideal.normal_form(_reindex(open_g, perm, zvars))
+            popen = ideal.normal_form(open_g.reindex(perm, zvars))
             if popen.is_zero():
                 return None
             if popen.is_constant():
@@ -323,9 +304,9 @@ def canonical_conjunction(ambient: AffineScheme, literals, chain=None):
         images[vars[vi]] = img
         new_vars = vars[:vi] + vars[vi + 1:]
         where = list(range(vi)) + [None] + list(range(vi, len(new_vars)))
-        basis = [_reindex(g.substitute(images), where, new_vars)
+        basis = [g.substitute(images).reindex(where, new_vars)
                  for j, g in enumerate(basis) if j != gi]
-        opens = [_reindex(g.substitute(images), where, new_vars) for g in opens]
+        opens = [g.substitute(images).reindex(where, new_vars) for g in opens]
         vars = new_vars
         reduced = _reduced(ambient, vars, basis, opens)
         if reduced is None:
@@ -355,9 +336,9 @@ def canonical_conjunction(ambient: AffineScheme, literals, chain=None):
         where = [None] * n
         for j, i in enumerate(idxs):
             where[i] = j
-        bgens = [_reindex(g, where, sub_vars)
+        bgens = [g.reindex(where, sub_vars)
                  for g, sup in supports[:nb] if sup <= comp]
-        bopens = [_reindex(g, where, sub_vars)
+        bopens = [g.reindex(where, sub_vars)
                   for g, sup in supports[nb:] if sup <= comp]
         block = _block_candidates(sub_vars, field, bgens,
                                   _merge_opens(bopens, chain), [], cfg)
@@ -597,8 +578,8 @@ def counting_hom(z: KClass, m: FatPoint) -> Fraction:
 
     The sum is made in integers, over the denominator of the class's
     largest negative twist, and becomes one `Fraction` at the end. Each
-    block is counted once per fat point: its count is kept in m's algebra
-    memo under the block and the candidate cap it was counted under, so a
+    block is counted once per fat point: its count is kept in m's memo
+    under the block and the candidate cap it was counted under, so a
     tighter cap counts again (and raises) rather than reading a count the
     cap would refuse.
     """
@@ -612,7 +593,7 @@ def _scaled_count(z: KClass, m: FatPoint):
     field = z.field
     unit = field.order ** m.length
     s = max(0, -min((lef for _, lef in z.terms), default=0))
-    memo = m.algebra.memo
+    memo = m.memo
     total = 0
     for (blocks, lef), c in z.terms.items():
         val = c * unit ** (lef + s)
@@ -749,11 +730,6 @@ def level_class(z: SClass, n: int) -> KClass:
     for sym, c in z.terms.items():
         out = out + _level(z.field, sym, n) * c
     return out
-
-
-def is_strictly_schemic(z: SClass) -> bool:
-    """Every symbol is a constant lift; level 0 then determines the class."""
-    return all(sym[0] == "const" for sym in z.terms)
 
 
 def twist_levels(z: SClass, exps) -> SClass:
@@ -911,8 +887,7 @@ def galois_check(f: CoordMap, a: Sieve, b: Sieve, m: FatPoint) -> dict:
         raise AmbientMismatch("right sieve does not live in the map target")
     apts = set(a.points(m))
     bpts = set(b.points(m))
-    alg = m.algebra
-    image = set(f.apply_point(alg, p) for p in apts)
+    image = set(f.apply_point(m, p) for p in apts)
     left = image <= bpts
     pull = b.pullback(f)
     right = apts <= set(pull.points(m))

@@ -10,8 +10,7 @@ classes agree in normal form across the final window of the horizon (an
 eventually-constant sequence has a filter-independent limit); finite
 explicit systems are evaluated at their last member, the principal case.
 Anything else is reported indeterminate rather than guessed. Indexed mode
-runs the same pipeline on each member re-presented as a `LevelSieve` of its
-presented levels.
+is the same run, with each level's stabilization read off its sequence.
 """
 
 from __future__ import annotations
@@ -24,8 +23,7 @@ from .fatpoints import FatPoint, stabilize
 from .kring import (KClass, SClass, class_of_sieve, class_of_simplicial,
                     counting_simplicial, level_class, twist_levels)
 from .schemes import AffineScheme
-from .sieves import (LevelSieve, LimitSieve, Sieve, arc_plain_sieve, full_sieve,
-                     presented_levels)
+from .sieves import LimitSieve, Sieve, arc_plain_sieve, full_sieve
 
 
 class MeasureQuery:
@@ -95,44 +93,24 @@ def lax_measure(q: MeasureQuery) -> MeasureReport:
     return limit_measure(q)
 
 
-def stable_set_measure(family: LimitSieve, horizon: int = 8) -> MeasureReport:
-    """Measure a truncation-compatible family at Q = 1, validating first."""
-    check = family.battery_validate(min(horizon, 4))
-    if not check["ok"]:
-        raise EvalError("incompatible family: %s" % "; ".join(check["issues"]))
-    q = MeasureQuery(family, Q=Fraction(1), horizon=horizon)
-    report = limit_measure(q)
-    report.diagnostics.append("family validated to horizon %d" % min(horizon, 4))
-    report.diagnostics.extend("validation skipped %s" % s for s in check["skipped"])
-    return report
-
-
 def indexed_mode(q: MeasureQuery) -> MeasureReport:
-    """The same pipeline run on the structure-forgotten members: each member
-    re-presented as the list of its levels up to its truncation.
-
-    No measure step consults face or degeneracy maps, so the verdict must
-    match the structured run; the per-level breakdown is reported too.
-    """
-    subject = q.subject
-    forgotten = LimitSieve(
-        subject.base, subject.system,
-        rule=lambda m: LevelSieve(presented_levels(subject.member_at(m))))
-    report = limit_measure(MeasureQuery(forgotten, q.Q, q.lax_rule,
-                                        q.horizon, q.window))
+    """The limit measure with its per-level breakdown: for each level up to
+    the base's truncation, whether the plain classes of that level stabilize
+    along the sequence, and from where. The breakdown reads the sequence of
+    the run it reports; a level no value can give stops it, with a
+    diagnostic."""
+    report = limit_measure(q)
     report.mode = "indexed"
     values = [v for _, v in report.sequence]
-    per_level = []
-    for n in range(subject.base.truncation + 1):
+    for n in range(q.subject.base.truncation + 1):
         try:
             lv = [level_class(v, n) for v in values]
         except WorkbenchError as exc:
             report.diagnostics.append("per-level breakdown stops at level %d: %s"
                                       % (n, exc))
             break
-        st, val, since = stabilize(lv, q.window, subject.system.finite)
-        per_level.append({"level": n, "stabilized": st, "since": since})
-    report.per_level = per_level
+        st, _, since = stabilize(lv, q.window, q.subject.system.finite)
+        report.per_level.append({"level": n, "stabilized": st, "since": since})
     return report
 
 

@@ -248,17 +248,29 @@ class Poly:
             out = out + term
         return out
 
+    def reindex(self, where, new_vars):
+        """This polynomial with variable i moved to position `where[i]` of
+        `new_vars`.
+
+        Every variable that occurs must have a position. An identity map
+        is a rename: the same terms under the new variables.
+        """
+        n = len(new_vars)
+        if len(where) == n and all(i == w for i, w in enumerate(where)):
+            return Poly(new_vars, self.field, self.terms)
+        out = {}
+        for e, c in self.terms.items():
+            ne = [0] * n
+            for i, k in enumerate(e):
+                if k:
+                    ne[where[i]] = k
+            out[tuple(ne)] = c
+        return Poly(new_vars, self.field, out)
+
     def embed(self, new_vars):
         """Reinterpret in a ring whose variable tuple contains ours."""
         new_vars = tuple(new_vars)
-        idx = [new_vars.index(v) for v in self.vars]
-        out = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(new_vars)
-            for i, k in enumerate(e):
-                ne[idx[i]] = k
-            out[tuple(ne)] = c
-        return Poly(new_vars, self.field, out)
+        return self.reindex([new_vars.index(v) for v in self.vars], new_vars)
 
     def rename(self, mapping: dict):
         new_vars = tuple(mapping.get(v, v) for v in self.vars)

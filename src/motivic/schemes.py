@@ -20,8 +20,7 @@ from operator import itemgetter
 
 from .config import DEFAULT, Config
 from .errors import AmbientMismatch, CapExceeded, FieldMismatch, WorkbenchError
-from .fatpoints import (FatPoint, QuotientAlgebra, point_of, row_value,
-                        truncation_compatible)
+from .fatpoints import FatPoint, point_of, row_value, truncation_compatible
 from .fields import Field
 from .poly import Ideal, Poly, tensor_product
 
@@ -88,9 +87,9 @@ class CoordMap:
         """Precompose: polynomial on the target becomes one on the source."""
         return p.substitute(self.images, vars=self.source.vars, field=self.source.field)
 
-    def apply_point(self, alg: QuotientAlgebra, point):
+    def apply_point(self, m: FatPoint, point):
         src = dict(zip(self.source.vars, point))
-        return tuple(alg.eval_poly(self.images[v], src) for v in self.target.vars)
+        return tuple(m.eval_poly(self.images[v], src) for v in self.target.vars)
 
     def compose(self, inner: "CoordMap") -> "CoordMap":
         """self after inner (inner.source -> self.target)."""
@@ -192,7 +191,7 @@ def search(x: AffineScheme, m: FatPoint, condition=None, count: bool = False):
     A point is a tuple of base-field coordinates, the coefficients of each
     variable's image over m's standard basis (the restriction adjunction).
     Each generator becomes one coefficient row per basis monomial
-    (`QuotientAlgebra.coefficient_rows`, cached on m's algebra). The search
+    (`QuotientAlgebra.coefficient_rows`, cached on m). The search
     sets the n*len coordinates one at a time in basis order x_0, y_0, x_1,
     y_1, ..., and tests each row, mod p, as soon as its last coordinate is
     set, so a partial jet is dropped at the first equation it breaks.
@@ -214,7 +213,6 @@ def search(x: AffineScheme, m: FatPoint, condition=None, count: bool = False):
     p = x.field.order
     if x.field != m.field:
         raise FieldMismatch("scheme and fat point over different fields")
-    alg = m.algebra
     n = len(x.vars)
     size = n * m.length
     total = p ** size
@@ -223,7 +221,7 @@ def search(x: AffineScheme, m: FatPoint, condition=None, count: bool = False):
         raise CapExceeded("enumeration of %d candidates exceeds cap %d"
                           % (total, cap))
     eqs = tuple(("zero", row) for g in x.ideal.gens
-                for row in alg.coefficient_rows(g))
+                for row in m.coefficient_rows(g))
     extra = True if condition is None else condition()
     cond = _compiled(("and", eqs + (extra,)), p)
     if cond is False:                    # a nonzero constant vetoes everything
@@ -333,7 +331,7 @@ def arc_coefficients(polys, x: AffineScheme, m: FatPoint):
             terms[tuple(e)] = c
         return Poly(arc_vars, field, terms)
 
-    rows = [[named(row) for row in m.algebra.coefficient_rows(f)] for f in polys]
+    rows = [[named(row) for row in m.coefficient_rows(f)] for f in polys]
     return arc_vars, rows
 
 
@@ -374,8 +372,7 @@ def truncation_map(x: AffineScheme, big: FatPoint, small: FatPoint) -> CoordMap:
         raise AmbientMismatch("second point is not a closed subpoint of the first")
     src = weil_restrict(x, big)
     tgt = weil_restrict(x, small)
-    salg = small.algebra
-    rows = [salg.nf_vector(b) for b in big.algebra.basis]
+    rows = [small.nf_vector(b) for b in big.basis]
     images = {}
     for v in x.vars:
         for t in range(small.length):
@@ -395,9 +392,9 @@ def _joint_split(am: FatPoint, a: FatPoint, m: FatPoint):
     """Index map of the tensor basis against the factor bases."""
     la = len(a.ideal.vars)
     pairs = {}
-    for idx, e in enumerate(am.algebra.basis_exps):
+    for idx, e in enumerate(am.basis_exps):
         u, v = tuple(e[:la]), tuple(e[la:])
-        pairs[(a.algebra.index[u], m.algebra.index[v])] = idx
+        pairs[(a.index[u], m.index[v])] = idx
     return pairs
 
 

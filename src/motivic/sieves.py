@@ -112,16 +112,13 @@ def node_str(node) -> str:
 
 
 def _image_points(cmap: CoordMap, m: FatPoint):
-    """The image of cmap's points at m, cached on m's algebra under the
-    source's candidate cap, so a tighter cap enumerates again (and raises)."""
-    memo = m.algebra.memo
+    """The image of cmap's points at m, cached on m under the source's
+    candidate cap, so a tighter cap enumerates again (and raises)."""
     key = ("image", cmap, cmap.source.ideal.cfg.max_candidates)
-    got = memo.get(key)
+    got = m.memo.get(key)
     if got is None:
-        alg = m.algebra
-        src = points(cmap.source, m)
-        got = frozenset(cmap.apply_point(alg, p) for p in src)
-        memo[key] = got
+        got = frozenset(cmap.apply_point(m, p) for p in points(cmap.source, m))
+        m.memo[key] = got
     return got
 
 
@@ -134,7 +131,6 @@ def node_condition(node, m: FatPoint):
     f's image at m, looked up only when the search reaches a whole point
     the other leaves leave undecided.
     """
-    alg = m.algebra
 
     def walk(nd):
         if isinstance(nd, Full):
@@ -143,9 +139,9 @@ def node_condition(node, m: FatPoint):
             return False
         if isinstance(nd, Closed):
             return ("and", tuple(("zero", row) for g in nd.gens
-                                 for row in alg.coefficient_rows(g)))
+                                 for row in m.coefficient_rows(g)))
         if isinstance(nd, OpenLoc):
-            return ("unit", alg.residue(alg.coefficient_rows(nd.g)))
+            return ("unit", m.residue(m.coefficient_rows(nd.g)))
         if isinstance(nd, Im):
             return ("image", lambda point, cmap=nd.cmap: point in _image_points(cmap, m))
         if isinstance(nd, Union):
@@ -161,15 +157,14 @@ def node_member(node, m: FatPoint, point) -> bool:
     """Does one given point (of a face, a degeneracy, a pullback) satisfy
     the condition tree? It is read as `schemes.search` reads it: the
     condition `node_condition` compiles, at the whole point. The compiled
-    condition is kept on m's algebra per tree object, not per equal tree:
-    equal image leaves may read sources under different candidate caps."""
-    alg = m.algebra
-    p = alg.field.char
+    condition is kept on m per tree object, not per equal tree: equal
+    image leaves may read sources under different candidate caps."""
+    p = m.field.char
     key = ("member", id(node))
-    got = alg.memo.get(key)
+    got = m.memo.get(key)
     if got is None:    # the entry holds the tree, so its id stays its own
-        got = alg.memo[key] = (node, _compiled(node_condition(node, m), p))
-    return _settled(got[1], flat_coordinates(point, alg.dim), p, tuple(point))
+        got = m.memo[key] = (node, _compiled(node_condition(node, m), p))
+    return _settled(got[1], flat_coordinates(point, m.length), p, tuple(point))
 
 
 def rewrite_leaves(node, leaf):
@@ -325,8 +320,7 @@ def continuity_probe(f: CoordMap, m, host: Sieve, adm: Sieve) -> dict:
     after = is_admissible_open(pulled, host.pullback(f))
     semantic = None
     if m is not None and f.source.field.finite:
-        alg = m.algebra
-        semantic = all(pulled.member(m, p) == adm.member(m, f.apply_point(alg, p))
+        semantic = all(pulled.member(m, p) == adm.member(m, f.apply_point(m, p))
                        for p in points(f.source, m))
     return {"ok": after and semantic is not False, "admissible_before": True,
             "admissible_after": after, "semantic": semantic}
@@ -787,7 +781,6 @@ class LimitSieve:
                         issues.append("member %d escapes the base arcs at level %d"
                                       % (idx, n))
         if finite:
-            alg = k0.algebra
             for idx in range(len(ms) - 1):
                 small, big = ms[idx], ms[idx + 1]
                 try:
@@ -798,7 +791,7 @@ class LimitSieve:
                 small_sieve = self.member_at(small)
                 big_sieve = self.member_at(big)
                 for p in big_sieve.level_points(k0, 0):
-                    q = tr.apply_point(alg, p)
+                    q = tr.apply_point(k0, p)
                     if not small_sieve.member(k0, 0, q):
                         issues.append("member %d image escapes member %d"
                                       % (idx + 1, idx))

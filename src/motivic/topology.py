@@ -18,11 +18,8 @@ from itertools import combinations_with_replacement, product as iproduct
 
 from .config import DEFAULT, Config
 from .errors import CapExceeded, EvalError, WorkbenchError
-from .fatpoints import FatPoint, base_point, stabilize
+from .fatpoints import FatPoint
 from .sieves import InterSieve, ProductSieve, SimplicialSieve, UnionSieve
-
-HOMOTOPY_KEY_PROXY = "necessary-only"
-
 
 class FiniteSimplicialSet:
     """Finite levels 0..N with face and degeneracy functions.
@@ -288,20 +285,3 @@ def preservation_check(a: SimplicialSieve, b: SimplicialSieve, m: FatPoint,
     out["ok"] = all(v for v in out.values() if v is not None)
     return out
 
-
-def homotopy_stabilization(family, horizon: int, window: int = 3,
-                           top: int = 2) -> dict:
-    """Measure-style stabilization with key equality instead of normal forms.
-
-    The key is a necessary invariant only, so the verdict is evidence, not a
-    decision; the proxy flag travels with the report.
-    """
-    field = family.base.scheme.field
-    if not field.finite:
-        raise EvalError("homotopy keys need a finite base field")
-    k0 = base_point(field)
-    keys = [invariants(evaluate_to_sset(family.member_at(m), k0, top)).key()
-            for m in family.system.materialize(horizon)]
-    stab, val, since = stabilize(keys, window, family.system.finite)
-    return {"stabilized": stab, "key": val, "since": since,
-            "proxy": HOMOTOPY_KEY_PROXY, "keys": keys}

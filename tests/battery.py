@@ -180,7 +180,6 @@ def reference_points(x: AffineScheme, m, cfg=DEFAULT):
     tested through `eval_poly` once every variable it touches has an image.
     The points come out sorted because the vectors are tried in order.
     """
-    alg = m.algebra
     n = len(x.vars)
     total = (x.field.order ** (n * m.length)) if n else 1
     if total > cfg.max_candidates:
@@ -191,7 +190,7 @@ def reference_points(x: AffineScheme, m, cfg=DEFAULT):
         sup = g.support()
         eqs.append((max(sup) if sup else -1, g))
     # constant equations (no variables) veto everything up front
-    if any(last < 0 and not alg.is_zero_vec(alg.eval_poly(g, {})) for last, g in eqs):
+    if any(last < 0 and not m.is_zero_vec(m.eval_poly(g, {})) for last, g in eqs):
         return []
     options = list(iproduct(x.field.elements(), repeat=m.length))
     out = []
@@ -203,7 +202,7 @@ def reference_points(x: AffineScheme, m, cfg=DEFAULT):
             return
         for vec in options:
             images[x.vars[i]] = vec
-            if all(last != i or alg.is_zero_vec(alg.eval_poly(g, images))
+            if all(last != i or m.is_zero_vec(m.eval_poly(g, images))
                    for last, g in eqs):
                 assign(i + 1)
         images.pop(x.vars[i], None)
@@ -217,27 +216,25 @@ def reference_image(cmap, m, cfg=DEFAULT):
     """The image of cmap at m: each reference point of the source, pushed
     through the map's coordinate images by `eval_poly`. Kept per map and
     point, since membership asks for it once per candidate."""
-    alg = m.algebra
     out = set()
     for q in reference_points(cmap.source, m, cfg):
         src = dict(zip(cmap.source.vars, q))
-        out.add(tuple(alg.eval_poly(cmap.images[v], src)
+        out.add(tuple(m.eval_poly(cmap.images[v], src)
                       for v in cmap.target.vars))
     return frozenset(out)
 
 
 def reference_member(node, ambient: AffineScheme, m, point) -> bool:
     """Membership in a tree of full/empty/V/D/im leaves through `eval_poly`."""
-    alg = m.algebra
     images = dict(zip(ambient.vars, point))
     if isinstance(node, Full):
         return True
     if isinstance(node, Empty):
         return False
     if isinstance(node, Closed):
-        return all(alg.is_zero_vec(alg.eval_poly(g, images)) for g in node.gens)
+        return all(m.is_zero_vec(m.eval_poly(g, images)) for g in node.gens)
     if isinstance(node, OpenLoc):
-        return alg.is_unit(alg.eval_poly(node.g, images))
+        return m.is_unit(m.eval_poly(node.g, images))
     if isinstance(node, Im):
         return tuple(point) in reference_image(node.cmap, m)
     if isinstance(node, Union):

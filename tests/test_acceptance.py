@@ -315,14 +315,13 @@ def test_criterion_06_adjunction_batteries():
                 assert rep["ok"]
                 apts = set(a.points(m))
                 bpts = set(b.points(m))
-                alg = m.algebra
-                image = {f.apply_point(alg, p) for p in apts}
+                image = {f.apply_point(m, p) for p in apts}
                 push = pushforward(a, f)
                 assert set(push.points(m)) == image
                 pull = b.pullback(f)
                 assert set(pull.points(m)) == {
                     p for p in full_sieve(f.source).points(m)
-                    if f.apply_point(alg, p) in bpts}
+                    if f.apply_point(m, p) in bpts}
                 # unit and counit of the adjunction, pointwise
                 assert apts <= set(push.pullback(f).points(m))
                 assert set(pushforward(pull, f).points(m)) <= bpts

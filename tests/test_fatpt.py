@@ -26,11 +26,10 @@ def test_base_point_has_length_one():
 def test_dual_numbers_have_length_two():
     m = dual_numbers()
     assert m.length == 2
-    alg = m.algebra
-    t_vec = alg.nf_vector(T)
-    assert alg.is_zero_vec(alg.mul(t_vec, t_vec))
-    assert not alg.is_unit(t_vec)
-    assert alg.is_unit(alg.unit_vector())
+    t_vec = m.nf_vector(T)
+    assert m.is_zero_vec(m.mul(t_vec, t_vec))
+    assert not m.is_unit(t_vec)
+    assert m.is_unit(m.unit_vector())
 
 
 def test_non_nilpotent_coordinate_is_rejected():

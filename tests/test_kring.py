@@ -14,7 +14,7 @@ from motivic.kring import (MEMO_BOUND, KClass, _block_candidates,
                            class_of_scheme, class_of_sieve,
                            class_of_simplicial, class_str, counting_hom,
                            counting_simplicial, discrete_hom_check,
-                           expand_node, galois_check, is_strictly_schemic,
+                           expand_node, galois_check,
                            kclass_int, kclass_one, kclass_zero, lefschetz,
                            level_class, lift_const, lift_power, pushforward,
                            twist_levels)
@@ -455,7 +455,7 @@ class TestBlockCountMemo:
 
     @staticmethod
     def block_counts(m):
-        return [key for key in m.algebra.memo if key[0] == "count"]
+        return [key for key in m.memo if key[0] == "count"]
 
     def test_a_tighter_cap_raises_as_an_uncached_count_does(self):
         def hyperbola(cfg):
@@ -532,8 +532,6 @@ class TestSimplicialClasses:
 
     def test_constant_shape_is_strictly_schemic(self):
         z = class_of_simplicial(self.triv)
-        assert is_strictly_schemic(z)
-        assert not is_strictly_schemic(class_of_simplicial(self.fib))
         for n in range(3):
             assert counting_simplicial(z, self.k2, n) == 2
             assert level_class(z, n) == lefschetz(F2)

@@ -13,7 +13,7 @@ from motivic.kring import (class_of_simplicial, class_str, kclass_one,
                            lift_power)
 from motivic.measures import (MeasureQuery, counting_consistency,
                               finite_measure, indexed_mode,
-                              lax_measure, limit_measure, stable_set_measure)
+                              lax_measure, limit_measure)
 from motivic.poly import Ideal, Poly
 from motivic.schemes import AffineScheme, affine_space, weil_restrict
 from motivic.sieves import (ConstSieve, DisjointSieve, LevelSieve, LimitSieve,
@@ -75,6 +75,19 @@ class TestLimitMeasure:
         fam = LimitSieve(empty_sieve(A1), jets(QQ))
         rep = limit_measure(MeasureQuery(fam, Q=1))
         assert rep.stabilized and rep.value.is_zero()
+
+    def test_explicit_chain_settles_at_its_last_member(self):
+        # a finite system is read at its last member, even when it is
+        # shorter than the window; `since` is where the final run of
+        # values begins
+        F3 = GF(3)
+        A1f = affine_space(F3, ("x",), "A1f")
+        fam = LimitSieve(A1f, PointSystem(members=[fat(F3, k) for k in (2, 3, 3)]))
+        rep = limit_measure(MeasureQuery(fam, Q=0, horizon=4, window=4))
+        values = [v for _, v in rep.sequence]
+        assert rep.stabilized
+        assert values[0] != values[1] == values[2] == rep.value
+        assert rep.since == 1
 
     def test_growing_family_at_rate_zero_is_indeterminate(self):
         rep = limit_measure(MeasureQuery(LimitSieve(A1, jets(QQ)), Q=0))
@@ -271,49 +284,25 @@ class TestLaxMeasure:
 
 
 class TestStableSets:
-    def test_validated_family_over_a_finite_field(self):
+    """A truncation-compatible family over a finite field, measured at Q = 1."""
+
+    def report(self):
         F3 = GF(3)
         A1f = affine_space(F3, ("x",), "A1f")
-        rep = stable_set_measure(LimitSieve(A1f, jets(F3)), horizon=6)
-        assert rep.stabilized and rep.value == lift_const(kclass_one(F3))
+        return limit_measure(MeasureQuery(LimitSieve(A1f, jets(F3)), Q=1, horizon=6))
+
+    def test_validated_family_over_a_finite_field(self):
+        rep = self.report()
+        assert rep.stabilized and rep.value == lift_const(kclass_one(GF(3)))
 
     def test_counting_consistency_of_the_value(self):
-        F3 = GF(3)
-        A1f = affine_space(F3, ("x",), "A1f")
-        rep = stable_set_measure(LimitSieve(A1f, jets(F3)), horizon=6)
-        k3 = base_point(F3)
-        assert counting_consistency(rep, [(k3, 0), (k3, 2)], window=3)
+        k3 = base_point(GF(3))
+        assert counting_consistency(self.report(), [(k3, 0), (k3, 2)], window=3)
 
     def test_a_value_that_counts_unlike_its_tail_is_inconsistent(self):
-        F3 = GF(3)
-        A1f = affine_space(F3, ("x",), "A1f")
-        rep = stable_set_measure(LimitSieve(A1f, jets(F3)), horizon=6)
-        rep.value = lift_const(kclass_zero(F3))
-        assert counting_consistency(rep, [(base_point(F3), 0)], window=3) is False
-
-    def test_skipped_checks_reach_the_diagnostics(self):
-        F3 = GF(3)
-        A1f = affine_space(F3, ("x",), "A1f")
-        members = PointSystem(members=[fat(F3, 3), fat(F3, 2)])
-        rep = stable_set_measure(LimitSieve(A1f, members), horizon=3)
-        assert rep.stabilized
-        assert rep.diagnostics[0] == "family validated to horizon 3"
-        assert rep.diagnostics[1].startswith("validation skipped members 0-1: ")
-
-    def test_incompatible_family_is_refused(self):
-        F3 = GF(3)
-        A1f = affine_space(F3, ("x",), "A1f")
-
-        def bad_rule(m):
-            arc = weil_restrict(A1f, m)
-            if m.length % 2 == 0:
-                gens = tuple(Poly.variable(v, arc.vars, F3) for v in arc.vars)
-                return ConstSieve(closed_sieve(arc, gens))
-            return ConstSieve(closed_sieve(arc, []))
-
-        fam = LimitSieve(A1f, jets(F3), rule=bad_rule)
-        with pytest.raises(EvalError):
-            stable_set_measure(fam, horizon=4)
+        rep = self.report()
+        rep.value = lift_const(kclass_zero(GF(3)))
+        assert counting_consistency(rep, [(base_point(GF(3)), 0)], window=3) is False
 
 
 class TestIndexedMode:
@@ -325,6 +314,18 @@ class TestIndexedMode:
         rep_p = limit_measure(MeasureQuery(fam, Q=1))
         assert rep_i.mode == "indexed"
         assert rep_i.stabilized == rep_p.stabilized
+        assert rep_i.since == rep_p.since
+        assert rep_i.per_level and all(e["stabilized"] for e in rep_i.per_level)
+
+    def test_a_member_without_level_presentations_is_broken_down(self):
+        # a disjoint union presents no level, and indexed mode reads the
+        # limit measure's own run, so it measures what that run measures
+        rule = twice_the_arcs(lambda c: DisjointSieve(c, c))
+        fam = LimitSieve(affine_space(GF(3), ("x",), "A1"), jets(GF(3)), rule=rule)
+        q = MeasureQuery(fam, Q=1, horizon=4, window=2)
+        rep_i, rep_p = indexed_mode(q), limit_measure(q)
+        assert rep_p.stabilized and class_str(rep_p.value) == "2"
+        assert rep_i.stabilized and rep_i.value == rep_p.value
         assert rep_i.since == rep_p.since
         assert rep_i.per_level and all(e["stabilized"] for e in rep_i.per_level)
 

@@ -168,9 +168,9 @@ def test_truncation_map_drops_high_coefficients():
     big, small = fat(F3, 3), fat(F3, 2)
     tr = truncation_map(A1, big, small)
     arc_big = weil_restrict(A1, big)
-    alg = base_point(F3).algebra
-    for p in points(arc_big, base_point(F3)):
-        q = tr.apply_point(alg, p)
+    k = base_point(F3)
+    for p in points(arc_big, k):
+        q = tr.apply_point(k, p)
         assert q == p[:2]
 
 
@@ -202,9 +202,9 @@ def test_map_composition_point_action():
     sq = CoordMap(A1, A1, {"u": u * u})
     shift = CoordMap(A1, A1, {"u": u + one})
     comp = sq.compose(shift)
-    alg = base_point(F3).algebra
-    for p in points(A1, base_point(F3)):
-        assert comp.apply_point(alg, p) == sq.apply_point(alg, shift.apply_point(alg, p))
+    k = base_point(F3)
+    for p in points(A1, k):
+        assert comp.apply_point(k, p) == sq.apply_point(k, shift.apply_point(k, p))
 
 
 def test_product_scheme_multiplies_counts():

@@ -426,9 +426,8 @@ class TestRelativeSieves:
         pts = full_sieve(total).points(K3)
         assert len(pts) == full_sieve(total).count(K3) == 9
         # each point lies over one base point through both sides
-        alg = K3.algebra
-        assert all(pr1.apply_point(alg, to_a.apply_point(alg, p))
-                   == sq.apply_point(alg, to_b.apply_point(alg, p)) for p in pts)
+        assert all(pr1.apply_point(K3, to_a.apply_point(K3, p))
+                   == sq.apply_point(K3, to_b.apply_point(K3, p)) for p in pts)
 
 
 class TestLimitFamilies:

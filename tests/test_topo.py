@@ -1,22 +1,19 @@
-"""Realization invariants: normal forms, homology, preservation, stability."""
+"""Realization invariants: normal forms, homology, evaluation, preservation."""
 
 import pytest
 
 from motivic.errors import EvalError, WorkbenchError
-from motivic.fatpoints import (PointSystem, base_point, jet_rule,
-                                make_fat_point)
+from motivic.fatpoints import base_point
 from motivic.fields import GF
 from motivic.poly import Poly
 from motivic.schemes import affine_space
 from motivic.sieves import (ConstSieve, DisjointSieve, InterSieve, LevelSieve,
-                            LimitSieve, ProductSieve, UnionSieve, closed_sieve,
-                            full_sieve, lift_sieve, open_sieve,
-                            presented_levels)
-from motivic.topology import (HOMOTOPY_KEY_PROXY, FiniteSimplicialSet,
-                              boundary_simplex, discrete_sset,
-                              evaluate_to_sset, homotopy_stabilization,
-                              invariants, preservation_check,
-                              smith_normal_form, standard_simplex)
+                            ProductSieve, UnionSieve, closed_sieve, full_sieve,
+                            lift_sieve, open_sieve, presented_levels)
+from motivic.topology import (FiniteSimplicialSet, boundary_simplex,
+                              discrete_sset, evaluate_to_sset, invariants,
+                              preservation_check, smith_normal_form,
+                              standard_simplex)
 
 from battery import rng_for
 
@@ -175,40 +172,6 @@ class TestEvaluation:
         rep = preservation_check(a, b, self.k2)
         assert rep == {"union": True, "intersection": False, "product": True,
                        "ok": False}
-
-
-class TestHomotopyStabilization:
-    def test_constant_point_family_stabilizes(self):
-        A1f = affine_space(F3, ("x",), "A1f")
-        xf = Poly.variable("x", A1f.vars, F3)
-        origin = closed_sieve(A1f, [xf])
-        fam = LimitSieve(origin, PointSystem(rule=jet_rule(F3)))
-        rep = homotopy_stabilization(fam, horizon=4, window=3, top=1)
-        assert rep["stabilized"]
-        assert rep["proxy"] == HOMOTOPY_KEY_PROXY
-        assert rep["key"][0] == 1
-
-    def test_growing_family_is_honestly_indeterminate(self):
-        A1f = affine_space(F3, ("x",), "A1f")
-        fam = LimitSieve(A1f, PointSystem(rule=jet_rule(F3)))
-        rep = homotopy_stabilization(fam, horizon=4, window=3, top=1)
-        assert not rep["stabilized"]
-        assert rep["proxy"] == HOMOTOPY_KEY_PROXY
-
-    def test_explicit_chain_settles_at_its_last_member(self):
-        # a finite system is read at its last member, even when it is
-        # shorter than the window; `since` is where the final run of keys
-        # begins
-        A1f = affine_space(F3, ("x",), "A1f")
-        t = Poly.variable("t", ("t",), F3)
-        members = [make_fat_point(("t",), F3, [t ** k], "t%d" % k)
-                   for k in (2, 3, 3)]
-        fam = LimitSieve(A1f, PointSystem(members=members))
-        rep = homotopy_stabilization(fam, horizon=4, window=4, top=1)
-        assert rep["stabilized"]
-        assert rep["keys"][0] != rep["keys"][1] == rep["keys"][2]
-        assert rep["key"] == rep["keys"][-1]
-        assert rep["since"] == 1
 
 
 class TestValidation:

@@ -1,9 +1,10 @@
-"""Which functions of the package ever run: a call trace of tier-1 and of one
-pass of each benchmark workload.
+"""Which functions of the package ever run: a call trace of tier-1, of the
+corpus scripts and of one pass of each benchmark workload.
 
     python3 tests/traffic.py [SEED]
 
-Runs the tier-1 suite, then one untraced and one traced (TRACE=1) pass of
+Runs the tier-1 suite, then the scripts of `tests/corpus` through
+`cli.run_script`, then one untraced and one traced (TRACE=1) pass of
 `perfbench/worker.py` on each workload at SEED (default 7), each in a fresh
 interpreter under a `sys.settrace` hook that records every code object it
 enters. Then prints each function, method and lambda of `src/motivic` that
@@ -11,10 +12,12 @@ no run entered, as `path:line qualified-name`, and their number. Class
 bodies and comprehensions are left out. A child interpreter that a test
 starts is not traced, so a function that only such a child reaches is
 not entered here: each such function is listed in KNOWN with the reason it
-is kept, and printed apart with that reason.
+is kept, and printed apart with that reason. Last, for information only,
+it prints the functions that tier-1 enters and no script or workload
+pass does: library surface that only the tests call.
 
 Exits 1 when a function outside KNOWN was never entered (or a run failed),
-else 0. KNOWN is keyed by qualified name, which code objects carry from
+else 0; the tier-1-only list does not change the exit code. KNOWN is keyed by qualified name, which code objects carry from
 Python 3.11 (`co_qualname`); on older versions the names are bare and do
 not match. The hook makes the suite several times slower. Only the
 standard library is used, besides pytest for the suite.
@@ -30,6 +33,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "motivic")
+CORPUS = os.path.join(ROOT, "tests", "corpus")
 WORKLOADS = ("jet-count", "class-canon", "ring-laws")
 
 # functions kept although no traced run enters them, by qualified name
@@ -72,8 +76,9 @@ def defined():
 
 
 def child(out, argv):
-    """Run pytest (argv[0] == "pytest") or a script under the hook, then
-    write the package functions it entered to `out` as JSON."""
+    """Run pytest (argv[0] == "pytest"), the corpus scripts (argv[0] ==
+    "corpus") or a script under the hook, then write the package functions
+    it entered to `out` as JSON."""
     seen = set()
 
     def hook(frame, event, arg):
@@ -85,6 +90,13 @@ def child(out, argv):
         if argv[0] == "pytest":
             import pytest
             code = pytest.main(argv[1:])
+        elif argv[0] == "corpus":
+            from motivic.cli import run_script
+            for name in sorted(os.listdir(CORPUS)):
+                if name.endswith(".mot"):
+                    with open(os.path.join(CORPUS, name)) as f:
+                        run_script(f.read())
+            code = 0
         else:
             sys.argv = argv
             runpy.run_path(argv[0], run_name="__main__")
@@ -101,12 +113,12 @@ def main(argv):
     seed = argv[0] if argv else "7"
     worker = os.path.join(ROOT, "perfbench", "worker.py")
     runs = [["pytest", "-q", "-p", "no:cacheprovider",
-             "--continue-on-collection-errors"]]
+             "--continue-on-collection-errors"], ["corpus"]]
     runs += [[worker, w, seed, trace] for trace in ("0", "1") for w in WORKLOADS]
     old = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")
                + (os.pathsep + old if old else ""))
-    entered = set()
+    entered = []
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "entered.json")
         for run in runs:
@@ -118,8 +130,9 @@ def main(argv):
             if proc.returncode:
                 return proc.returncode
             with open(out) as f:
-                entered.update(tuple(e) for e in json.load(f))
-    never = sorted(defined() - entered)
+                entered.append({tuple(e) for e in json.load(f)})
+    tier1, others = entered[0], set().union(*entered[1:])
+    never = sorted(defined() - tier1 - others)
     unknown = [e for e in never if e[2] not in KNOWN]
     for path, line, name in unknown:
         print("%s:%d %s" % (os.path.relpath(path, ROOT), line, name))
@@ -129,6 +142,11 @@ def main(argv):
         if name in KNOWN:
             print("  %s:%d %s: %s" % (os.path.relpath(path, ROOT), line, name,
                                      KNOWN[name]))
+    only = sorted(tier1 - others)
+    print("%d package functions run only under tier-1 (information only):"
+          % len(only))
+    for path, line, name in only:
+        print("  %s:%d %s" % (os.path.relpath(path, ROOT), line, name))
     return 1 if unknown else 0
 
 
