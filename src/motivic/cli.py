@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 import sys
-from fractions import Fraction
 
 from . import dsl
 from .config import Config, DEFAULT, from_environment
@@ -29,8 +28,7 @@ from .kring import (KClass, SClass, class_of_scheme, class_of_sieve,
                     kclass_int, lefschetz, lift_const)
 from .measures import MeasureQuery, limit_measure
 from .poly import Ideal, Poly
-from .schemes import (AffineScheme, CoordMap, adjunction_check, affine_space,
-                      count_points, weil_restrict)
+from .schemes import AffineScheme, CoordMap, adjunction_check
 from .sieves import (LimitSieve, Sieve, arc_plain_sieve, closed_sieve,
                      continuity_probe, empty_sieve, full_sieve, image_sieve,
                      lift_sieve, node_str, open_sieve, sieve_inter,
@@ -39,13 +37,6 @@ from .topology import preservation_check
 
 
 # -- building values from ASTs ----------------------------------------------
-
-def _coeff(field: Field, frac: Fraction):
-    c = field.of(frac.numerator)
-    if frac.denominator != 1:
-        c = field.div(c, field.of(frac.denominator))
-    return c
-
 
 def poly_from_ast(ast, vars, field: Field) -> Poly:
     vars = tuple(vars)
@@ -57,7 +48,7 @@ def poly_from_ast(ast, vars, field: Field) -> Poly:
                 raise EvalError("unknown variable %r (ambient has %s)"
                                 % (v, ", ".join(vars) or "no variables"))
             exps[vars.index(v)] += e
-        c = field.one if coef is None else _coeff(field, coef)
+        c = field.one if coef is None else field.of(coef)
         if sign < 0:
             c = field.neg(c)
         out = out + Poly.monomial(tuple(exps), c, vars, field)
@@ -106,6 +97,13 @@ class Session:
         kind, value = self.lookup(name, ("scheme", "sieve"))
         return full_sieve(value) if kind == "scheme" else value
 
+    def _fat_point(self, alg: dsl.Algebra, name: str) -> FatPoint:
+        field = self.need_field()
+        vars, gens = _algebra_parts(alg, field)
+        if not vars:
+            return base_point(field)
+        return make_fat_point(vars, field, gens, name=name, cfg=self.cfg)
+
     # -- declaration evaluation -------------------------------------------
 
     def eval_field(self, st):
@@ -119,41 +117,25 @@ class Session:
         return {"value": repr(self.field)}
 
     def eval_fatpoint(self, st):
-        field = self.need_field()
-        alg = st.payload[0]
-        vars, gens = _algebra_parts(alg, field)
-        if not vars:
-            m = base_point(field)
-        else:
-            m = make_fat_point(vars, field, gens, name=st.name, cfg=self.cfg)
+        m = self._fat_point(st.payload[0], st.name)
         self.bind(st.name, "fatpoint", m)
         return {"length": str(m.length)}
 
     def eval_chain(self, st):
-        field = self.need_field()
         mode, body = st.payload
         if mode == "rule":
-            system = PointSystem(rule=jet_rule(field, body, self.cfg))
+            system = PointSystem(rule=jet_rule(self.need_field(), body, self.cfg))
         else:
-            members = []
-            for i, alg in enumerate(body):
-                vars, gens = _algebra_parts(alg, field)
-                if not vars:
-                    members.append(base_point(field))
-                else:
-                    members.append(make_fat_point(
-                        vars, field, gens, name="%s.%d" % (st.name, i), cfg=self.cfg))
-            system = PointSystem(members=members)
+            system = PointSystem(members=[
+                self._fat_point(alg, "%s.%d" % (st.name, i))
+                for i, alg in enumerate(body)])
         self.bind(st.name, "chain", system)
         return {"mode": mode}
 
     def eval_scheme(self, st):
         field = self.need_field()
         vars, gens = _algebra_parts(st.payload[0], field)
-        if gens:
-            x = AffineScheme(st.name, Ideal(vars, field, gens, self.cfg))
-        else:
-            x = affine_space(field, vars, name=st.name, cfg=self.cfg)
+        x = AffineScheme(st.name, Ideal(vars, field, gens, self.cfg))
         self.bind(st.name, "scheme", x)
         return {"vars": str(len(vars)), "relations": str(len(gens))}
 
@@ -239,15 +221,12 @@ class Session:
             return value
         left = self._class_from_expr(expr[1])
         right = self._class_from_expr(expr[2])
-        if isinstance(left, SClass) or isinstance(right, SClass):
-            if isinstance(left, KClass):
-                left = lift_const(left)
-            if isinstance(right, KClass):
-                right = lift_const(right)
         if tag == "add":
             return left + right
         if tag == "sub":
             return left - right
+        if isinstance(left, KClass) and isinstance(right, SClass):
+            left = lift_const(left)    # the product takes the session config
         if isinstance(left, SClass):
             return left.mul(right, self.cfg)
         return left * right
@@ -266,14 +245,10 @@ class Session:
         kind, value = self.lookup(
             subject, ("scheme", "sieve", "simplicial", "class"))
         out = {"subject": subject, "point": point}
-        if kind == "scheme":
+        if kind in ("scheme", "sieve"):
             if level is not None:
-                raise EvalError("plain schemes take no level")
-            n = count_points(value, m)
-        elif kind == "sieve":
-            if level is not None:
-                raise EvalError("plain sieves take no level")
-            n = value.count(m)
+                raise EvalError("plain %ss take no level" % kind)
+            n = self.as_sieve(subject).count(m)
         elif kind == "simplicial":
             lifted, bound = value
             lvl = 0 if level is None else level
@@ -297,18 +272,16 @@ class Session:
     def eval_arc(self, st):
         subject, point = st.payload
         m = self.fat_point(point)
-        kind, value = self.lookup(subject, ("scheme", "sieve"))
+        kind = self.lookup(subject, ("scheme", "sieve"))[0]
+        arc = arc_plain_sieve(self.as_sieve(subject), m)
+        out = {"subject": subject, "point": point,
+               "vars": str(len(arc.ambient.vars)),
+               "relations": str(len(arc.ambient.ideal.gens))}
         if kind == "scheme":
-            arc = weil_restrict(value, m)
-            return {"subject": subject, "point": point,
-                    "vars": str(len(arc.vars)),
-                    "relations": str(len(arc.ideal.gens)),
-                    "dim": str(arc.ideal.krull_dimension())}
-        arc = arc_plain_sieve(value, m)
-        return {"subject": subject, "point": point,
-                "vars": str(len(arc.ambient.vars)),
-                "relations": str(len(arc.ambient.ideal.gens)),
-                "node": node_str(arc.node)}
+            out["dim"] = str(arc.ambient.ideal.krull_dimension())
+        else:
+            out["node"] = node_str(arc.node)
+        return out
 
     def eval_measure(self, st):
         subject, chain, qval, lax, horizon, window = st.payload

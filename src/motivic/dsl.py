@@ -28,7 +28,10 @@ Grammar (canonical forms as printed):
 
 '&' binds tighter than '|'; '*' binds tighter than '+'/'-'; both associate
 left.  Polynomials use the same shape the printer in poly.py emits: terms
-joined by ' + ' / ' - ', factors joined by '*', exponents with '^'.
+joined by ' + ' / ' - ', factors joined by '*', exponents with '^'.  A
+coefficient and a measure's rate have one reader, `_fraction`: an integer
+or a/b, where b = 0 is a parse error on its line (whether b is invertible
+in the base field is for evaluation to say).
 """
 
 from __future__ import annotations
@@ -156,6 +159,18 @@ class Statement(Record):
 # coef None means an implicit 1 in front of a monomial.
 
 
+def _fraction(c):
+    """The one reader of a number: int or int/int, as a Fraction. A zero
+    denominator fails here, on its line, like any other parse error."""
+    num = c.expect_int("a numerator")
+    if not c.accept_op("/"):
+        return Fraction(num)
+    den = c.expect_int("a denominator")
+    if den == 0:
+        c.fail("zero denominator in %d/0" % num)
+    return Fraction(num, den)
+
+
 def _parse_mono_factor(c):
     v = c.expect_name("a variable")
     e = 1
@@ -166,21 +181,12 @@ def _parse_mono_factor(c):
 
 def _parse_poly_term(c):
     """One signed term after the sign has been consumed."""
-    k, v = c.peek()
     coef = None
-    factors = []
-    if k == "int":
-        c.next()
-        num, den = v, 1
-        if c.accept_op("/"):
-            den = c.expect_int("a denominator")
-        coef = Fraction(num, den)
-        if c.accept_op("*"):
-            factors.append(_parse_mono_factor(c))
-        else:
+    if c.peek()[0] == "int":
+        coef = _fraction(c)
+        if not c.accept_op("*"):
             return (coef, ())
-    else:
-        factors.append(_parse_mono_factor(c))
+    factors = [_parse_mono_factor(c)]
     while c.accept_op("*"):
         factors.append(_parse_mono_factor(c))
     return (coef, tuple(factors))
@@ -414,11 +420,7 @@ def lax_str(rule):
 
 def parse_rational(c):
     neg = c.accept_op("-")
-    num = c.expect_int("a numerator")
-    den = 1
-    if c.accept_op("/"):
-        den = c.expect_int("a denominator")
-    q = Fraction(num, den)
+    q = _fraction(c)
     return -q if neg else q
 
 
@@ -435,51 +437,51 @@ _CHECK_SHAPES = {
 }
 
 
+_DECLARATIONS = ("fatpoint", "chain", "scheme", "map", "sieve", "simplicial",
+                 "class")
+
+
 def parse_statement(toks, line_no):
     c = _Cursor(toks, line_no)
     head = c.expect_name("a statement keyword")
+    name = None
+    if head in _DECLARATIONS:
+        name = c.expect_name()
+        c.expect_op("=")
 
     if head == "field":
         k, v = c.next()
         if k == "name" and v == "Q":
-            st = Statement("field", None, ("Q", 0), line_no)
+            payload = ("Q", 0)
         elif k == "name" and v == "F":
-            st = Statement("field", None, ("F", c.expect_int("a prime")), line_no)
+            payload = ("F", c.expect_int("a prime"))
         else:
             c.fail("expected Q or F <prime>")
 
     elif head == "fatpoint":
-        name = c.expect_name()
-        c.expect_op("=")
-        st = Statement("fatpoint", name, (parse_algebra(c),), line_no)
+        payload = (parse_algebra(c),)
 
     elif head == "chain":
-        name = c.expect_name()
-        c.expect_op("=")
         if c.accept_name("rule"):
             var = c.expect_name("a variable")
             c.expect_op("^")
             if not c.accept_name("n"):
                 c.fail("a chain rule has the shape t^n")
-            st = Statement("chain", name, ("rule", var), line_no)
+            payload = ("rule", var)
         else:
             c.expect_op("[")
             algs = [parse_algebra(c)]
             while c.accept_op(","):
                 algs.append(parse_algebra(c))
             c.expect_op("]")
-            st = Statement("chain", name, ("list", tuple(algs)), line_no)
+            payload = ("list", tuple(algs))
 
     elif head == "scheme":
-        name = c.expect_name()
-        c.expect_op("=")
         if not c.accept_name("Spec"):
             c.fail("a scheme declaration has the shape Spec k[...]")
-        st = Statement("scheme", name, (parse_algebra(c),), line_no)
+        payload = (parse_algebra(c),)
 
     elif head == "map":
-        name = c.expect_name()
-        c.expect_op("=")
         src = c.expect_name("a source scheme")
         c.expect_op("->")
         tgt = c.expect_name("a target scheme")
@@ -491,20 +493,15 @@ def parse_statement(toks, line_no):
             assigns.append((v, parse_poly(c)))
             if not c.accept_op(","):
                 break
-        st = Statement("map", name, (src, tgt, tuple(assigns)), line_no)
+        payload = (src, tgt, tuple(assigns))
 
     elif head == "sieve":
-        name = c.expect_name()
-        c.expect_op("=")
         expr = parse_sieve_expr(c)
         if not c.accept_name("in"):
             c.fail("a sieve declaration names its ambient: ... in X")
-        ambient = c.expect_name("an ambient scheme")
-        st = Statement("sieve", name, (expr, ambient), line_no)
+        payload = (expr, c.expect_name("an ambient scheme"))
 
     elif head == "simplicial":
-        name = c.expect_name()
-        c.expect_op("=")
         tag = c.expect_name("trivial, fiber, or sym")
         if tag not in ("trivial", "fiber", "sym"):
             c.fail("expected trivial, fiber, or sym, found %r" % tag)
@@ -512,13 +509,10 @@ def parse_statement(toks, line_no):
         arg = c.expect_name("a sieve or scheme name")
         c.expect_op(")")
         c.expect_op("@")
-        level = c.expect_int("a truncation level")
-        st = Statement("simplicial", name, (tag, arg, level), line_no)
+        payload = (tag, arg, c.expect_int("a truncation level"))
 
     elif head == "class":
-        name = c.expect_name()
-        c.expect_op("=")
-        st = Statement("class", name, (parse_class_expr(c),), line_no)
+        payload = (parse_class_expr(c),)
 
     elif head == "count":
         subject = c.expect_name("an object name")
@@ -526,13 +520,13 @@ def parse_statement(toks, line_no):
             c.fail("count needs a fat point: count X at m")
         point = c.expect_name("a fat point name")
         level = c.expect_int("a level") if c.accept_name("level") else None
-        st = Statement("count", None, (subject, point, level), line_no)
+        payload = (subject, point, level)
 
     elif head == "arc":
         subject = c.expect_name("an object name")
         if not c.accept_name("at"):
             c.fail("arc needs a fat point: arc X at m")
-        st = Statement("arc", None, (subject, c.expect_name("a fat point name")), line_no)
+        payload = (subject, c.expect_name("a fat point name"))
 
     elif head == "measure":
         subject = c.expect_name("an object name")
@@ -555,8 +549,7 @@ def parse_statement(toks, line_no):
                 window = c.expect_int("a window")
             else:
                 c.fail("unexpected token %r after measure" % (c.peek()[1],))
-        st = Statement("measure", None, (subject, chain, q, lax, horizon, window),
-                       line_no)
+        payload = (subject, chain, q, lax, horizon, window)
 
     elif head == "check":
         what = c.expect_name("a check kind")
@@ -571,19 +564,17 @@ def parse_statement(toks, line_no):
             point = c.expect_name("a fat point name")
         elif at_req is None and c.accept_name("at"):
             point = c.expect_name("a fat point name")
-        elif at_req is False:
-            pass
         level = None
         if lvl_ok and c.accept_name("level"):
             level = c.expect_int("a level")
-        st = Statement("check", None, (what, names, point, level), line_no)
+        payload = (what, names, point, level)
 
     else:
         c.fail("unknown statement %r" % head)
 
     if not c.done():
         c.fail("trailing input %r" % (c.peek()[1],))
-    return st
+    return Statement(head, name, payload, line_no)
 
 
 def parse_script(text):
@@ -600,30 +591,30 @@ def parse_script(text):
 
 def print_statement(st):
     k = st.kind
+    head = "%s %s =" % (k, st.name)    # what a declaration starts with
     if k == "field":
         tag, p = st.payload
         return "field Q" if tag == "Q" else "field F %d" % p
     if k == "fatpoint":
-        return "fatpoint %s = %s" % (st.name, algebra_str(st.payload[0]))
+        return "%s %s" % (head, algebra_str(st.payload[0]))
     if k == "chain":
         mode, body = st.payload
         if mode == "rule":
-            return "chain %s = rule %s^n" % (st.name, body)
-        return "chain %s = [%s]" % (st.name, ", ".join(algebra_str(a) for a in body))
+            return "%s rule %s^n" % (head, body)
+        return "%s [%s]" % (head, ", ".join(algebra_str(a) for a in body))
     if k == "scheme":
-        return "scheme %s = Spec %s" % (st.name, algebra_str(st.payload[0]))
+        return "%s Spec %s" % (head, algebra_str(st.payload[0]))
     if k == "map":
         src, tgt, assigns = st.payload
         rhs = ", ".join("%s -> %s" % (v, poly_ast_str(p)) for v, p in assigns)
-        return "map %s = %s -> %s : %s" % (st.name, src, tgt, rhs)
+        return "%s %s -> %s : %s" % (head, src, tgt, rhs)
     if k == "sieve":
         expr, ambient = st.payload
-        return "sieve %s = %s in %s" % (st.name, sieve_expr_str(expr), ambient)
+        return "%s %s in %s" % (head, sieve_expr_str(expr), ambient)
     if k == "simplicial":
-        tag, arg, level = st.payload
-        return "simplicial %s = %s(%s) @ %d" % (st.name, tag, arg, level)
+        return "%s %s(%s) @ %d" % ((head,) + st.payload)
     if k == "class":
-        return "class %s = %s" % (st.name, class_expr_str(st.payload[0]))
+        return "%s %s" % (head, class_expr_str(st.payload[0]))
     if k == "count":
         subject, point, level = st.payload
         tail = "" if level is None else " level %d" % level

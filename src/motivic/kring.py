@@ -409,7 +409,10 @@ class _Combination:
     """Integer combination of symbols over one base field.
 
     The arithmetic shared by plain and simplicial classes; a subclass says
-    how an integer lifts into it (`_of_int`) and how symbols multiply.
+    how symbols multiply and what lifts into it (`_lifted`): a plain class
+    lifts an int, a simplicial class lifts an int or a plain class to a
+    constant shape. A sum or difference of a plain and a simplicial class
+    is simplicial, whichever side the plain one is on.
     """
 
     __slots__ = ("field", "terms")
@@ -423,8 +426,10 @@ class _Combination:
             raise AmbientMismatch("classes over different fields")
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = self._of_int(other)
+        if type(other) is not type(self):
+            other = self._lifted(other)
+            if other is NotImplemented:
+                return NotImplemented
         self._check(other)
         out = dict(self.terms)
         for s, c in other.terms.items():
@@ -437,8 +442,6 @@ class _Combination:
         return self.scale(-1)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = self._of_int(other)
         return self + (-other)
 
     def scale(self, c: int):
@@ -463,12 +466,16 @@ class KClass(_Combination):
 
     __slots__ = ()
 
-    def _of_int(self, n: int) -> "KClass":
-        return kclass_int(self.field, n)
+    def _lifted(self, other):
+        if isinstance(other, int):
+            return kclass_int(self.field, other)
+        return other if isinstance(other, KClass) else NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
+        if not isinstance(other, KClass):
+            return NotImplemented
         self._check(other)
         out = {}
         for s1, c1 in self.terms.items():
@@ -621,12 +628,18 @@ class SClass(_Combination):
 
     __slots__ = ()
 
-    def _of_int(self, n: int) -> "SClass":
-        return lift_const(kclass_int(self.field, n))
+    def _lifted(self, other):
+        if isinstance(other, int):
+            other = kclass_int(self.field, other)
+        if isinstance(other, KClass):
+            return lift_const(other)
+        return other if isinstance(other, SClass) else NotImplemented
 
-    def mul(self, other: "SClass", cfg: Config) -> "SClass":
-        """The product; one that leaves the closed shapes materializes levels
-        up to cfg.skeletal_level."""
+    def mul(self, other, cfg: Config) -> "SClass":
+        """The product with a simplicial class or a plain one, which lifts to
+        a constant shape; one that leaves the closed shapes materializes
+        levels up to cfg.skeletal_level."""
+        other = self._lifted(other)
         self._check(other)
         out = SClass(self.field, {})
         for s1, c1 in self.terms.items():

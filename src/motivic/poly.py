@@ -272,12 +272,6 @@ class Poly:
         new_vars = tuple(new_vars)
         return self.reindex([new_vars.index(v) for v in self.vars], new_vars)
 
-    def rename(self, mapping: dict):
-        new_vars = tuple(mapping.get(v, v) for v in self.vars)
-        if len(set(new_vars)) != len(new_vars):
-            raise WorkbenchError("renaming collides")
-        return Poly(new_vars, self.field, dict(self.terms))
-
     # -- comparisons ---------------------------------------------------------
 
     def __eq__(self, other):
@@ -721,11 +715,12 @@ def tensor_product(a: Ideal, b: Ideal) -> tuple:
     lmap = {v: v for v in a.vars}
     rmap = disjoint_vars(a.vars, b.vars)
     vars = tuple(a.vars) + tuple(rmap[v] for v in b.vars)
+    right = range(len(a.vars), len(vars))    # where the right factor sits
     gens = [g.embed(vars) for g in a.gens]
-    gens += [g.rename(rmap).embed(vars) for g in b.gens]
+    gens += [g.reindex(right, vars) for g in b.gens]
     out = Ideal(vars, a.field, gens, a.cfg)
     basis = [g.embed(vars) for g in a.basis()]
-    basis += [g.rename(rmap).embed(vars) for g in b.basis()]
+    basis += [g.reindex(right, vars) for g in b.basis()]
     basis.sort(key=lambda g: grevlex_key(g.leading()[0]))
     out._basis = basis
     return out, lmap, rmap

@@ -6,11 +6,12 @@ standard-monomial basis of the fat point, and one equation is read off per
 finite field: it sets the same coefficients one base-field coordinate at a
 time, and lists or counts the points that meet the generators and an
 optional condition, which is how sieves are listed and counted (the
-condition is a sieve's leaves, compiled by `sieves.node_condition`). The
-same compiled condition, read at one whole point by `_settled`, is how
-`sieves.node_member` tests a point in hand. The search lives here, beside
-the coefficient rows it reads, and takes the condition as plain rows and
-predicates, so this module needs nothing from `sieves`.
+condition is a sieve's leaves, built by `sieves.node_condition` from
+`_row`s, image tests and `_join`s). The same condition, read at one whole
+point by `_settled`, is how `sieves.node_member` tests a point in hand. The
+search lives here, beside the coefficient rows it reads, and takes the
+condition as plain rows and predicates, so this module needs nothing from
+`sieves`.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ class CoordMap:
 
 
 def _join(tag, conds):
-    """An "and" or "or" of compiled conditions, with decided ones folded in
+    """An "and" or "or" of conditions, with decided ones folded in
     and nested ones of the same tag flattened."""
     absorb = tag == "or"    # True decides an "or", False an "and"
     neutral = not absorb
@@ -132,19 +133,13 @@ def _join(tag, conds):
     return kept[0] if len(kept) == 1 else (tag, tuple(kept))
 
 
-def _compiled(cond, p: int):
-    """A condition with each row as ("row", position, row, unit), where
-    position is the coordinate that completes the row; constant rows are
-    decided here, image tests never."""
-    if cond is True or cond is False or cond[0] == "image":
-        return cond
-    tag, body = cond
-    if tag in ("zero", "unit"):
-        unit = tag == "unit"
-        last = max((mono[-1][0] if mono else -1 for _, mono in body), default=-1)
-        row = ("row", last, body, unit)
-        return _settled(row, (), p, None) if last < 0 else row
-    return _join(tag, [_compiled(c, p) for c in body])
+def _row(body, unit: bool, p: int):
+    """The condition that a coefficient row vanishes (or, with unit, does
+    not), as ("row", position, body, unit), where position is the
+    coordinate that completes the row; a constant row is decided here."""
+    last = max((mono[-1][0] if mono else -1 for _, mono in body), default=-1)
+    row = ("row", last, body, unit)
+    return _settled(row, (), p, None) if last < 0 else row
 
 
 def _decide(cond, s: int, vals, p: int):
@@ -169,7 +164,7 @@ def _positions(cond, out):
 
 
 def _settled(cond, vals, p: int, point) -> bool:
-    """A compiled condition read left to right and only as far as the answer
+    """A condition read left to right and only as far as the answer
     needs: rows at the flat coordinates `vals`, as far as they are set, mod
     p (exactly over Q, where p is 0), and image tests at the whole `point`."""
     if cond is True or cond is False:
@@ -196,13 +191,13 @@ def search(x: AffineScheme, m: FatPoint, condition=None, count: bool = False):
     y_1, ..., and tests each row, mod p, as soon as its last coordinate is
     set, so a partial jet is dropped at the first equation it breaks.
 
-    `condition`, when given, is called once the search is known to run
-    (finite field, same field, candidates within x's cap) and returns a
-    condition: True, False, ("zero", row) or ("unit", row) for a row that
-    vanishes or does not, ("image", test) for a predicate on the whole
-    point, or ("and", conditions) / ("or", conditions). The rows of its
-    top-level conjunction join the generators' rows; every other part is
-    read three-valued on the partial assignment, as each row is completed.
+    `condition`, when given, is called with p once the search is known to
+    run (finite field, same field, candidates within x's cap) and returns a
+    condition in the one form the search reads: True, False, a row made by
+    `_row`, ("image", test) for a predicate on the whole point, or an "and"
+    / "or" of conditions made by `_join`. The rows of its top-level
+    conjunction join the generators' rows; every other part is read
+    three-valued on the partial assignment, as each row is completed.
     A branch decided false is dropped; once the condition holds and no row
     is left, the remaining coordinates are free. Image tests are read only
     at a whole point that the rows leave undecided.
@@ -220,10 +215,9 @@ def search(x: AffineScheme, m: FatPoint, condition=None, count: bool = False):
     if total > cap:
         raise CapExceeded("enumeration of %d candidates exceeds cap %d"
                           % (total, cap))
-    eqs = tuple(("zero", row) for g in x.ideal.gens
-                for row in m.coefficient_rows(g))
-    extra = True if condition is None else condition()
-    cond = _compiled(("and", eqs + (extra,)), p)
+    extra = True if condition is None else condition(p)
+    cond = _join("and", [_row(row, False, p) for g in x.ideal.gens
+                         for row in m.coefficient_rows(g)] + [extra])
     if cond is False:                    # a nonzero constant vetoes everything
         return 0 if count else []
     due = [[] for _ in range(size)]      # rows by the coordinate that completes them

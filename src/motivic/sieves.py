@@ -8,7 +8,7 @@ A sieve is listed and counted inside the point search of its ambient
 (`schemes.search`): `node_condition` turns the tree into the search's
 condition, so a branch is dropped or its free coordinates counted as soon as
 the coordinates set so far decide it, and a count builds no point.
-`node_member` tests one point already in hand against the same compiled
+`node_member` tests one point already in hand against the same
 condition, through the search's whole-point reader, so the tree has one
 reading. Pullback along a map and restriction along a fat point rewrite the
 tree leaf by leaf through one walk (`rewrite_leaves`); `continuity_probe`
@@ -40,7 +40,7 @@ from .fatpoints import (FatPoint, SimplicialFatPoint, base_point,
                         flat_coordinates)
 from .poly import Ideal, Poly, poly_str
 from .records import Record
-from .schemes import (AffineScheme, CoordMap, _compiled, _settled,
+from .schemes import (AffineScheme, CoordMap, _join, _row, _settled,
                       arc_coefficients, arc_of_map, points, product_scheme,
                       search, truncation_map, weil_restrict)
 
@@ -122,8 +122,9 @@ def _image_points(cmap: CoordMap, m: FatPoint):
     return got
 
 
-def node_condition(node, m: FatPoint):
-    """The condition tree as a condition of `schemes.search` at m.
+def node_condition(node, m: FatPoint, p: int):
+    """The condition tree as a condition of `schemes.search` at m, with
+    rows read mod p (exactly when p is 0).
 
     V(g) is the conjunction of g's coefficient rows vanishing; D(g) is its
     residue row (the basis monomial 1) not vanishing, which the search
@@ -138,16 +139,16 @@ def node_condition(node, m: FatPoint):
         if isinstance(nd, Empty):
             return False
         if isinstance(nd, Closed):
-            return ("and", tuple(("zero", row) for g in nd.gens
-                                 for row in m.coefficient_rows(g)))
+            return _join("and", [_row(row, False, p) for g in nd.gens
+                                 for row in m.coefficient_rows(g)])
         if isinstance(nd, OpenLoc):
-            return ("unit", m.residue(m.coefficient_rows(nd.g)))
+            return _row(m.residue(m.coefficient_rows(nd.g)), True, p)
         if isinstance(nd, Im):
             return ("image", lambda point, cmap=nd.cmap: point in _image_points(cmap, m))
         if isinstance(nd, Union):
-            return ("or", (walk(nd.left), walk(nd.right)))
+            return _join("or", [walk(nd.left), walk(nd.right)])
         if isinstance(nd, Inter):
-            return ("and", (walk(nd.left), walk(nd.right)))
+            return _join("and", [walk(nd.left), walk(nd.right)])
         raise WorkbenchError("unknown node %r" % (nd,))
 
     return walk(node)
@@ -156,14 +157,14 @@ def node_condition(node, m: FatPoint):
 def node_member(node, m: FatPoint, point) -> bool:
     """Does one given point (of a face, a degeneracy, a pullback) satisfy
     the condition tree? It is read as `schemes.search` reads it: the
-    condition `node_condition` compiles, at the whole point. The compiled
-    condition is kept on m per tree object, not per equal tree: equal
-    image leaves may read sources under different candidate caps."""
+    condition `node_condition` builds, at the whole point. The condition
+    is kept on m per tree object, not per equal tree: equal image leaves
+    may read sources under different candidate caps."""
     p = m.field.char
     key = ("member", id(node))
     got = m.memo.get(key)
     if got is None:    # the entry holds the tree, so its id stays its own
-        got = m.memo[key] = (node, _compiled(node_condition(node, m), p))
+        got = m.memo[key] = (node, node_condition(node, m, p))
     return _settled(got[1], flat_coordinates(point, m.length), p, tuple(point))
 
 
@@ -220,10 +221,10 @@ class Sieve:
         return node_member(self.node, m, point)
 
     def points(self, m: FatPoint):
-        return tuple(search(self.ambient, m, lambda: node_condition(self.node, m)))
+        return tuple(search(self.ambient, m, lambda p: node_condition(self.node, m, p)))
 
     def count(self, m: FatPoint) -> int:
-        return search(self.ambient, m, lambda: node_condition(self.node, m),
+        return search(self.ambient, m, lambda p: node_condition(self.node, m, p),
                       count=True)
 
     def pullback(self, f: CoordMap) -> "Sieve":

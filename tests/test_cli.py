@@ -273,6 +273,26 @@ class TestReports:
         assert block["line"] == "2"
         assert block["error"] == "expected a name, found '='"
 
+    @pytest.mark.parametrize("text,line", [
+        ("field F 2\nscheme X = Spec k[x]/(1/0*x)\n", 2),
+        ("field F 2\nscheme X = Spec k[x]\nchain J = rule t^n\n"
+         "measure X on J Q=1/0\n", 4),
+    ], ids=["coefficient", "rate"])
+    def test_a_zero_denominator_is_a_parse_error(self, text, line):
+        rep, code = run_script(text)
+        assert code == 3
+        assert record_blocks(rep) == [{
+            "stmt": "0", "kind": "parse", "line": str(line),
+            "status": "error", "error": "zero denominator in 1/0"}]
+
+    def test_a_denominator_not_invertible_mod_p_is_an_eval_error(self, capsys):
+        rep, code = run_script("field F 2\nscheme X = Spec k[x]/(1/2*x)\n")
+        assert code == 2
+        block = record_blocks(rep)[1]
+        assert block["status"] == "error"
+        assert block["error"] == "denominator not invertible mod 2"
+        assert capsys.readouterr().err == ""
+
     def test_a_level_past_the_declared_truncation_is_refused(self):
         text = ("field F 2\nfatpoint m = k[t]/(t^2)\nscheme X = Spec k[x]\n"
                 "sieve s = D(x) in X\nsimplicial S = fiber(s) @ 3\n"
@@ -399,6 +419,17 @@ class TestEntryPoint:
         assert main(["--format"]) == 3
         assert capsys.readouterr().err \
             == "motivic: line 2: expected a name, found '='\n"
+
+    def test_a_zero_denominator_stops_the_entry_point_cleanly(self, tmp_path,
+                                                              capsys):
+        path = tmp_path / "zero.mot"
+        path.write_text("field F 2\nscheme X = Spec k[x]/(1/0*x)\n")
+        assert main([str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert "kind=parse" in out and err == ""
+        assert main(["--format", str(path)]) == 3
+        assert capsys.readouterr().err \
+            == "motivic: line 2: zero denominator in 1/0\n"
 
     def test_malformed_environment_integer_is_a_clean_error(self, monkeypatch, capsys):
         monkeypatch.setenv("MOTIVIC_HORIZON", "abc")

@@ -9,7 +9,7 @@ from motivic.config import Config
 from motivic.errors import AmbientMismatch, CapExceeded, EvalError
 from motivic.fatpoints import base_point, make_fat_point
 from motivic.fields import GF, QQ
-from motivic.kring import (MEMO_BOUND, KClass, _block_candidates,
+from motivic.kring import (MEMO_BOUND, KClass, SClass, _block_candidates,
                            canonical_conjunction,
                            class_of_scheme, class_of_sieve,
                            class_of_simplicial, class_str, counting_hom,
@@ -511,6 +511,20 @@ class TestSimplicialClasses:
         z = class_of_sieve(open_sieve(self.B, Poly.variable("x", self.B.vars, F2)))
         assert lift_const(z) + 1 == lift_const(z + 1)
         assert lift_const(z) - 1 == lift_const(z - 1)
+
+    def test_a_plain_class_lifts_into_a_sum_with_a_simplicial_one(self):
+        k, s = lefschetz(F2), lift_const(lefschetz(F2, 2))
+        mixed = [k + s, s + k, k - s, s - k]
+        assert all(isinstance(z, SClass) for z in mixed)
+        assert [class_str(z) for z in mixed] \
+            == ["L + L^2", "L + L^2", "L - L^2", "-L + L^2"]
+
+    def test_a_plain_times_a_simplicial_class_needs_the_config(self):
+        k, s = lefschetz(F2), lift_const(lefschetz(F2, 2))
+        with pytest.raises(TypeError):
+            k * s
+        cfg = Config()
+        assert s.mul(k, cfg) == s.mul(lift_const(k), cfg)
 
     def test_symmetric_power_levels(self):
         z = class_of_simplicial(self.sym)
