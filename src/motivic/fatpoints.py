@@ -11,14 +11,25 @@ at the generic point, one row of plain terms per basis monomial.
 
 from __future__ import annotations
 
+from operator import add
+
 from .config import DEFAULT, Config
 from .errors import NotFinite, NotLocal, WorkbenchError
 from .fields import Field
-from .poly import Ideal, Poly, poly_str, tensor_product
+from .poly import Ideal, Poly, cached_power, poly_str, tensor_product
 
 
 class QuotientAlgebra:
-    """Finite-dimensional quotient k[y]/I with vector arithmetic over its basis."""
+    """Finite-dimensional quotient k[y]/I with vector arithmetic over its basis.
+
+    A product of two basis monomials is read off their exponents where it
+    can be. If the product exponent is standard, the product is that basis
+    monomial, for any ideal. If every element of the reduced basis is a
+    monomial, every other product is zero. Only a non-standard product in a
+    non-monomial quotient is reduced by the normal form. Powers, of vectors
+    in `eval_poly` and of generic coordinates in `coefficient_rows`, are
+    taken by halving the exponent, so their cost grows with its bits.
+    """
 
     def __init__(self, ideal: Ideal):
         self.ideal = ideal
@@ -30,6 +41,7 @@ class QuotientAlgebra:
         self.basis_exps = [b.leading()[0] for b in basis]
         self.index = {e: i for i, e in enumerate(self.basis_exps)}
         self.length = len(basis)
+        self.monomial_ideal = all(len(g.terms) == 1 for g in ideal.basis())
         self._table = {}
         # derived data that depends on this algebra only, keyed by a tagged
         # input: ("rows", poly) for coefficient rows, ("image", map, cap) for
@@ -64,10 +76,15 @@ class QuotientAlgebra:
         key = (i, j) if i <= j else (j, i)
         got = self._table.get(key)
         if got is None:
-            prod = Poly.monomial(
-                tuple(a + b for a, b in zip(self.basis_exps[i], self.basis_exps[j])),
-                1, self.vars, self.field)
-            got = [(k, c) for k, c in enumerate(self.nf_vector(prod)) if c]
+            exps = tuple(map(add, self.basis_exps[i], self.basis_exps[j]))
+            k = self.index.get(exps)
+            if k is not None:
+                got = [(k, self.field.one)]
+            elif self.monomial_ideal:
+                got = []
+            else:
+                prod = Poly.monomial(exps, 1, self.vars, self.field)
+                got = [(k, c) for k, c in enumerate(self.nf_vector(prod)) if c]
             self._table[key] = got
         return got
 
@@ -89,20 +106,14 @@ class QuotientAlgebra:
         """Evaluate p with variables sent to algebra vectors."""
         f = self.field
         powers = {}
-
-        def pw(name, k):
-            cache = powers.setdefault(name, {0: self.unit_vector()})
-            while k not in cache:
-                top = max(cache)
-                cache[top + 1] = self.mul(cache[top], images[name])
-            return cache[k]
-
         out = list(self.zero_vector())
         for e, c in p.terms.items():
             term = self.unit_vector()
             for i, k in enumerate(e):
                 if k:
-                    term = self.mul(term, pw(p.vars[i], k))
+                    name = p.vars[i]
+                    cache = powers.setdefault(name, {1: images[name]})
+                    term = self.mul(term, cached_power(cache, k, self.mul))
             for idx, t in enumerate(term):
                 if t:
                     out[idx] = f.add(out[idx], f.mul(f.of(c), t))
@@ -126,34 +137,38 @@ class QuotientAlgebra:
         return got
 
     def _expand(self, p: Poly):
+        """Coefficient rows of p: each term is a product of powers of the
+        generic coordinates, kept as dicts (monomial, basis index) -> c."""
         f = self.field
         n = len(p.vars)
-
-        def times_coordinate(acc, i):
-            """acc * (sum_j a_ij b_j); acc maps (monomial, basis index) -> c."""
-            out = {}
-            for (mono, k), c in acc.items():
-                for j in range(self.length):
-                    prod = self._pair(k, j)
-                    if prod:
-                        grown = _bump(mono, j * n + i)
-                        for l, t in prod:
-                            out[(grown, l)] = out.get((grown, l), 0) + c * t
-            return _clean(f, out)
-
         one = self.index[(0,) * len(self.vars)]
+        powers = [{1: {(((j * n + i, 1),), j): 1 for j in range(self.length)}}
+                  for i in range(n)]
         total = {}
         for e, c in p.terms.items():
             acc = {((), one): c}
             for i, k in enumerate(e):
-                for _ in range(k):
-                    acc = times_coordinate(acc, i)
+                if k:
+                    acc = self._times(acc, cached_power(powers[i], k, self._times))
             for key, c2 in acc.items():
                 total[key] = total.get(key, 0) + c2
         rows = [[] for _ in range(self.length)]
         for (mono, k), c in _clean(f, total).items():
             rows[k].append((c, mono))
         return tuple(tuple(sorted(r, key=lambda term: term[1])) for r in rows)
+
+    def _times(self, a: dict, b: dict) -> dict:
+        """The product of two expansions (monomial, basis index) -> c."""
+        out = {}
+        for (m1, k1), c1 in a.items():
+            for (m2, k2), c2 in b.items():
+                prod = self._pair(k1, k2)
+                if prod:
+                    mono = _merge(m1, m2)
+                    c = c1 * c2
+                    for l, t in prod:
+                        out[(mono, l)] = out.get((mono, l), 0) + c * t
+        return _clean(self.field, out)
 
     def residue(self, vec):
         """Coefficient of the basis monomial 1."""
@@ -178,18 +193,14 @@ def _clean(field: Field, coeffs: dict) -> dict:
     return out
 
 
-def _bump(mono, pos: int):
-    """A sparse monomial ((position, exponent), ...) times coordinate `pos`."""
-    out = list(mono)
-    for idx, (q, e) in enumerate(out):
-        if q == pos:
-            out[idx] = (q, e + 1)
-            return tuple(out)
-        if q > pos:
-            out.insert(idx, (pos, 1))
-            return tuple(out)
-    out.append((pos, 1))
-    return tuple(out)
+def _merge(m1, m2):
+    """The product of two sparse monomials ((position, exponent), ...)."""
+    if not m1 or not m2:
+        return m1 or m2
+    out = dict(m1)
+    for q, e in m2:
+        out[q] = out.get(q, 0) + e
+    return tuple(sorted(out.items()))
 
 
 def flat_coordinates(point, length: int):
@@ -233,11 +244,18 @@ class FatPoint(QuotientAlgebra):
 
 def make_fat_point(vars, field: Field, gens, name: str = "",
                    cfg: Config = DEFAULT) -> FatPoint:
-    """Validate and build a fat point; raises NotFinite or NotLocal."""
+    """Validate and build a fat point; raises NotFinite or NotLocal.
+
+    A finite quotient by a monomial ideal is local as it stands: its reduced
+    basis holds a pure power of every variable. Any other ideal has each
+    variable's power tested for nilpotency.
+    """
     ideal = Ideal(vars, field, gens, cfg)
     if ideal.is_unit():
         raise NotLocal("unit ideal presents the zero ring, not a point")
     m = FatPoint(ideal, name)
+    if m.monomial_ideal:
+        return m
     # in an algebra of dimension d an element is nilpotent iff its d-th power vanishes
     for v in ideal.vars:
         if not ideal.contains(Poly.variable(v, ideal.vars, field) ** m.length):

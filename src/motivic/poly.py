@@ -19,7 +19,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product as iproduct
 from math import gcd
-from operator import add, ge, sub
+from operator import add, ge, mul, sub
 
 from .config import DEFAULT, Config
 from .errors import CapExceeded, FieldMismatch, WorkbenchError
@@ -228,14 +228,6 @@ class Poly:
                 raise WorkbenchError("empty substitution with no target ring")
             target = Poly.zero(vars, field or self.field)
         powers = {}
-
-        def power(name, k):
-            cache = powers.setdefault(name, {0: Poly.constant(1, target.vars, target.field)})
-            while k not in cache:
-                top = max(cache)
-                cache[top + 1] = cache[top] * images[name]
-            return cache[k]
-
         out = Poly.zero(target.vars, target.field)
         for e, c in self.terms.items():
             term = Poly.constant(c, target.vars, target.field)
@@ -244,7 +236,8 @@ class Poly:
                     name = self.vars[i]
                     if name not in images:
                         raise WorkbenchError("no image for variable %r" % name)
-                    term = term * power(name, k)
+                    cache = powers.setdefault(name, {1: images[name]})
+                    term = term * cached_power(cache, k, mul)
             out = out + term
         return out
 
@@ -288,6 +281,20 @@ class Poly:
 
     def __repr__(self):
         return poly_str(self)
+
+
+def cached_power(cache: dict, k: int, mul):
+    """x^k for k >= 1 from cache[1] = x, by halving: x^(k - k//2) * x^(k//2).
+
+    Each power made is kept in cache, so the exponents of one polynomial
+    share them, and at most two products are taken per bit of k.
+    """
+    got = cache.get(k)
+    if got is None:
+        got = mul(cached_power(cache, k - k // 2, mul),
+                  cached_power(cache, k // 2, mul))
+        cache[k] = got
+    return got
 
 
 def join_terms(bits) -> str:

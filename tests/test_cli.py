@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import motivic
-from motivic import cli, dsl
+from motivic import cli, dsl, fatpoints
 from motivic.cli import main, run_script
 from motivic.config import DEFAULT
 from motivic.fields import GF
@@ -321,6 +321,47 @@ class TestReports:
         rep2, code2 = run_script("field F 2\nscheme X = Spec k[x]\n", field=GF(5))
         assert code2 == 0
         assert "value=F2" in rep2
+
+
+HIGH_EXPONENT_SCRIPTS = {
+    "leaf": ("field F 2\nfatpoint m = k[t]/(t^2)\nscheme X = Spec k[x]\n"
+             "sieve s = V(x^%d) in X\ncount s at m\n", 9999999, 3, "2"),
+    "image": ("field F 3\nfatpoint m = k[t]/(t^2)\nscheme L1 = Spec k[u]\n"
+              "scheme L2 = Spec k[v]\nmap sq = L1 -> L2 : v -> u^%d\n"
+              "sieve s = im(sq) in L2\ncount s at m\n", 9999998, 2, "4"),
+}
+
+
+class TestHighExponents:
+    """A power costs products by the bits of its exponent, not by the
+    exponent itself: each script runs under a budget of vector products
+    and basis products that a power taken one factor at a time overruns."""
+
+    BUDGET = 5000
+
+    def counted(self, monkeypatch, text):
+        calls = [0]
+
+        def budgeted(real):
+            def method(self, *args):
+                calls[0] += 1
+                if calls[0] > TestHighExponents.BUDGET:
+                    raise RuntimeError("over the budget of products")
+                return real(self, *args)
+            return method
+
+        for name in ("mul", "_pair"):
+            real = getattr(fatpoints.QuotientAlgebra, name)
+            monkeypatch.setattr(fatpoints.QuotientAlgebra, name, budgeted(real))
+        rep, code = run_script(text)
+        assert code == 0, rep
+        return record_blocks(rep)[-1]["value"]
+
+    @pytest.mark.parametrize("kind", sorted(HIGH_EXPONENT_SCRIPTS))
+    def test_a_high_exponent_counts_like_a_low_one(self, monkeypatch, kind):
+        text, high, low, value = HIGH_EXPONENT_SCRIPTS[kind]
+        assert self.counted(monkeypatch, text % high) == value
+        assert self.counted(monkeypatch, text % low) == value
 
 
 class TestSessionObjects:

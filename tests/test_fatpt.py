@@ -65,6 +65,20 @@ def test_two_variable_fat_point():
     a, b = (Poly.variable(v, ("a", "b"), GF(2)) for v in ("a", "b"))
     m = make_fat_point(("a", "b"), GF(2), [a * a, a * b, b * b], "square0")
     assert m.length == 3
+    assert m.monomial_ideal
+
+
+def test_locality_verdicts_of_non_monomial_points():
+    # a non-monomial ideal keeps the nilpotency test: the reduced basis of
+    # (s^2 - t^3, t^4) is not monomial, and it presents a local point
+    F3 = GF(3)
+    s, t = (Poly.variable(v, ("s", "t"), F3) for v in ("s", "t"))
+    m = make_fat_point(("s", "t"), F3, [s * s - t ** 3, t ** 4])
+    assert not m.monomial_ideal
+    assert m.length == 8
+    u = Poly.variable("t", ("t",), F3)
+    with pytest.raises(NotLocal):
+        make_fat_point(("t",), F3, [u * u - u])
 
 
 def test_simplicial_levels_by_tag():

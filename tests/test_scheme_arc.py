@@ -195,6 +195,27 @@ def test_map_relation_respect():
         .respects_relations()
 
 
+def test_a_high_power_pulls_back_in_few_products(monkeypatch):
+    # a power of an image is taken by halving its exponent: about two
+    # products per bit, where one product per unit would overrun the budget
+    A1 = affine_space(F3, ("x",), "A1")
+    B1 = affine_space(F3, ("y",), "B1")
+    image = Poly.variable("x", A1.vars, F3).scale(2)
+    k = 9999999
+    high, want = Poly.variable("y", B1.vars, F3) ** k, image ** k
+    calls = [0]
+    real = Poly.__mul__
+
+    def budgeted(self, other):
+        calls[0] += 1
+        if calls[0] > 100:
+            raise RuntimeError("over the budget of products")
+        return real(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", budgeted)
+    assert CoordMap(A1, B1, {"y": image}).pullback_poly(high) == want
+
+
 def test_map_composition_point_action():
     A1 = affine_space(F3, ("u",), "A1")
     u = Poly.variable("u", A1.vars, F3)
