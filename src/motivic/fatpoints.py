@@ -6,11 +6,14 @@ validated `QuotientAlgebra` with a name. Elements are handled as coefficient
 vectors over the standard-monomial basis, multiplied through a lazily built
 table; `length` is the number of basis monomials. Point counting reads
 polynomials through `QuotientAlgebra.coefficient_rows`: their coefficients
-at the generic point, one row of plain terms per basis monomial.
+at the generic point, one row of plain terms per basis monomial (the
+point search reads them as functions on F_q-points, with every exponent
+below q).
 """
 
 from __future__ import annotations
 
+from functools import partial
 from operator import add
 
 from .config import DEFAULT, Config
@@ -29,6 +32,18 @@ class QuotientAlgebra:
     non-monomial quotient is reduced by the normal form. Powers, of vectors
     in `eval_poly` and of generic coordinates in `coefficient_rows`, are
     taken by halving the exponent, so their cost grows with its bits.
+
+    The linear tail of a monomial point: with D the largest degree of a
+    standard monomial and k = D//2 + 1, every product of two basis
+    monomials of degree >= k has degree > D, so it is zero (m^(2k) = 0).
+    The basis monomials of degree >= k are the tail; over k[t]/(t^n),
+    k = ceil(n/2). The basis is sorted by degree, so the tail is a suffix,
+    and `tail_start` is the index of its first monomial. A coefficient row
+    is then affine in the tail coordinates, and the point search counts
+    them by one elimination (`schemes.search`). `tail_start` is None for a
+    non-monomial point, and for a tail of fewer than two monomials, whose
+    elimination costs more than the p values it replaces (k[t]/(t^n) for
+    n < 4).
     """
 
     def __init__(self, ideal: Ideal):
@@ -42,11 +57,16 @@ class QuotientAlgebra:
         self.index = {e: i for i, e in enumerate(self.basis_exps)}
         self.length = len(basis)
         self.monomial_ideal = all(len(g.terms) == 1 for g in ideal.basis())
+        degrees = [sum(e) for e in self.basis_exps]
+        top = max(degrees, default=0)
+        start = next((i for i, d in enumerate(degrees) if d > top // 2), self.length)
+        self.tail_start = (start if self.monomial_ideal and self.length - start >= 2
+                           else None)
         self._table = {}
         # derived data that depends on this algebra only, keyed by a tagged
-        # input: ("rows", poly) for coefficient rows, ("image", map, cap) for
-        # the image sets of sieve leaves, ("count", block, cap) for the point
-        # counts of canonical blocks
+        # input: ("rows", poly, q) for coefficient rows, ("image", map, cap)
+        # for the image sets of sieve leaves, ("count", block, cap) for the
+        # point counts of canonical blocks
         self.memo = {}
 
     @property
@@ -119,7 +139,7 @@ class QuotientAlgebra:
                     out[idx] = f.add(out[idx], f.mul(f.of(c), t))
         return tuple(out)
 
-    def coefficient_rows(self, p: Poly):
+    def coefficient_rows(self, p: Poly, q: int = 0):
         """The coefficients of p at the generic point, one row per basis monomial.
 
         Variable i of p (of n) goes to the generic element sum_j a_ij b_j over
@@ -128,15 +148,20 @@ class QuotientAlgebra:
         Row k is the coefficient of b_k in the normal form, as a tuple of
         terms (c, ((position, exponent), ...)) with c a field element and
         positions increasing; a zero row is empty. Cached per polynomial.
+
+        With q > 0 the rows are read as functions on points over F_q, where
+        v^q = v: each exponent e >= 1 is read as 1 + (e - 1) mod (q - 1) as
+        the products are formed, so no exponent exceeds q - 1 and a row costs
+        the same whatever the exponents of p. The point search reads these.
         """
-        key = ("rows", p)
+        key = ("rows", p, q)
         got = self.memo.get(key)
         if got is None:
-            got = self._expand(p)
+            got = self._expand(p, q)
             self.memo[key] = got
         return got
 
-    def _expand(self, p: Poly):
+    def _expand(self, p: Poly, q: int):
         """Coefficient rows of p: each term is a product of powers of the
         generic coordinates, kept as dicts (monomial, basis index) -> c."""
         f = self.field
@@ -144,12 +169,13 @@ class QuotientAlgebra:
         one = self.index[(0,) * len(self.vars)]
         powers = [{1: {(((j * n + i, 1),), j): 1 for j in range(self.length)}}
                   for i in range(n)]
+        times = partial(self._times, q=q)
         total = {}
         for e, c in p.terms.items():
             acc = {((), one): c}
             for i, k in enumerate(e):
                 if k:
-                    acc = self._times(acc, cached_power(powers[i], k, self._times))
+                    acc = times(acc, cached_power(powers[i], k, times))
             for key, c2 in acc.items():
                 total[key] = total.get(key, 0) + c2
         rows = [[] for _ in range(self.length)]
@@ -157,14 +183,15 @@ class QuotientAlgebra:
             rows[k].append((c, mono))
         return tuple(tuple(sorted(r, key=lambda term: term[1])) for r in rows)
 
-    def _times(self, a: dict, b: dict) -> dict:
-        """The product of two expansions (monomial, basis index) -> c."""
+    def _times(self, a: dict, b: dict, q: int) -> dict:
+        """The product of two expansions (monomial, basis index) -> c, with
+        exponents read mod q as in `coefficient_rows` when q > 0."""
         out = {}
         for (m1, k1), c1 in a.items():
             for (m2, k2), c2 in b.items():
                 prod = self._pair(k1, k2)
                 if prod:
-                    mono = _merge(m1, m2)
+                    mono = _merge(m1, m2, q)
                     c = c1 * c2
                     for l, t in prod:
                         out[(mono, l)] = out.get((mono, l), 0) + c * t
@@ -193,13 +220,15 @@ def _clean(field: Field, coeffs: dict) -> dict:
     return out
 
 
-def _merge(m1, m2):
-    """The product of two sparse monomials ((position, exponent), ...)."""
+def _merge(m1, m2, q: int):
+    """The product of two sparse monomials ((position, exponent), ...); with
+    q > 0, exponents in 1..q-1 stay there (v^q = v on F_q)."""
     if not m1 or not m2:
         return m1 or m2
     out = dict(m1)
-    for q, e in m2:
-        out[q] = out.get(q, 0) + e
+    for pos, e in m2:
+        e += out.get(pos, 0)
+        out[pos] = e - q + 1 if q and e >= q else e
     return tuple(sorted(out.items()))
 
 

@@ -163,6 +163,52 @@ def _positions(cond, out):
         _positions(c, out)
 
 
+def _reads_image(cond) -> bool:
+    """Does cond hold an image test?"""
+    if cond is True or cond[0] == "row":
+        return False
+    return cond[0] == "image" or any(_reads_image(c) for c in cond[1])
+
+
+def _affine(body, split: int):
+    """A row read as affine in the coordinates from `split` on: its
+    constant part, and (column, coefficient row) pairs with columns counted
+    from split. A monomial holds at most one tail coordinate, to the first
+    power, and positions increase, so it is the monomial's last."""
+    const, cols = [], {}
+    for c, mono in body:
+        if mono and mono[-1][0] >= split:
+            cols.setdefault(mono[-1][0] - split, []).append((c, mono[:-1]))
+        else:
+            const.append((c, mono))
+    return const, tuple(cols.items())
+
+
+def _tail_count(tail, vals, p: int, width: int) -> int:
+    """The solutions mod p of the affine rows `tail` (made by `_affine`)
+    in `width` tail coordinates, with the head read at `vals`: p^(width -
+    rank) when they are consistent, else 0. Rows are brought to echelon
+    form one at a time; pivots[c] has a 1 at column c and zeros before it."""
+    pivots = {}
+    for const, cols in tail:
+        r = [0] * width + [row_value(const, vals) % p]
+        for col, sub in cols:
+            r[col] = row_value(sub, vals) % p
+        for c in range(width):
+            a = r[c]
+            if a:
+                piv = pivots.get(c)
+                if piv is None:
+                    inv = pow(a, p - 2, p)
+                    pivots[c] = [x * inv % p for x in r]
+                    break
+                r = [(x - a * y) % p for x, y in zip(r, piv)]
+        else:
+            if r[width]:
+                return 0
+    return p ** (width - len(pivots))
+
+
 def _settled(cond, vals, p: int, point) -> bool:
     """A condition read left to right and only as far as the answer
     needs: rows at the flat coordinates `vals`, as far as they are set, mod
@@ -185,8 +231,9 @@ def search(x: AffineScheme, m: FatPoint, condition=None, count: bool = False):
 
     A point is a tuple of base-field coordinates, the coefficients of each
     variable's image over m's standard basis (the restriction adjunction).
-    Each generator becomes one coefficient row per basis monomial
-    (`QuotientAlgebra.coefficient_rows`, cached on m). The search
+    Each generator becomes one coefficient row per basis monomial, read
+    as a function on F_p-points, where v^p = v keeps every exponent below p
+    (`QuotientAlgebra.coefficient_rows(g, p)`, cached on m). The search
     sets the n*len coordinates one at a time in basis order x_0, y_0, x_1,
     y_1, ..., and tests each row, mod p, as soon as its last coordinate is
     set, so a partial jet is dropped at the first equation it breaks.
@@ -201,6 +248,19 @@ def search(x: AffineScheme, m: FatPoint, condition=None, count: bool = False):
     A branch decided false is dropped; once the condition holds and no row
     is left, the remaining coordinates are free. Image tests are read only
     at a whole point that the rows leave undecided.
+
+    The linear tail: at a monomial point, the coordinates of the basis
+    monomials from `m.tail_start` on (those of degree > D//2, for D the
+    largest standard degree) enter every row affinely, since a product of
+    two of them is zero; they are a suffix of the positions. In count mode,
+    when the point has such a tail of two or more monomials and the
+    condition holds no image test, the search stops at the first tail
+    position if every part of the condition other than the top-level rows
+    is decided there (open leaves, unions): each row left is affine in the
+    tail, with its constant and coefficients read from the head at `vals`,
+    and one elimination mod p adds p^(tail - rank) when the rows are
+    consistent, and 0 otherwise. Anything else, list mode included,
+    enumerates the tail.
 
     Returns the points sorted, each a tuple of coefficient vectors, one per
     variable, or with count=True their number, without building them.
@@ -217,7 +277,7 @@ def search(x: AffineScheme, m: FatPoint, condition=None, count: bool = False):
                           % (total, cap))
     extra = True if condition is None else condition(p)
     cond = _join("and", [_row(row, False, p) for g in x.ideal.gens
-                         for row in m.coefficient_rows(g)] + [extra])
+                         for row in m.coefficient_rows(g, p)] + [extra])
     if cond is False:                    # a nonzero constant vetoes everything
         return 0 if count else []
     due = [[] for _ in range(size)]      # rows by the coordinate that completes them
@@ -234,7 +294,13 @@ def search(x: AffineScheme, m: FatPoint, condition=None, count: bool = False):
     pending = [False] * size
     _positions(cond, pending)
     # past the last row of the top-level conjunction, a decided branch is free
-    free = max((s for s in range(size) if due[s]), default=-1) + 1
+    last = max((s for s in range(size) if due[s]), default=-1) + 1
+    # ... and from the first tail position on, its rows are solved
+    free = split = last
+    if (count and m.tail_start is not None and m.tail_start * n < last
+            and not _reads_image(cond)):
+        free = split = m.tail_start * n
+        linear = [_affine(row, split) for s in range(split, size) for row in due[s]]
     vals = [0] * size
     found = []
     tally = 0
@@ -242,13 +308,17 @@ def search(x: AffineScheme, m: FatPoint, condition=None, count: bool = False):
     def assign(s, cond):
         nonlocal tally
         if cond is True and s >= free:
-            if count:
-                tally += p ** (size - s)
-            else:
-                head = vals[:s]
-                for tail in iproduct(range(p), repeat=size - s):
-                    found.append(point_of(head + list(tail), n))
-            return
+            if s >= last:
+                if count:
+                    tally += p ** (size - s)
+                else:
+                    head = vals[:s]
+                    for tail in iproduct(range(p), repeat=size - s):
+                        found.append(point_of(head + list(tail), n))
+                return
+            if s == split:
+                tally += _tail_count(linear, vals, p, size - s)
+                return
         if s == size:
             if _settled(cond, vals, p, point_of(vals, n)):
                 if count:

@@ -140,9 +140,9 @@ def node_condition(node, m: FatPoint, p: int):
             return False
         if isinstance(nd, Closed):
             return _join("and", [_row(row, False, p) for g in nd.gens
-                                 for row in m.coefficient_rows(g)])
+                                 for row in m.coefficient_rows(g, p)])
         if isinstance(nd, OpenLoc):
-            return _row(m.residue(m.coefficient_rows(nd.g)), True, p)
+            return _row(m.residue(m.coefficient_rows(nd.g, p)), True, p)
         if isinstance(nd, Im):
             return ("image", lambda point, cmap=nd.cmap: point in _image_points(cmap, m))
         if isinstance(nd, Union):

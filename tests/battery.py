@@ -121,9 +121,15 @@ def rand_class(rng, field: Field, schemes) -> KClass:
     return out
 
 
-def jet_point(field: Field, k: int):
+def jet_point(field: Field, k: int, cfg=DEFAULT):
     t = Poly.variable("t", ("t",), field)
-    return make_fat_point(("t",), field, [t ** k], "t%d" % k)
+    return make_fat_point(("t",), field, [t ** k], "t%d" % k, cfg=cfg)
+
+
+def monomial_point(field: Field, exps):
+    """k[a, b]/(the monomials with the given exponent pairs)."""
+    return make_fat_point(("a", "b"), field,
+                          [Poly.monomial(e, 1, ("a", "b"), field) for e in exps])
 
 
 def kernel_points(field: Field):

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import motivic
-from motivic import cli, dsl, fatpoints
+from motivic import cli, dsl, fatpoints, schemes
 from motivic.cli import main, run_script
 from motivic.config import DEFAULT
 from motivic.fields import GF
@@ -362,6 +362,35 @@ class TestHighExponents:
         text, high, low, value = HIGH_EXPONENT_SCRIPTS[kind]
         assert self.counted(monkeypatch, text % high) == value
         assert self.counted(monkeypatch, text % low) == value
+
+
+class TestHighExponentRows:
+    """Over F_p a row reads v^e as v^(1 + (e - 1) mod (p - 1)), so its cost
+    does not grow with e: each script runs under a budget on the exponents
+    that the search's row reads multiply out, which one read of x_0^9999999
+    overruns. Over F2 a coordinate is 0 or 1, whose powers cost nothing, so
+    F5 and F7 are the cases."""
+
+    BUDGET = 5000
+    TEXT = ("field F %d\nfatpoint m = k[t]/(t^2)\nscheme X = Spec k[x]\n"
+            "sieve s = V(x^%d) in X\ncount s at m\n")
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_a_high_exponent_row_counts_like_a_low_one(self, monkeypatch, p):
+        spent = [0]
+        real = schemes.row_value
+
+        def budgeted(row, vals):
+            spent[0] += sum(e for _, mono in row for _, e in mono)
+            if spent[0] > self.BUDGET:
+                raise RuntimeError("over the budget of row exponents")
+            return real(row, vals)
+
+        monkeypatch.setattr(schemes, "row_value", budgeted)
+        for e in (9999999, 3):
+            rep, code = run_script(self.TEXT % (p, e))
+            assert code == 0, rep
+            assert record_blocks(rep)[-1]["value"] == str(p)
 
 
 class TestSessionObjects:
