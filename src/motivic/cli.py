@@ -39,8 +39,11 @@ from .topology import preservation_check
 # -- building values from ASTs ----------------------------------------------
 
 def poly_from_ast(ast, vars, field: Field) -> Poly:
+    """The polynomial of a parsed sum, made as one `Poly`: the terms are
+    summed into one dict, a coefficient that cancels leaving it."""
     vars = tuple(vars)
-    out = Poly.zero(vars, field)
+    zero = field.zero
+    terms = {}
     for sign, coef, factors in ast:
         exps = [0] * len(vars)
         for v, e in factors:
@@ -51,8 +54,13 @@ def poly_from_ast(ast, vars, field: Field) -> Poly:
         c = field.one if coef is None else field.of(coef)
         if sign < 0:
             c = field.neg(c)
-        out = out + Poly.monomial(tuple(exps), c, vars, field)
-    return out
+        e = tuple(exps)
+        c = field.add(terms.get(e, zero), c)
+        if c:
+            terms[e] = c
+        else:
+            terms.pop(e, None)
+    return Poly(vars, field, terms)
 
 
 def _algebra_parts(alg: dsl.Algebra, field: Field):

@@ -1,6 +1,9 @@
 """Script language for the workbench: tokenizer, parser, pretty-printer.
 
-One statement per line.  '#' starts a comment.  The parser produces small
+One statement per line.  '#' starts a comment.  A line is tokenized by one
+regex scan (`_TOKEN.findall` over the text before any '#'): each match is an
+integer, a name, '->', a one-character operator, or a catch-all non-blank
+character, which is the `bad character` error.  The parser produces small
 tuple and record ASTs that the printer turns back into canonical text; the
 printer output reparses to the identical AST, so print . parse is idempotent
 on every accepted script.
@@ -53,49 +56,52 @@ class ScriptError(WorkbenchError):
 
 # -- tokens --------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)"
-                    r"|(?P<arrow>->)|(?P<op>[][()=^+*/,&|@:<>-]))")
+# one alternative per token kind; the catch-all last group is any other
+# non-blank character, and whitespace between tokens matches nothing
+_TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_']*)|(->|[][()=^+*/,&|@:<>-])|(\S)")
+
+_EOF = ("eof", None)
 
 
 def tokenize_line(text, line_no):
     """List of (kind, value) pairs; kind in {'int', 'name', 'op'}."""
     toks = []
-    pos = 0
-    body = text.split("#", 1)[0]
-    while pos < len(body):
-        m = _TOKEN.match(body, pos)
-        if m is None:
-            if body[pos:].strip() == "":
-                break
-            raise ScriptError("bad character %r" % body[pos:].lstrip()[0], line_no)
-        pos = m.end()
-        if m.group("int") is not None:
-            toks.append(("int", int(m.group("int"))))
-        elif m.group("name") is not None:
-            toks.append(("name", m.group("name")))
-        elif m.group("arrow") is not None:
-            toks.append(("op", "->"))
+    for num, name, op, bad in _TOKEN.findall(text.split("#", 1)[0]):
+        if num:
+            try:
+                toks.append(("int", int(num)))
+            except ValueError:    # past the interpreter's int-from-text limit
+                raise ScriptError("integer of %d digits is too long" % len(num),
+                                  line_no) from None
+        elif name:
+            toks.append(("name", name))
+        elif op:
+            toks.append(("op", op))
         else:
-            toks.append(("op", m.group("op")))
+            raise ScriptError("bad character %r" % bad, line_no)
     return toks
 
 
 class _Cursor:
+    """The tokens of one line, read left to right. The list ends in an
+    ("eof", None) sentinel, so a read needs no bounds check. No read goes
+    past it: every caller that consumes the sentinel fails on it."""
+
     def __init__(self, toks, line_no):
-        self.toks = toks
+        self.toks = [*toks, _EOF]
         self.i = 0
         self.line = line_no
 
     def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else ("eof", None)
+        return self.toks[self.i]
 
     def next(self):
-        t = self.peek()
+        t = self.toks[self.i]
         self.i += 1
         return t
 
     def done(self):
-        return self.i >= len(self.toks)
+        return self.toks[self.i] is _EOF
 
     def fail(self, msg):
         raise ScriptError(msg, self.line)
@@ -118,15 +124,13 @@ class _Cursor:
         return v
 
     def accept_op(self, op):
-        k, v = self.peek()
-        if k == "op" and v == op:
+        if self.toks[self.i] == ("op", op):
             self.i += 1
             return True
         return False
 
     def accept_name(self, word):
-        k, v = self.peek()
-        if k == "name" and v == word:
+        if self.toks[self.i] == ("name", word):
             self.i += 1
             return True
         return False

@@ -64,6 +64,8 @@ class Field(Record):
         """Coerce an int or Fraction into the field."""
         if self.char == 0:
             return Fraction(n)
+        if type(n) is int:     # skips the ABC check below for most inputs
+            return n % self.char
         if isinstance(n, Fraction):
             if n.denominator % self.char == 0:
                 raise WorkbenchError("denominator not invertible mod %d" % self.char)
@@ -106,4 +108,7 @@ QQ = Field(0)
 
 
 def GF(p: int) -> Field:
+    """F_p. Field(0) is Q, so 0 is refused here like any other non-prime."""
+    if p == 0:
+        raise WorkbenchError("characteristic must be prime, got 0")
     return Field(p)

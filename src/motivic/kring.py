@@ -25,9 +25,10 @@ to the configured skeletal level, twists up to their last exponent.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import permutations
-from math import comb
+from math import comb, log10
 from operator import itemgetter
 
 from .config import Config
@@ -580,6 +581,40 @@ def _terms_str(z) -> str:
     return join_terms(bits)
 
 
+# reads the interpreter's int-to-text limit in digits (0 for none); an
+# interpreter older than the limit has no such function
+_str_digits = getattr(sys, "get_int_max_str_digits", None)
+
+# a nonzero limit is at least 640 digits, and 2^(3*640) < 10^640, so an int
+# of at most this many bits prints under any limit
+_CLEAR_BITS = 3 * 640
+
+
+def _digit_limit() -> int:
+    """The most digits a printed count may have: the interpreter's
+    int-to-text limit, or its default of 4300 where it sets none."""
+    return (_str_digits and _str_digits()) or 4300
+
+
+def _check_power(base: int, e: int) -> None:
+    """CapExceeded when base ** e, a factor of a count that is printed, has
+    more digits than `_digit_limit`: the count could not be printed, and
+    the power is refused before it is formed, as forming it is the cost."""
+    if e * base.bit_length() > _CLEAR_BITS and abs(base) > 1:
+        limit = _digit_limit()
+        if e * log10(abs(base)) >= limit:
+            raise CapExceeded("count needs a power of more than %d digits" % limit)
+
+
+def _check_digits(n: int) -> None:
+    """CapExceeded when n, a count or the numerator of one, has more digits
+    than `_digit_limit`."""
+    if n.bit_length() > _CLEAR_BITS:
+        limit = _digit_limit()
+        if abs(n) >= 10 ** limit:
+            raise CapExceeded("count has more than %d digits" % limit)
+
+
 def counting_hom(z: KClass, m: FatPoint) -> Fraction:
     """Point count of a class at a finite fat point; L goes to q**length.
 
@@ -596,10 +631,14 @@ def counting_hom(z: KClass, m: FatPoint) -> Fraction:
 
 def _scaled_count(z: KClass, m: FatPoint):
     """(n, s) with n / q**(length*s) the count of z at m, where s is the
-    largest negative Lefschetz exponent of z, or 0 if it has none."""
+    largest negative Lefschetz exponent of z, or 0 if it has none. Both n
+    and q**(length*s) print: a power of q past `_digit_limit` is refused
+    before it is formed, and so is an n past it."""
     field = z.field
     unit = field.order ** m.length
-    s = max(0, -min((lef for _, lef in z.terms), default=0))
+    lefs = [0, *(lef for _, lef in z.terms)]
+    s = -min(lefs)
+    _check_power(unit, s + max(lefs))     # the largest power of unit formed
     memo = m.memo
     total = 0
     for (blocks, lef), c in z.terms.items():
@@ -611,6 +650,7 @@ def _scaled_count(z: KClass, m: FatPoint):
                 got = memo[key] = block.sieve.count(m)
             val *= got
         total += val
+    _check_digits(total)
     return total, s
 
 
@@ -791,6 +831,7 @@ def counting_simplicial(z: SClass, m: FatPoint, n: int) -> Fraction:
         else:
             num, s = _scaled_count(_thaw(field, sym[1]), m)
             if not sym[2]:
+                _check_power(num, n + 1)
                 num, s = num ** (n + 1), s * (n + 1)
             else:
                 den = field.order ** (m.length * s)
@@ -802,7 +843,10 @@ def counting_simplicial(z: SClass, m: FatPoint, n: int) -> Fraction:
         return Fraction(0)
     unit = field.order ** m.length
     top = max(s for _, s in parts)
-    return Fraction(sum(num * unit ** (top - s) for num, s in parts), unit ** top)
+    _check_power(unit, top)
+    total = sum(num * unit ** (top - s) for num, s in parts)
+    _check_digits(total)
+    return Fraction(total, unit ** top)
 
 
 # ---------------------------------------------------------------------------
@@ -836,6 +880,7 @@ def discrete_hom_check(y: AffineScheme, x: SimplicialSieve, m: FatPoint,
             p = q
         else:
             chains += 1
+    _check_power(len(vertices), k)     # chains <= len(vertices)
     got, expected = chains ** k, len(vertices) ** k
     return {"morphisms": got, "expected": expected, "ok": got == expected}
 

@@ -11,7 +11,9 @@ import motivic
 from motivic import cli, dsl, fatpoints, schemes
 from motivic.cli import main, run_script
 from motivic.config import DEFAULT
-from motivic.fields import GF
+from motivic.errors import EvalError, WorkbenchError
+from motivic.fields import GF, QQ
+from motivic.poly import Poly
 
 DEMO = """\
 field F 2
@@ -92,6 +94,91 @@ class TestParsing:
     def test_unknown_statement_is_rejected(self):
         with pytest.raises(dsl.ScriptError):
             dsl.parse_script("frobnicate X\n")
+
+    @pytest.mark.parametrize("script,message,line", [
+        ("field Q\nscheme X = Spec k[x] $ 1\n", "bad character '$'", 2),
+        ("field Q\nscheme X = Spec k[x]  é\n", "bad character 'é'", 2),
+        ("field Q\n\nscheme X = Spec k[x] y\n", "trailing input 'y'", 3),
+        ("field Q\ncount X at\n", "expected a fat point name, found 'end of line'", 2),
+        ("field Q\nscheme X = Spec\n", "an algebra starts with 'k'", 2),
+        ("field F\n", "expected a prime, found 'end of line'", 1),
+        ("field Q\nscheme X = Spec k[x]/(1/0*x)\n", "zero denominator in 1/0", 2),
+        ("field Q\n# note\nfrobnicate X\n", "unknown statement 'frobnicate'", 3),
+        ("field Q\ncheck frob A B\n", "unknown check 'frob'", 2),
+        ("field Q\ncount X m\n", "count needs a fat point: count X at m", 2),
+        ("field Q\narc X m\n", "arc needs a fat point: arc X at m", 2),
+        ("field Q\ncheck tau Y S m\n", "check tau needs a fat point: ... at m", 2),
+        ("field Q\nclass c = %s\n" % ("9" * 5000), "integer of 5000 digits is too long", 2),
+    ], ids=["bad-character", "bad-unicode", "trailing-input", "end-of-line-name",
+            "end-of-line-algebra", "end-of-line-int", "zero-denominator",
+            "unknown-statement", "unknown-check", "missing-at-count",
+            "missing-at-arc", "missing-at-check", "long-integer"])
+    def test_each_parse_error_names_its_message_and_line(self, script, message,
+                                                          line):
+        with pytest.raises(dsl.ScriptError) as err:
+            dsl.parse_script(script)
+        assert (str(err.value), err.value.line) == (message, line)
+
+
+def parsed_poly(text):
+    return dsl.parse_poly(dsl._Cursor(dsl.tokenize_line(text, 1), 1))
+
+
+def poly_by_arithmetic(ast, vars, field):
+    """The sum of a parsed polynomial, one `Poly` per term."""
+    out = Poly.zero(vars, field)
+    for sign, coef, factors in ast:
+        exps = [0] * len(vars)
+        for v, e in factors:
+            exps[vars.index(v)] += e
+        c = field.one if coef is None else field.of(coef)
+        out = out + Poly.monomial(tuple(exps), c if sign > 0 else field.neg(c),
+                                  vars, field)
+    return out
+
+
+class TestPolyFromAst:
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=repr)
+    @pytest.mark.parametrize("text", [
+        "x + x - 2*x", "x + x", "1/2*x + 1/2*x", "x - x + y + x", "-x^2*y + 3",
+        "x*y*x - x^2*y", "2*x^3 - y + 5 - 5 + 1*x^3", "0*x + 0", "y^2 - x^3",
+        "1/3*x*y + 2/3*y*x - x*y", "4 - 1 - 3"])
+    def test_equals_the_sum_by_poly_arithmetic(self, field, text):
+        vars = ("x", "y")
+        ast = parsed_poly(text)
+        try:
+            want = poly_by_arithmetic(ast, vars, field)
+        except WorkbenchError as err:
+            with pytest.raises(type(err), match=str(err)):
+                cli.poly_from_ast(ast, vars, field)
+            return
+        got = cli.poly_from_ast(ast, vars, field)
+        assert got == want
+        assert list(got.terms.items()) == list(want.terms.items())
+
+    def test_cancelling_terms_leave_the_zero_polynomial(self):
+        assert cli.poly_from_ast(parsed_poly("x + x - 2*x"), ("x",), QQ).is_zero()
+        assert cli.poly_from_ast(parsed_poly("x + x"), ("x",), GF(2)).is_zero()
+        assert cli.poly_from_ast(parsed_poly("1/2*x + 1/2*x"), ("x",), QQ) \
+            == Poly.variable("x", ("x",), QQ)
+
+    def test_an_unknown_variable_is_an_eval_error(self):
+        with pytest.raises(EvalError, match="unknown variable 'z'"):
+            cli.poly_from_ast(parsed_poly("x + z"), ("x", "y"), QQ)
+
+    def test_a_long_sum_makes_one_poly(self, monkeypatch):
+        ast = parsed_poly(" + ".join("%d*x^%d" % (i + 1, i) for i in range(2000)))
+        made = []
+        init = Poly.__init__
+
+        def counted(self, *args):
+            made.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(Poly, "__init__", counted)
+        p = cli.poly_from_ast(ast, ("x",), GF(3))
+        assert len(p.terms) == 1334      # the coefficients divisible by 3 drop
+        assert len(made) <= 2
 
 
 class TestReports:
@@ -321,6 +408,63 @@ class TestReports:
         rep2, code2 = run_script("field F 2\nscheme X = Spec k[x]\n", field=GF(5))
         assert code2 == 0
         assert "value=F2" in rep2
+
+    def test_characteristic_zero_is_not_a_prime_field(self, capsys):
+        rep, code = run_script("field F 0\nscheme X = Spec k[x]\n")
+        assert code == 2
+        field, scheme = record_blocks(rep)
+        assert field["error"] == "characteristic must be prime, got 0"
+        assert scheme["error"] == "no base field declared (use: field Q | field F p)"
+        assert main(["--field", "F0", "-"]) == 2
+        assert capsys.readouterr().err == "motivic: characteristic must be prime, got 0\n"
+
+
+POINT = "field F 2\nfatpoint m = k[t]/(t^2)\n"
+
+
+class TestCountsTooLargeToPrint:
+    """A count is printed, so one past the digits an int prints is refused
+    with CapExceeded, on its statement, and a power that alone is past them
+    is not formed. Over F2 at k[t]/(t^2), L counts to 4 and 4^7142 has 4300
+    digits."""
+
+    @pytest.mark.parametrize("cls,error", [
+        ("L^7143", "count needs a power of more than 4300 digits"),
+        ("L^99999999", "count needs a power of more than 4300 digits"),
+        ("L^-99999999", "count needs a power of more than 4300 digits"),
+        ("L^-7143", "count needs a power of more than 4300 digits"),
+        ("3 * L^7142", "count has more than 4300 digits"),
+    ])
+    def test_a_count_past_the_limit_is_a_cap(self, capsys, cls, error):
+        rep, code = run_script(POINT + "class c = %s\ncount c at m\n" % cls)
+        assert code == 2
+        assert record_blocks(rep)[-1]["error"] == error
+        assert capsys.readouterr().err == ""
+
+    def test_a_count_at_the_limit_prints(self):
+        rep, code = run_script(POINT + "class c = L^7142\nclass d = L^-7142\n"
+                               "count c at m\ncount d at m\n")
+        assert code == 0
+        assert [b["value"] for b in record_blocks(rep)[-2:]] \
+            == [str(4 ** 7142), "1/%d" % 4 ** 7142]
+
+    def test_a_level_count_past_the_limit_is_a_cap(self):
+        rep, code = run_script(POINT + "scheme X = Spec k[x]\n"
+                               "simplicial F = fiber(X) @ 9000\nclass c = [F]\n"
+                               "count c at m level 7141\ncount c at m level 7142\n")
+        assert code == 2
+        under, over = record_blocks(rep)[-2:]
+        assert under["value"] == str(4 ** 7142)
+        assert over["error"] == "count needs a power of more than 4300 digits"
+
+    def test_a_morphism_count_past_the_limit_is_a_cap(self):
+        rep, code = run_script("field F 3\nfatpoint m = k[t]/(t^4)\n"
+                               "scheme Y = Spec k[x, y]\nscheme X = Spec k[x]\n"
+                               "simplicial S = fiber(X) @ 2\n"
+                               "check tau Y S at m level 1\n")
+        assert code == 2
+        assert record_blocks(rep)[-1]["error"] \
+            == "count needs a power of more than 4300 digits"
 
 
 HIGH_EXPONENT_SCRIPTS = {
